@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import markup
-from .data import gen_needle, load_jsonl, SynthSpec
+from .data import gen_dataset, load_jsonl, save_jsonl
 from .errors import (
     ConfigError,
     DataError,
@@ -92,9 +92,8 @@ def merged_options(file_cfg: dict, overrides: dict) -> dict:
 
 
 def build_train_config(options: dict) -> TrainConfig:
-    fields = set(TrainConfig.__dataclass_fields__)
     try:
-        return TrainConfig(**{k: v for k, v in options.items() if k in fields})
+        return TrainConfig.from_dict(options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid training configuration: {exc}") from exc
 
@@ -335,19 +334,10 @@ def cmd_gen_synth(n, target_tokens, seed, out_path, clusters, cluster_size, fill
     """Write n synthetic needle instances as JSONL."""
     if n < 0:
         raise ConfigError("--n must be >= 0")
-    out = Path(out_path)
+    data = gen_dataset(n, target_tokens, seed, n_clusters=clusters,
+                       cluster_size=cluster_size, filler_gap=filler_gap)
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as fh:
-            for i in range(n):
-                spec = SynthSpec(
-                    target_tokens=target_tokens,
-                    seed=seed + i,
-                    n_clusters=clusters,
-                    cluster_size=cluster_size,
-                    filler_gap=filler_gap,
-                )
-                fh.write(json.dumps(gen_needle(spec).to_record(), ensure_ascii=False) + "\n")
+        save_jsonl(data, out_path)
     except OSError as exc:
         raise DataError(f"cannot write {out_path}: {exc}") from exc
     click.echo(f"wrote {n} instances -> {out_path}")

@@ -9,7 +9,8 @@ which defines a Bernoulli-factorized selection policy over the
 policy-controlled index set omega.  Probabilities are clamped away from 0/1
 so log-likelihood and entropy stay finite, and the log-probability gradient
 with respect to (w, b) has the usual closed form, verified against finite
-differences in the test suite.
+differences in the test suite.  :func:`forward` is the one place that
+evaluates this map; scoring and both gradients read its result.
 
 Feature standardization statistics live inside ScorerParams and are frozen
 at initialization (computed once from the training split), keeping the
@@ -222,12 +223,38 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def score(feats: TokenFeatures, params: ScorerParams) -> ScoreMap:
-    """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped."""
+def omega_index(omega) -> np.ndarray:
+    """omega as an int64 index array."""
+    return np.asarray(tuple(omega), dtype=np.int64)
+
+
+@dataclass
+class Forward:
+    """Standardized rows ``x``, clamped probabilities ``p``, and ``interior``:
+    true where p lies strictly inside the clamp (only those carry gradient)."""
+
+    x: np.ndarray
+    p: np.ndarray
+    interior: np.ndarray
+
+
+def forward(feats: TokenFeatures, params: ScorerParams, omega=None) -> Forward:
+    """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped, on the rows in
+    ``omega`` (every row when omega is None)."""
     x = standardize(feats, params)
-    z = (x @ params.w + params.b) / params.tau
-    p = np.clip(_sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return ScoreMap(probs=p)
+    if omega is not None:
+        x = x[omega_index(omega)]
+    p_raw = _sigmoid((x @ params.w + params.b) / params.tau)
+    return Forward(
+        x=x,
+        p=np.clip(p_raw, PROB_CLAMP, 1.0 - PROB_CLAMP),
+        interior=(p_raw > PROB_CLAMP) & (p_raw < 1.0 - PROB_CLAMP),
+    )
+
+
+def score(feats: TokenFeatures, params: ScorerParams) -> ScoreMap:
+    """Clamped selection probabilities for every token."""
+    return ScoreMap(probs=forward(feats, params).p)
 
 
 def log_prob(mask: np.ndarray, scores: ScoreMap, omega) -> float:
@@ -235,9 +262,7 @@ def log_prob(mask: np.ndarray, scores: ScoreMap, omega) -> float:
 
     Always finite (probabilities are clamped) and <= 0.
     """
-    idx = np.asarray(tuple(omega), dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
+    idx = omega_index(omega)
     p = scores.probs[idx]
     m = np.asarray(mask, dtype=np.float64)[idx]
     return float(np.sum(m * np.log(p) + (1.0 - m) * np.log1p(-p)))
@@ -257,24 +282,16 @@ def log_prob_grad(
     Clamped tokens contribute zero, matching finite differences of the
     clamped log-likelihood.
     """
-    idx = np.asarray(tuple(omega), dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros(params.dim), 0.0
-    x = standardize(feats, params)[idx]
-    z = (x @ params.w + params.b) / params.tau
-    p_raw = _sigmoid(z)
-    interior = (p_raw > PROB_CLAMP) & (p_raw < 1.0 - PROB_CLAMP)
-    p = np.clip(p_raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    idx = omega_index(omega)
+    fwd = forward(feats, params, idx)
     m = np.asarray(mask, dtype=np.float64)[idx]
-    diff = np.where(interior, m - p, 0.0)
-    grad_w = (diff @ x) / params.tau
-    grad_b = float(diff.sum() / params.tau)
-    return grad_w, grad_b
+    dz = np.where(fwd.interior, m - fwd.p, 0.0) / params.tau
+    return dz @ fwd.x, float(dz.sum())
 
 
 def entropy(scores: ScoreMap, omega) -> float:
     """Token-wise Bernoulli entropy averaged over omega, in [0, ln 2]."""
-    idx = np.asarray(tuple(omega), dtype=np.int64)
+    idx = omega_index(omega)
     if idx.size == 0:
         return 0.0
     p = scores.probs[idx]

@@ -17,7 +17,7 @@ import math
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, StructureError
 
@@ -115,6 +115,16 @@ def macro_f1(preds: list, golds: list, labels: list) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
+# name -> metric(output, gold, k); the names a RewardSpec may use
+METRICS = {
+    "em": lambda output, gold, k: em(str(output), str(gold)),
+    "f1": lambda output, gold, k: token_f1(str(output), str(gold)),
+    "hr": lambda output, gold, k: hr_at_k(output, gold, k),
+    "ndcg": lambda output, gold, k: ndcg_at_k(output, gold, k),
+    "accuracy": lambda output, gold, k: accuracy([output], [gold]),
+}
+
+
 @dataclass(frozen=True)
 class RewardSpec:
     """Weighted combination of per-instance metrics, e.g.
@@ -127,6 +137,8 @@ class RewardSpec:
         if not self.terms:
             raise ConfigError("reward spec needs at least one term")
         for name, weight in self.terms:
+            if name not in METRICS:
+                raise ConfigError(f"unknown reward metric {name!r}")
             if weight < 0:
                 raise ConfigError(f"negative weight for reward term {name!r}")
 
@@ -147,21 +159,6 @@ def composite(output, gold, spec: RewardSpec) -> float:
     output to be an ordered id sequence and gold a single id.  A None
     output (unparseable solver response) scores 0 on every term.
     """
-    total = 0.0
-    for name, weight in spec.terms:
-        if name not in ("em", "f1", "hr", "ndcg", "accuracy"):
-            raise ConfigError(f"unknown reward metric {name!r}")
-        if output is None:
-            continue
-        if name == "em":
-            value = em(str(output), str(gold))
-        elif name == "f1":
-            value = token_f1(str(output), str(gold))
-        elif name == "hr":
-            value = hr_at_k(output, gold, spec.k)
-        elif name == "ndcg":
-            value = ndcg_at_k(output, gold, spec.k)
-        else:
-            value = 1.0 if str(output).strip().lower() == str(gold).strip().lower() else 0.0
-        total += weight * value
-    return total
+    if output is None:
+        return 0.0
+    return sum(weight * METRICS[name](output, gold, spec.k) for name, weight in spec.terms)

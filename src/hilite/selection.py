@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, StructureError
 from .markup import Mask
-from .policy import ScoreMap
+from .policy import ScoreMap, omega_index
 
 GUMBEL_FLOOR = 1e-12
 
@@ -74,10 +74,6 @@ def _as_rng(rng) -> np.random.Generator:
     return rng
 
 
-def _omega_array(omega) -> np.ndarray:
-    return np.asarray(tuple(omega), dtype=np.int64)
-
-
 def _mask_from_indices(n: int, indices: np.ndarray) -> Mask:
     mask = np.zeros(n, dtype=np.uint8)
     mask[indices] = 1
@@ -93,7 +89,7 @@ def _topk_indices(values: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
 def sample_bernoulli(scores: ScoreMap, omega, rng) -> Mask:
     """Preliminary mask: m_i ~ Bernoulli(p_i) on omega, zero elsewhere."""
     rng = _as_rng(rng)
-    idx = _omega_array(omega)
+    idx = omega_index(omega)
     mask = np.zeros(len(scores), dtype=np.uint8)
     if idx.size:
         draws = rng.random(idx.size)
@@ -116,7 +112,7 @@ def project_k(mask: Mask, scores: ScoreMap, k: int) -> Mask:
 
 def topk(scores: ScoreMap, omega, k: int) -> Mask:
     """Deterministic inference-time selection: the k largest p_i on omega."""
-    idx = _omega_array(omega)
+    idx = omega_index(omega)
     if k > idx.size:
         raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
     keep = _topk_indices(scores.probs[idx], idx, k)
@@ -141,27 +137,25 @@ def sample_alternative(
     plain top-k.
     """
     rng = _as_rng(rng)
-    idx = _omega_array(omega)
+    idx = omega_index(omega)
     if k > idx.size:
         raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
     p = scores.probs[idx]
     kind = SamplerKind(kind)
     if kind == SamplerKind.GREEDY_TOPK:
-        keep = _topk_indices(p, idx, k)
+        keys = p
     elif kind == SamplerKind.SOFTMAX_WOR:
         # Efraimidis-Spirakis keys: top-k of log(u)/p_i reproduces sequential
         # without-replacement sampling with weights p_i.
         u = rng.random(idx.size)
         keys = np.log(np.maximum(u, GUMBEL_FLOOR)) / p
-        keep = _topk_indices(keys, idx, k)
     elif kind == SamplerKind.GUMBEL_TOPK:
         u = rng.random(idx.size)
         gumbel = -np.log(-np.log(np.maximum(u, GUMBEL_FLOOR)))
         keys = np.log(p) + noise_scale * gumbel
-        keep = _topk_indices(keys, idx, k)
     else:
         raise StructureError(f"{kind} is not an alternative sampler")
-    return _mask_from_indices(len(scores), keep)
+    return _mask_from_indices(len(scores), _topk_indices(keys, idx, k))
 
 
 def sample_mask(

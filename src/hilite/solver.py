@@ -22,6 +22,7 @@ reward, flagged), never a crash.
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -171,7 +172,8 @@ def parse_answer(raw: str) -> str:
 
 def parse_final_json(raw: str) -> list:
     """Extract the first <FINAL_JSON> block and return candidate ids sorted
-    by score descending (ties: id ascending)."""
+    by score descending (ties: id ascending).  Duplicate ids and non-finite
+    scores are parse errors, so such a reply is a flagged episode."""
     m = _FINAL_JSON_RE.search(raw)
     if not m:
         raise ParseError("no <FINAL_JSON>...</FINAL_JSON> payload found")
@@ -186,14 +188,20 @@ def parse_final_json(raw: str) -> list:
         if not isinstance(rec, dict) or "id" not in rec or "score" not in rec:
             raise ParseError(f"malformed FINAL_JSON record: {rec!r}")
         try:
-            scored.append((rec["id"], float(rec["score"])))
+            score = float(rec["score"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"non-numeric score in record: {rec!r}") from exc
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score in record: {rec!r}")
+        scored.append((rec["id"], score))
     try:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    except TypeError as exc:  # mixed-type ids are not orderable
-        raise ParseError(f"ids are not mutually orderable: {exc}") from exc
-    return [item_id for item_id, _ in scored]
+        ids = [item_id for item_id, _ in scored]
+        if len(set(ids)) != len(ids):
+            raise ParseError("FINAL_JSON ranking contains duplicate ids")
+    except TypeError as exc:  # mixed-type ids are not orderable, lists not hashable
+        raise ParseError(f"ids are not mutually orderable and hashable: {exc}") from exc
+    return ids
 
 
 def parse_output(raw: str, contract: str):

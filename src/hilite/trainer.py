@@ -19,8 +19,10 @@ One training step on one instance:
    the analytic gradient.  Log-probabilities are always evaluated on the
    pre-projection masks; the projected mask only shapes the emphasized text.
 
-The solver is frozen: training mutates scorer parameters and optimizer
-state, nothing else.  Rollouts within a group may run concurrently; the
+Each step runs one forward pass of the scorer, used for both sampling and
+the update.  The solver is frozen: training mutates scorer parameters and
+optimizer state, nothing else.  One pool of G threads lives for the whole
+run; each step maps the solver over its G emphasized texts on it, and the
 parameter update is single-writer.  Every run is reproducible from
 (config, seed): sampling streams derive from (seed, instance id, group
 index, step).
@@ -194,7 +196,7 @@ def loss_terms(
 ) -> LossTerms:
     """Evaluate the three loss components and their weighted sum."""
     l_pg = float(-(group.advantages * group.log_probs).mean())
-    idx = np.asarray(tuple(omega), dtype=np.int64)
+    idx = policy.omega_index(omega)
     mean_p = float(scores.probs[idx].mean()) if idx.size else cfg.gamma
     l_len = float((mean_p - cfg.gamma) ** 2)
     l_ent = float(-policy.entropy(scores, omega))
@@ -208,42 +210,37 @@ def assemble_gradient(
     params: ScorerParams,
     omega,
     cfg: TrainConfig,
+    fwd: policy.Forward | None = None,
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of the total loss with respect to (w, b).
 
     Matches central finite differences of loss_terms' total (masks and
     advantages held fixed); clamped tokens contribute zero everywhere, like
-    the clamped forward pass they correspond to.
+    the clamped forward pass they correspond to.  ``fwd`` is the forward
+    pass over every row of ``feats`` when the caller already has it.
     """
-    idx = np.asarray(tuple(omega), dtype=np.int64)
+    idx = policy.omega_index(omega)
     if idx.size == 0:
         return np.zeros(params.dim), 0.0
-    x = policy.standardize(feats, params)[idx]
-    z = (x @ params.w + params.b) / params.tau
-    p_raw = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
-    interior = (p_raw > policy.PROB_CLAMP) & (p_raw < 1.0 - policy.PROB_CLAMP)
-    p = np.clip(p_raw, policy.PROB_CLAMP, 1.0 - policy.PROB_CLAMP)
-    dp_dz = np.where(interior, p * (1.0 - p), 0.0)
-    n = idx.size
-    g = len(group.prelim_masks)
+    if fwd is None:
+        fwd = policy.forward(feats, params)
+    x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
+    n, tau = idx.size, params.tau
+    masks = np.stack(group.prelim_masks)[:, idx]
+    g = len(masks)
 
-    # policy-gradient term: -(1/G) sum_j A_j * (m_j - p) / tau
-    diff_sum = np.zeros(n)
-    for j in range(g):
-        m = np.asarray(group.prelim_masks[j], dtype=np.float64)[idx]
-        diff_sum += group.advantages[j] * np.where(interior, m - p, 0.0)
-    dz_pg = -diff_sum / (g * params.tau)
+    # policy-gradient term: -(1/G) sum_j A_j (m_j - p) / tau
+    dz_pg = -(group.advantages[:g] @ (masks - p)) / (g * tau)  # one A_j per mask
 
     # length term: 2 (mean p - gamma) * dp/dz / (n tau)
-    dz_len = 2.0 * (p.mean() - cfg.gamma) * dp_dz / (n * params.tau)
+    dp_dz = p * (1.0 - p)
+    dz_len = 2.0 * (p.mean() - cfg.gamma) * dp_dz / (n * tau)
 
     # entropy bonus: d(-H)/dz = -ln((1-p)/p) * dp/dz / (n tau)
-    dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * params.tau)
+    dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * tau)
 
-    dz = dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent
-    grad_w = dz @ x
-    grad_b = float(dz.sum())
-    return grad_w, grad_b
+    dz = np.where(interior, dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent, 0.0)
+    return dz @ x, float(dz.sum())
 
 
 def grad_step(
@@ -253,10 +250,11 @@ def grad_step(
     opt: OptimizerState,
     cfg: TrainConfig,
     omega,
+    fwd: policy.Forward | None = None,
 ) -> ScorerParams:
     """One AdamW update on (w, b).  Decoupled weight decay applies to the
     weight vector only.  Non-finite gradients skip the step (logged)."""
-    grad_w, grad_b = assemble_gradient(group, feats, params, omega, cfg)
+    grad_w, grad_b = assemble_gradient(group, feats, params, omega, cfg, fwd)
     if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
         return params
@@ -294,16 +292,6 @@ class TrainResult:
     reward_regressions: list[int] = field(default_factory=list)
 
 
-def _prepare(dataset: list[Instance], cfg: TrainConfig):
-    contexts = {inst.id: tokenize(inst.context) for inst in dataset}
-    idf_table = build_idf_table(list(contexts.values()))
-    feats = {
-        inst.id: featurize(inst.query, contexts[inst.id], idf_table, cfg.idf_ceiling)
-        for inst in dataset
-    }
-    return contexts, idf_table, feats
-
-
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
 ) -> tuple[ScorerParams, dict[str, float], dict, dict]:
@@ -313,7 +301,12 @@ def init_from_dataset(
     bias starts at tau * logit(gamma) so the initial expected highlight
     fraction sits on budget.
     """
-    contexts, idf_table, feats = _prepare(dataset, cfg)
+    contexts = {inst.id: tokenize(inst.context) for inst in dataset}
+    idf_table = build_idf_table(list(contexts.values()))
+    feats = {
+        inst.id: featurize(inst.query, contexts[inst.id], idf_table, cfg.idf_ceiling)
+        for inst in dataset
+    }
     stacked = np.vstack([f.matrix for f in feats.values()])
     if stacked.shape[0] == 0:
         raise ConfigError("training split contains no tokens")
@@ -330,8 +323,10 @@ def rollout_group(
     fmt: MarkerFormat,
     reward_spec: RewardSpec,
     step: int,
+    pool: ThreadPoolExecutor,
 ) -> tuple[GroupSample, int]:
-    """Sample G masks, query the solver concurrently, and assemble the group.
+    """Sample G masks, query the solver concurrently on ``pool``, and
+    assemble the group.
 
     Returns the group plus the number of transport failures (each one is a
     zero-reward, flagged episode).
@@ -346,22 +341,16 @@ def rollout_group(
         proj_masks.append(proj)
         emphasized.append(markup.inject(ctx, spans, fmt))
 
-    outputs: list[SolverOutput | None] = [None] * cfg.group_size
-    failures = 0
+    def call(text: str) -> SolverOutput | None:
+        try:
+            return solver.solve(inst.query, text, inst)
+        except (SolverUnavailableError, ProtocolError):
+            # transport exhaustion and off-contract payloads are both
+            # flagged zero-reward episodes, never training crashes
+            return None
 
-    def call(j: int) -> SolverOutput:
-        return solver.solve(inst.query, emphasized[j], inst)
-
-    with ThreadPoolExecutor(max_workers=cfg.group_size) as pool:
-        futures = {j: pool.submit(call, j) for j in range(cfg.group_size)}
-        for j, fut in futures.items():
-            try:
-                outputs[j] = fut.result()
-            except (SolverUnavailableError, ProtocolError):
-                # transport exhaustion and off-contract payloads are both
-                # flagged zero-reward episodes, never training crashes
-                failures += 1
-                outputs[j] = None
+    outputs = list(pool.map(call, emphasized))
+    failures = outputs.count(None)
 
     contract = getattr(solver, "output_contract", "free-text")
     rewards = np.zeros(cfg.group_size)
@@ -422,19 +411,21 @@ def train(
     aborted = False
     reward_regressions: list[int] = []
     window_means: list[float] = []
+    pool = ThreadPoolExecutor(max_workers=cfg.group_size)
     try:
         for step in range(cfg.steps):
             inst = dataset[step % len(dataset)]
             ctx = contexts[inst.id]
             f = feats[inst.id]
-            scores = score(f, params)
+            fwd = policy.forward(f, params)
+            scores = policy.ScoreMap(probs=fwd.p)
             group, failures = rollout_group(
-                inst, ctx, scores, solver, cfg, fmt, reward_spec, step
+                inst, ctx, scores, solver, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
             terms = loss_terms(group, scores, ctx.omega, cfg)
-            params = grad_step(group, f, params, opt, cfg, ctx.omega)
-            idx = np.asarray(ctx.omega, dtype=np.int64)
+            params = grad_step(group, f, params, opt, cfg, ctx.omega, fwd)
+            idx = policy.omega_index(ctx.omega)
             record = {
                 "step": step,
                 "rewards": group.rewards.tolist(),
@@ -470,6 +461,7 @@ def train(
                 )
                 break
     finally:
+        pool.shutdown()
         if metrics_fh is not None:
             metrics_fh.close()
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,20 @@ def test_gradient_matches_finite_differences(seed):
     got = np.concatenate([gw, [gb]])
     denom = max(np.linalg.norm(ref), 1e-8)
     assert np.linalg.norm(got - ref) / denom < 1e-4
+
+
+def test_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
+    # z = 1000 x: tokens 0, 1, 3, 4 are clamped (|z| >= 800), token 2 (z = 1) is not
+    params = identity_params([1000.0])
+    f = feats_of([[-1.0], [-0.8], [0.001], [0.8], [1.0]])
+    mask = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gw, gb = log_prob_grad(mask, f, params, range(5))
+        gw_2, gb_2 = log_prob_grad(mask, f, params, [2])
+    assert np.all(np.isfinite(gw)) and math.isfinite(gb)
+    assert gw.tolist() == gw_2.tolist() and gb == gb_2
+    assert gb == pytest.approx(1.0 - 1.0 / (1.0 + math.exp(-1.0)))
 
 
 # ---------------------------------------------------------------------------

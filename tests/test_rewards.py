@@ -122,6 +122,11 @@ def test_composite_unknown_metric_rejected():
         composite("x", "x", RewardSpec((("bleu", 1.0),)))
 
 
+def test_reward_spec_rejects_unknown_metric_at_config_time():
+    with pytest.raises(ConfigError):
+        RewardSpec.parse("bleu:1")
+
+
 def test_composite_none_output_is_zero():
     assert composite(None, "x", QA) == 0.0
 

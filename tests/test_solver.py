@@ -119,6 +119,17 @@ def test_parse_final_json_errors():
         parse_final_json('<FINAL_JSON>[{"id": 1}]</FINAL_JSON>')
 
 
+@pytest.mark.parametrize("records", [
+    '[{"id": 1, "score": 2.0}, {"id": 1, "score": 1.0}]',
+    '[{"id": 1, "score": NaN}, {"id": 2, "score": 1.0}]',
+    '[{"id": 1, "score": 1.0}, {"id": 2, "score": Infinity}]',
+    '[{"id": [1], "score": 1.0}, {"id": [2], "score": 2.0}]',
+])
+def test_parse_final_json_rejects_duplicates_non_finite_and_unhashable(records):
+    with pytest.raises(ParseError):
+        parse_final_json(f"<FINAL_JSON>{records}</FINAL_JSON>")
+
+
 def test_parsing_total_on_adversarial_text():
     for raw in ("", "<answer>", "</answer><answer>", "\x00\xff garbage", "<FINAL_JSON>"):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,53 @@ def test_total_gradient_matches_finite_differences(seed):
     assert np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-8) < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_policy_gradient_term_matches_per_mask_loop(seed):
+    # reference: -(1/G) sum_j A_j sum_{i in omega} (m_ji - p_i) x~_i / tau, one
+    # mask and one token at a time
+    from hilite.policy import standardize
+
+    rng = np.random.default_rng(seed)
+    n, d, g = 12, 3, 4
+    feats = TokenFeatures(matrix=rng.normal(size=(n, d)))
+    params = identity_params(rng.normal(scale=0.5, size=d), b=0.1, tau=0.8)
+    masks = [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(g)]
+    group = group_from(masks, rng.random(g), [0.0] * g)
+    omega = sorted(rng.choice(n, size=8, replace=False).tolist())
+    p = score(feats, params).probs
+    assert np.all((p > 1e-3) & (p < 1 - 1e-3))  # no token near the clamp
+    x = standardize(feats, params)
+    ref_w, ref_b = np.zeros(d), 0.0
+    for a, m in zip(group.advantages, masks):
+        for i in omega:
+            ref_w -= a * (m[i] - p[i]) * x[i] / (g * params.tau)
+            ref_b -= a * (m[i] - p[i]) / (g * params.tau)
+    cfg = small_config(group_size=g, lambda_len=0.0, beta_ent=0.0)
+    gw, gb = assemble_gradient(group, feats, params, omega, cfg)
+    assert np.allclose(gw, ref_w, rtol=1e-12, atol=1e-14)
+    assert gb == pytest.approx(ref_b, rel=1e-12, abs=1e-14)
+
+
+def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
+    # z = 1000 x: tokens 0, 1, 3, 4 are clamped (|z| >= 800), token 2 (z = 1) is not
+    params = identity_params([1000.0])
+    a = TokenFeatures(matrix=np.array([[-1.0], [-0.8], [0.001], [0.8], [1.0]]))
+    b = TokenFeatures(matrix=np.array([[-3.0], [-0.9], [0.001], [2.0], [0.9]]))
+    masks_a = [[1, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 1, 1, 0, 0]]
+    masks_b = [[0, 1, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]  # clamped bits differ
+    rewards = [1.0, 0.0, 0.5]
+    cfg = small_config(group_size=3, gamma=0.3, lambda_len=0.5, beta_ent=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gw, gb = assemble_gradient(group_from(masks_a, rewards, [0.0] * 3), a, params,
+                                   range(5), cfg)
+        gw_b, gb_b = assemble_gradient(group_from(masks_b, rewards, [0.0] * 3), b, params,
+                                       range(5), cfg)
+    assert np.all(np.isfinite(gw)) and math.isfinite(gb)
+    assert gw.tolist() == gw_b.tolist() and gb == gb_b
+    assert gw[0] != 0.0 and gb != 0.0
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -343,6 +391,37 @@ def test_protocol_error_is_flagged_episode_not_crash():
     cfg = TrainConfig(steps=1, seed=0, solver_failure_budget=100)
     result = train(data, BrokenSolver(), cfg)
     assert result.history[0]["rewards"] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_train_builds_one_thread_pool_per_call(monkeypatch):
+    from hilite import trainer
+
+    built = []
+
+    class CountingPool(trainer.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", CountingPool)
+    train(oracle_dataset(n=3), OracleSolver(OracleSolverConfig()),
+          TrainConfig(steps=6, seed=0))
+    assert built == [4]
+
+
+def test_duplicate_ranking_ids_are_zero_reward_episodes():
+    data = [make_instance(gold="beta")]
+    spec = RewardSpec((("hr", 1.0),), k=10)
+    cfg = TrainConfig(steps=2, seed=0, solver_failure_budget=100)
+
+    def rewards_for(reply):
+        solver = ScriptedSolver([reply], output_contract="final-json")
+        return [r["rewards"] for r in train(data, solver, cfg, reward_spec=spec).history]
+
+    ok = '[{"id": "beta", "score": 2}, {"id": "gamma", "score": 1}]'
+    dup = '[{"id": "beta", "score": 2}, {"id": "beta", "score": 1}]'
+    assert rewards_for(f"<FINAL_JSON>{ok}</FINAL_JSON>") == [[1.0] * 4] * 2
+    assert rewards_for(f"<FINAL_JSON>{dup}</FINAL_JSON>") == [[0.0] * 4] * 2
 
 
 def test_empty_dataset_rejected():
