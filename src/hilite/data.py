@@ -201,7 +201,7 @@ def _distractor_sentence(rng: np.random.Generator) -> str:
 
 
 def _count_tokens(text: str) -> int:
-    return len(tokenize(text).tokens)
+    return len(tokenize(text))
 
 
 def gen_needle(spec: SynthSpec) -> Instance:
@@ -407,13 +407,10 @@ def gold_token_indices(
     ctx: TokenizedContext, gold_spans: list[tuple[int, int]]
 ) -> set[int]:
     """Indices of tokens whose byte range intersects any gold span."""
-    out = set()
-    for i, tok in enumerate(ctx.tokens):
-        for start, end in gold_spans:
-            if tok.char_start < end and tok.char_end > start:
-                out.add(i)
-                break
-    return out
+    hit = np.zeros(len(ctx), dtype=bool)
+    for start, end in gold_spans:
+        hit |= (ctx.starts < end) & (ctx.ends > start)
+    return set(np.flatnonzero(hit).tolist())
 
 
 def evidence_overlap(

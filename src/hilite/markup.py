@@ -85,7 +85,7 @@ def load_formats(config: dict[str, dict[str, str]]) -> dict[str, MarkerFormat]:
 
 
 def new_mask(ctx: TokenizedContext) -> Mask:
-    return np.zeros(len(ctx.tokens), dtype=np.uint8)
+    return np.zeros(len(ctx), dtype=np.uint8)
 
 
 def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> list[Span]:
@@ -96,35 +96,25 @@ def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> list[Span]:
     the result is sorted.  Re-applying with the same delta to a span list's
     own indicator mask is a no-op.
     """
-    if len(mask) != len(ctx.tokens):
+    if len(mask) != len(ctx):
         raise StructureError(
-            f"mask length {len(mask)} != token count {len(ctx.tokens)}"
+            f"mask length {len(mask)} != token count {len(ctx)}"
         )
     if delta < 0:
         raise StructureError("delta must be >= 0")
     selected = np.flatnonzero(mask)
     if selected.size == 0:
         return []
-    spans: list[Span] = []
-    run_start = run_end = int(selected[0])
-    for idx in selected[1:]:
-        idx = int(idx)
-        if idx - run_end - 1 <= delta:
-            run_end = idx
-        else:
-            spans.append(_make_span(ctx, run_start, run_end))
-            run_start = run_end = idx
-    spans.append(_make_span(ctx, run_start, run_end))
-    return spans
-
-
-def _make_span(ctx: TokenizedContext, first: int, last: int) -> Span:
-    return Span(
-        first_token=first,
-        last_token=last,
-        char_start=ctx.tokens[first].char_start,
-        char_end=ctx.tokens[last].char_end,
-    )
+    # a run breaks where more than delta unselected tokens separate two picks
+    breaks = np.flatnonzero(np.diff(selected) > delta + 1)
+    first = selected[np.concatenate(([0], breaks + 1))]
+    last = selected[np.concatenate((breaks, [selected.size - 1]))]
+    return [
+        Span(*span)
+        for span in zip(
+            first.tolist(), last.tolist(), ctx.starts[first].tolist(), ctx.ends[last].tolist()
+        )
+    ]
 
 
 def spans_to_mask(spans: list[Span], n_tokens: int) -> Mask:

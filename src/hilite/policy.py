@@ -136,7 +136,7 @@ def build_idf_table(contexts: list[TokenizedContext]) -> dict[str, float]:
     n = len(contexts)
     df: dict[str, int] = {}
     for ctx in contexts:
-        for word in {t.text.casefold() for t in ctx.tokens}:
+        for word in {text.casefold() for text in set(ctx.texts)}:
             df[word] = df.get(word, 0) + 1
     return {w: math.log((1 + n) / (1 + c)) for w, c in sorted(df.items())}
 
@@ -151,29 +151,49 @@ def featurize(
 
     Features are independent of any mask or budget: query unigram/bigram
     overlap, idf, relative position i/L, capped token length, numeric flag,
-    and sentence-initial flag.
+    and sentence-initial flag.  Each lexical feature is computed once per
+    distinct token text (or casefolded word) of the context and gathered by
+    vocabulary id; query bigrams are matched as integer pair codes.
     """
-    q_tokens = [t.text.casefold() for t in tokenize(query).tokens]
-    q_unigrams = set(q_tokens)
-    q_bigrams = set(zip(q_tokens, q_tokens[1:]))
-
-    n = len(ctx.tokens)
+    n = len(ctx)
     x = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    lowered = [t.text.casefold() for t in ctx.tokens]
-    for i, tok in enumerate(ctx.tokens):
-        word = lowered[i]
-        x[i, 0] = 1.0 if word in q_unigrams else 0.0
-        bigram = 0.0
-        if i > 0 and (lowered[i - 1], word) in q_bigrams:
-            bigram = 1.0
-        elif i + 1 < n and (word, lowered[i + 1]) in q_bigrams:
-            bigram = 1.0
-        x[i, 1] = bigram
-        x[i, 2] = idf_table.get(word, idf_ceiling)
-        x[i, 3] = i / n
-        x[i, 4] = min(len(tok.text), _LENGTH_CAP) / _LENGTH_CAP
-        x[i, 5] = 1.0 if tok.text.isdigit() else 0.0
-        x[i, 6] = 1.0 if i == 0 or ctx.tokens[i - 1].text in _SENTENCE_FINAL else 0.0
+    if n == 0:
+        return TokenFeatures(matrix=x)
+    # distinct token text -> text id, and distinct casefolded word -> word id
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(ctx.texts))}
+    text_id = np.fromiter(map(vocab.__getitem__, ctx.texts), dtype=np.int64, count=n)
+    folded = [t.casefold() for t in vocab]
+    words = {w: i for i, w in enumerate(dict.fromkeys(folded))}
+    word_of_text = np.fromiter(map(words.__getitem__, folded), dtype=np.int64, count=len(vocab))
+    word_id = word_of_text[text_id]
+    n_words = len(words)
+
+    q_words = [t.casefold() for t in tokenize(query).texts]
+    q_unigrams = set(q_words)
+    q_pairs = np.fromiter(
+        {words[a] * n_words + words[b]
+         for a, b in zip(q_words, q_words[1:]) if a in words and b in words},
+        dtype=np.int64,
+    )
+    pair_hit = np.isin(word_id[:-1] * n_words + word_id[1:], q_pairs)
+    bigram = np.zeros(n, dtype=bool)
+    bigram[1:] = pair_hit  # token i ends a query bigram ...
+    bigram[:-1] |= pair_hit  # ... or starts one
+
+    def per_word(values, dtype):
+        return np.fromiter(values, dtype=dtype, count=n_words)[word_id]
+
+    def per_text(values, dtype):
+        return np.fromiter(values, dtype=dtype, count=len(vocab))[text_id]
+
+    x[:, 0] = per_word((w in q_unigrams for w in words), bool)
+    x[:, 1] = bigram
+    x[:, 2] = per_word((idf_table.get(w, idf_ceiling) for w in words), np.float64)
+    x[:, 3] = np.arange(n) / n
+    x[:, 4] = per_text((min(len(t), _LENGTH_CAP) for t in vocab), np.int64) / _LENGTH_CAP
+    x[:, 5] = per_text((t.isdigit() for t in vocab), bool)
+    x[0, 6] = 1.0
+    x[1:, 6] = per_text((t in _SENTENCE_FINAL for t in vocab), bool)[:-1]
     return TokenFeatures(matrix=x)
 
 
@@ -224,8 +244,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def omega_index(omega) -> np.ndarray:
-    """omega as an int64 index array."""
-    return np.asarray(tuple(omega), dtype=np.int64)
+    """omega as an int64 index array (no copy when it already is one)."""
+    return np.asarray(omega, dtype=np.int64)
 
 
 @dataclass

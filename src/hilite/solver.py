@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ConfigError,
+    IntegrityError,
     ParseError,
     ProtocolError,
     SolverUnavailableError,
@@ -45,6 +46,7 @@ FREE_TEXT = "free-text"
 
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 _FINAL_JSON_RE = re.compile(r"<FINAL_JSON>(.*?)</FINAL_JSON>", re.DOTALL)
+_RETRIED_4XX = (408, 429)  # request timeout, too many requests
 
 
 @dataclass(frozen=True)
@@ -239,9 +241,10 @@ def call_http(prompt: str, endpoint: EndpointConfig) -> SolverOutput:
     """POST the prompt, retrying transport failures with exponential backoff.
 
     At most ``max_retries`` network attempts are made; exhausting them
-    raises SolverUnavailableError.  A reachable endpoint returning an
-    off-contract payload raises ProtocolError immediately (retrying a
-    deterministic protocol violation would not help).
+    raises SolverUnavailableError.  Connection errors, timeouts, 408, 429
+    and 5xx responses are retried.  Any other 4xx response, or a reachable
+    endpoint returning an off-contract payload, raises ProtocolError
+    immediately (retrying a deterministic rejection would not help).
     """
     import requests
 
@@ -260,6 +263,10 @@ def call_http(prompt: str, endpoint: EndpointConfig) -> SolverOutput:
             resp = requests.post(
                 endpoint.url, json=body, headers=headers, timeout=endpoint.timeout
             )
+            if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIED_4XX:
+                raise ProtocolError(
+                    f"{endpoint.url} rejected the request: HTTP {resp.status_code}"
+                )
             resp.raise_for_status()
             payload = resp.json()
             if not isinstance(payload, dict) or "text" not in payload:
@@ -364,10 +371,17 @@ def oracle_solve(
 ) -> SolverOutput:
     """Answer correctly iff tagged coverage of the gold evidence reaches the
     threshold (and, for the bridging variant, some connective context
-    survives).  Fully deterministic; replies on the answer-tag contract."""
-    coverage, has_connective = evidence_coverage(
-        emphasized_context, instance.context, instance.evidence_spans or [], fmt
-    )
+    survives).  Fully deterministic; replies on the answer-tag contract.
+
+    Emphasis whose markers do not pair up (for example because the source
+    already contains a marker string) gets a reply without an answer, which
+    parses as a flagged zero-reward episode."""
+    try:
+        coverage, has_connective = evidence_coverage(
+            emphasized_context, instance.context, instance.evidence_spans or [], fmt
+        )
+    except IntegrityError as exc:
+        return SolverOutput(raw_text=f"unreadable emphasis markers: {exc}")
     correct = coverage >= cfg.coverage_threshold
     if cfg.require_connective:
         correct = correct and has_connective

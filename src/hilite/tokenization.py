@@ -1,4 +1,4 @@
-"""Deterministic tokenization with exact byte offsets.
+"""Deterministic tokenization with exact byte offsets, stored as arrays.
 
 Raw text is split into tokens that each carry their byte range into the
 UTF-8 encoding of the source.  Those offsets are the substrate everything
@@ -7,6 +7,12 @@ injection splices at byte boundaries.  All offsets in this package are byte
 offsets (unambiguous across implementations); token boundaries always fall
 on code-point boundaries, so slicing the encoded source at token offsets can
 never cut a multi-byte character in half.
+
+A :class:`TokenizedContext` keeps the tokens as parallel arrays, not as one
+object per token: ``texts`` (a list of strings) and the int64 arrays
+``starts``, ``ends`` and ``omega``.  Every layer reads those arrays;
+:attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand for
+callers that want one record per token.
 
 The default rule splits on whitespace and keeps each punctuation character
 as its own token: a token is either a maximal run of word characters
@@ -18,11 +24,14 @@ be substituted; this one is the reference used by the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import RangeBoundsError
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# capturing, so that re.split returns alternating gap / token pieces
+_TOKEN_SPLIT_RE = re.compile(r"(\w+|[^\w\s])", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -34,33 +43,68 @@ class Token:
     char_end: int
 
 
-@dataclass
+@dataclass(eq=False)
 class TokenizedContext:
-    """Source text, its tokens, and the policy-controlled index set omega.
+    """Source text, its tokens as parallel arrays, and the index set omega.
 
-    omega holds the token indices eligible for highlighting.  It defaults to
-    every token (None at construction); callers exclude query/instruction
-    regions via :func:`restrict_omega`.  An explicitly empty omega stays
-    empty.
+    ``texts[i]`` is token i's text and ``[starts[i], ends[i])`` its byte
+    range in the UTF-8 source.  omega (int64) holds the token indices
+    eligible for highlighting.  It defaults to every token (None at
+    construction); callers exclude query/instruction regions via
+    :func:`restrict_omega`.  An explicitly empty omega stays empty.
     """
 
     source: str
-    tokens: list[Token]
-    omega: tuple[int, ...] | None = field(default=None)
+    texts: list[str]
+    starts: np.ndarray
+    ends: np.ndarray
+    omega: np.ndarray | None = None
 
     def __post_init__(self):
+        self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.ends = np.asarray(self.ends, dtype=np.int64)
         if self.omega is None:
-            self.omega = tuple(range(len(self.tokens)))
+            self.omega = np.arange(len(self.texts), dtype=np.int64)
+        else:
+            self.omega = np.asarray(self.omega, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TokenizedContext):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.texts == other.texts
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.ends, other.ends)
+            and np.array_equal(self.omega, other.omega)
+        )
+
+    @property
+    def tokens(self) -> list[Token]:
+        """One :class:`Token` per token, built on each access."""
+        return [
+            Token(text, start, end)
+            for text, start, end in zip(self.texts, self.starts.tolist(), self.ends.tolist())
+        ]
 
     @property
     def source_bytes(self) -> bytes:
         return self.source.encode("utf-8")
 
     def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.texts)
+
+
+def _utf8_offsets(text: str) -> np.ndarray:
+    """Byte offset of every character position 0..len(text): the cumulative
+    UTF-8 width of the code points."""
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    offsets = np.zeros(cp.size + 1, dtype=np.int64)
+    np.cumsum(1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000), out=offsets[1:])
+    return offsets
 
 
 def tokenize(text: str) -> TokenizedContext:
@@ -68,25 +112,18 @@ def tokenize(text: str) -> TokenizedContext:
 
     Pure and deterministic; empty input yields zero tokens.  Offsets are
     byte offsets even though the regex runs over the decoded string, so the
-    invariant ``source_bytes[t.char_start:t.char_end].decode() == t.text``
-    holds for arbitrary Unicode input.
+    invariant ``source_bytes[starts[i]:ends[i]].decode() == texts[i]`` holds
+    for arbitrary Unicode input.
     """
-    tokens: list[Token] = []
-    if not text:
-        return TokenizedContext(source=text, tokens=tokens)
-    if text.isascii():
-        for m in _TOKEN_RE.finditer(text):
-            tokens.append(Token(m.group(0), m.start(), m.end()))
-        return TokenizedContext(source=text, tokens=tokens)
-    # byte offset of each character position, built once
-    byte_at = [0] * (len(text) + 1)
-    pos = 0
-    for i, ch in enumerate(text):
-        pos += len(ch.encode("utf-8"))
-        byte_at[i + 1] = pos
-    for m in _TOKEN_RE.finditer(text):
-        tokens.append(Token(m.group(0), byte_at[m.start()], byte_at[m.end()]))
-    return TokenizedContext(source=text, tokens=tokens)
+    pieces = _TOKEN_SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
+    bounds = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces)),
+              out=bounds[1:])
+    if not text.isascii():
+        bounds = _utf8_offsets(text)[bounds]
+    return TokenizedContext(
+        source=text, texts=pieces[1::2], starts=bounds[1:-1:2], ends=bounds[2::2]
+    )
 
 
 def restrict_omega(
@@ -104,13 +141,9 @@ def restrict_omega(
             raise RangeBoundsError(
                 f"excluded range [{start}, {end}) outside source bounds [0, {n_bytes})"
             )
-    kept = []
-    for i in ctx.omega:
-        tok = ctx.tokens[i]
-        inside = any(
-            tok.char_start < end and tok.char_end > start
-            for start, end in excluded_char_ranges
-        )
-        if not inside:
-            kept.append(i)
-    return TokenizedContext(source=ctx.source, tokens=ctx.tokens, omega=tuple(kept))
+    omega = np.asarray(ctx.omega, dtype=np.int64)
+    starts, ends = ctx.starts[omega], ctx.ends[omega]
+    inside = np.zeros(omega.size, dtype=bool)
+    for start, end in excluded_char_ranges:
+        inside |= (starts < end) & (ends > start)
+    return replace(ctx, omega=omega[~inside])

@@ -51,6 +51,7 @@ from .errors import (
     ParseError,
     ProtocolError,
     SolverUnavailableError,
+    StructureError,
 )
 from .markup import MarkerFormat, get_format
 from .policy import ScorerParams, TokenFeatures, build_idf_table, featurize, score
@@ -131,6 +132,14 @@ class GroupSample:
     rewards: np.ndarray
     advantages: np.ndarray
     log_probs: np.ndarray
+
+    def __post_init__(self):
+        lengths = [
+            len(self.prelim_masks), len(self.proj_masks), len(self.emphasized),
+            len(self.outputs), len(self.rewards), len(self.advantages), len(self.log_probs),
+        ]
+        if len(set(lengths)) != 1:
+            raise StructureError(f"group holds per-episode lists of lengths {lengths}")
 
 
 @dataclass
@@ -230,7 +239,7 @@ def assemble_gradient(
     g = len(masks)
 
     # policy-gradient term: -(1/G) sum_j A_j (m_j - p) / tau
-    dz_pg = -(group.advantages[:g] @ (masks - p)) / (g * tau)  # one A_j per mask
+    dz_pg = -(group.advantages @ (masks - p)) / (g * tau)
 
     # length term: 2 (mean p - gamma) * dp/dz / (n tau)
     dp_dz = p * (1.0 - p)
@@ -294,20 +303,21 @@ class TrainResult:
 
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
-) -> tuple[ScorerParams, dict[str, float], dict, dict]:
+) -> tuple[ScorerParams, dict[str, float], list[TokenizedContext], list[TokenFeatures]]:
     """Featurize the training split and freeze initialization state.
 
-    Standardization statistics come from the stacked training features; the
-    bias starts at tau * logit(gamma) so the initial expected highlight
-    fraction sits on budget.
+    Contexts and features are returned as lists aligned with ``dataset``
+    (instance ids need not be unique).  Standardization statistics come from
+    the stacked training features; the bias starts at tau * logit(gamma) so
+    the initial expected highlight fraction sits on budget.
     """
-    contexts = {inst.id: tokenize(inst.context) for inst in dataset}
-    idf_table = build_idf_table(list(contexts.values()))
-    feats = {
-        inst.id: featurize(inst.query, contexts[inst.id], idf_table, cfg.idf_ceiling)
-        for inst in dataset
-    }
-    stacked = np.vstack([f.matrix for f in feats.values()])
+    contexts = [tokenize(inst.context) for inst in dataset]
+    idf_table = build_idf_table(contexts)
+    feats = [
+        featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
+        for inst, ctx in zip(dataset, contexts)
+    ]
+    stacked = np.vstack([f.matrix for f in feats])
     if stacked.shape[0] == 0:
         raise ConfigError("training split contains no tokens")
     params = policy.init_params(stacked, tau=cfg.tau, init_prob=cfg.gamma)
@@ -414,9 +424,8 @@ def train(
     pool = ThreadPoolExecutor(max_workers=cfg.group_size)
     try:
         for step in range(cfg.steps):
-            inst = dataset[step % len(dataset)]
-            ctx = contexts[inst.id]
-            f = feats[inst.id]
+            i = step % len(dataset)
+            inst, ctx, f = dataset[i], contexts[i], feats[i]
             fwd = policy.forward(f, params)
             scores = policy.ScoreMap(probs=fwd.p)
             group, failures = rollout_group(

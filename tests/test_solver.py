@@ -192,6 +192,22 @@ def test_call_http_exhausted_retries(scripted_server):
     assert len(handler.requests_seen) == 3  # retry budget respected
 
 
+def test_call_http_does_not_retry_a_client_error(scripted_server):
+    url, handler = scripted_server
+    handler.script.extend([(401, {"err": "unauthorized"}), (200, {"text": "late"})])
+    with pytest.raises(ProtocolError):
+        call_http("p", _endpoint(url, retries=3))
+    assert len(handler.requests_seen) == 1
+
+
+def test_call_http_retries_too_many_requests(scripted_server):
+    url, handler = scripted_server
+    handler.script.extend([(429, {"err": "slow down"}), (200, {"text": "fine"})])
+    out = call_http("p", _endpoint(url, retries=3))
+    assert out.raw_text == "fine"
+    assert out.attempt_count == 2
+
+
 def test_http_solver_renders_template(scripted_server):
     url, handler = scripted_server
     handler.script.append((200, {"text": "<answer>x</answer>"}))
@@ -218,6 +234,13 @@ def tagged_instance(select, fmt=DEFAULT_FORMAT, delta=0):
     mask[list(select)] = 1
     emphasized = inject(ctx, coalesce(mask, ctx, delta), fmt)
     return inst, emphasized
+
+
+def test_oracle_unpaired_markers_reply_without_answer():
+    inst, emphasized = tagged_instance([4, 5, 6])
+    out = oracle_solve("q", emphasized + " <end_important>", inst, OracleSolverConfig())
+    with pytest.raises(ParseError):
+        parse_answer(out.raw_text)
 
 
 def test_oracle_full_coverage_returns_gold():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_instance
 from hilite.data import gen_dataset
-from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError
+from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
 from hilite.policy import ScoreMap, ScorerParams, TokenFeatures, score
 from hilite.rewards import RewardSpec
 from hilite.solver import OracleSolver, OracleSolverConfig, ScriptedSolver
@@ -115,7 +115,7 @@ def test_pg_loss_hand_evaluated():
 
 
 def test_len_loss_zero_on_budget():
-    group = group_from([[0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
+    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config(gamma=0.25)
     scores = ScoreMap(probs=np.array([0.25, 0.25]))
     terms = loss_terms(group, scores, [0, 1], cfg)
@@ -123,7 +123,7 @@ def test_len_loss_zero_on_budget():
 
 
 def test_entropy_loss_at_half():
-    group = group_from([[0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
+    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config()
     scores = ScoreMap(probs=np.array([0.5, 0.5]))
     terms = loss_terms(group, scores, [0, 1], cfg)
@@ -293,12 +293,19 @@ def test_non_finite_gradient_skips_step(caplog):
     params = identity_params([0.1])
     opt = OptimizerState.zeros(1)
     feats = TokenFeatures(matrix=np.array([[1.0]]))
-    group = group_from([[1]], [1.0, 0.0], [np.nan], advform=[np.inf, -np.inf])
+    group = group_from([[1], [0]], [1.0, 0.0], [np.nan, np.nan], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
     grad_step(group, feats, params, opt, cfg, [0])
     assert np.array_equal(params.w, w_before)
     assert opt.step == 0
+
+
+def test_group_rejects_lists_of_different_lengths():
+    with pytest.raises(StructureError):
+        group_from([[1]], [1.0, 0.0], [0.0], advform=[1.0, -1.0])
+    with pytest.raises(StructureError):
+        group_from([[1], [0]], [1.0, 0.0], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +429,41 @@ def test_duplicate_ranking_ids_are_zero_reward_episodes():
     dup = '[{"id": "beta", "score": 2}, {"id": "beta", "score": 1}]'
     assert rewards_for(f"<FINAL_JSON>{ok}</FINAL_JSON>") == [[1.0] * 4] * 2
     assert rewards_for(f"<FINAL_JSON>{dup}</FINAL_JSON>") == [[0.0] * 4] * 2
+
+
+def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
+    from hilite import trainer
+    from hilite.markup import DEFAULT_FORMAT, strip
+
+    first, second = oracle_dataset(n=2)
+    second.id = first.id
+    data = [first, second]
+    seen = []
+    original = trainer.rollout_group
+
+    def recording(*args, **kwargs):
+        group, failures = original(*args, **kwargs)
+        seen.append(group.emphasized)
+        return group, failures
+
+    monkeypatch.setattr(trainer, "rollout_group", recording)
+    train(data, OracleSolver(OracleSolverConfig()), TrainConfig(steps=6, seed=0))
+    assert len(seen) == 6
+    for step, emphasized in enumerate(seen):
+        for text in emphasized:
+            assert strip(text, DEFAULT_FORMAT) == data[step % 2].context
+
+
+def test_source_holding_a_marker_is_a_flagged_episode_not_crash():
+    inst = oracle_dataset(n=1)[0]
+    inst.context += " see <end_important> here"
+    solver = OracleSolver(OracleSolverConfig())
+    cfg = TrainConfig(steps=3, seed=0, solver_failure_budget=0)
+    result = train([inst], solver, cfg)  # flagged episodes are not failures
+    assert len(result.history) == 3
+    report = evaluate([inst], result.params, solver, cfg, result.idf_table)
+    assert report["flagged"] == 1
+    assert report["rewards"] == [0.0]
 
 
 def test_empty_dataset_rejected():
