@@ -35,7 +35,7 @@ mask[[8, 9, 11]] = 1  # "grips", "on", "back"
 
 for delta in (0, 2):
     spans = coalesce(mask, ctx, delta=delta)
-    ranges = [(s.first_token, s.last_token) for s in spans]
+    ranges = [tuple(s) for s in spans.tolist()]
     print(f"delta={delta}: spans over token ranges {ranges}")
 # delta=2 merges across the 2-token gap, delta=0 keeps two spans
 

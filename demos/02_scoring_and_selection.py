@@ -29,18 +29,18 @@ ctx = tokenize(context)
 feats = featurize(query, ctx, idf_table={}, idf_ceiling=6.0)
 
 print("feature names:", FEATURE_NAMES)
-print("feature matrix:", feats.matrix.shape)
+print("feature matrix:", feats.shape)
 
 # standardization statistics come from whatever split you train on; here we
 # just freeze them from this single context
-params = init_params(feats.matrix, tau=1.0, init_prob=0.25)
+params = init_params(feats, tau=1.0, init_prob=0.25)
 params.w = np.array([0.4, 1.2, 0.8, 0.0, 0.1, 1.0, 0.0])  # hand-set for the demo
-scores = score(feats, params)
+probs = score(feats, params)
 
-ranked = np.argsort(-scores.probs)[:6]
+ranked = np.argsort(-probs)[:6]
 print("\nhighest-scoring tokens:")
 for i in ranked:
-    print(f"  p={scores.probs[i]:.3f}  {ctx.tokens[i].text!r}")
+    print(f"  p={probs[i]:.3f}  {ctx.texts[i]!r}")
 
 # =============================================================================
 # Budgeted selection
@@ -49,12 +49,12 @@ for i in ranked:
 budget = Budget.for_omega(gamma=0.25, omega_size=len(ctx.omega))
 print(f"\nbudget: gamma=0.25 over {len(ctx.omega)} tokens -> k={budget.k}")
 
-mask = topk(scores, ctx.omega, budget.k)
-chosen = [ctx.tokens[i].text for i in np.flatnonzero(mask)]
+mask = topk(probs, ctx.omega, budget.k)
+chosen = [ctx.texts[i] for i in np.flatnonzero(mask)]
 print("top-k selection:", chosen)
 
 for kind in SamplerKind:
-    prelim, final = sample_mask(scores, ctx.omega, budget.k, kind, rng=42)
+    prelim, final = sample_mask(probs, ctx.omega, budget.k, kind, rng=42)
     print(f"{kind.value:18s} selected {int(final.sum()):2d} tokens "
           f"(pre-projection {int(prelim.sum())})")
 # every sampler respects popcount <= k; bernoulli_project may come in under

@@ -31,20 +31,20 @@ context = "The garden slept. The vault key waits beneath the old mill stone."
 ctx = tokenize(context)
 
 with SubprocessScorer([sys.executable, "-c", CHILD]) as scorer:
-    scores = scorer.score_tokens(query, ctx.token_texts())
+    probs = scorer.score_tokens(query, ctx.texts)
 
 print("token scores from the child process:")
-for tok, p in zip(ctx.tokens, scores.probs):
+for text, p in zip(ctx.texts, probs):
     marker = "*" if p > 0.5 else " "
-    print(f"  {marker} p={p:.1f}  {tok.text!r}")
+    print(f"  {marker} p={p:.1f}  {text!r}")
 
 budget = Budget.for_omega(gamma=0.3, omega_size=len(ctx.omega))
-mask = topk(scores, ctx.omega, budget.k)
+mask = topk(probs, ctx.omega, budget.k)
 spans = coalesce(mask, ctx, delta=2)
 print("\nemphasized with the external scorer's selections:")
 print(inject(ctx, spans, DEFAULT_FORMAT))
 
 # wrong-length or malformed responses raise ProtocolError; see
 # tests/test_policy.py for the negative cases
-assert len(scores.probs) == len(ctx.tokens)
-assert np.all((scores.probs > 0) & (scores.probs < 1))
+assert len(probs) == len(ctx)
+assert np.all((probs > 0) & (probs < 1))

@@ -37,7 +37,7 @@ from .markup import (
     BUILTIN_FORMATS,
     DEFAULT_FORMAT,
     MarkerFormat,
-    Span,
+    byte_ranges,
     coalesce,
     get_format,
     inject,
@@ -48,10 +48,8 @@ from .markup import (
 from .policy import (
     FEATURE_NAMES,
     HTTPScorer,
-    ScoreMap,
     ScorerParams,
     SubprocessScorer,
-    TokenFeatures,
     build_idf_table,
     entropy,
     featurize,

@@ -199,18 +199,16 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
 
     ctx = tokenize(text)
     feats = featurize(query, ctx, idf_table, cfg.idf_ceiling)
-    scores = score(feats, params)
+    probs = score(feats, params)
     if gamma <= 0:
         spans = []
     else:
         budget = Budget.for_omega(gamma, len(ctx.omega))
-        mask = topk(scores, ctx.omega, budget.k)
+        mask = topk(probs, ctx.omega, budget.k)
         spans = markup.coalesce(mask, ctx, delta)
     click.echo(markup.inject(ctx, spans, fmt))
     if print_spans:
-        click.echo(json.dumps(
-            {"spans": [[s.char_start, s.char_end] for s in spans]}
-        ))
+        click.echo(json.dumps({"spans": markup.byte_ranges(ctx, spans)}))
 
 
 @main.command("eval")
@@ -286,14 +284,12 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
     rows = []
     for value in values:
         run_cfg = TrainConfig.from_dict(cfg.to_dict())
-        fmt = None
         mask_sampler = None
         if axis == "budget":
             run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "gamma": float(value)})
         elif axis == "width":
             run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "delta": int(value)})
         elif axis == "marker":
-            fmt = get_format(value)
             run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "marker_format": value})
         elif axis == "sampler":
             try:
@@ -302,7 +298,7 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
                 raise ConfigError(f"unknown sampler {value!r}") from exc
         solver = build_solver(options, run_cfg)
         report = evaluate(data, params, solver, run_cfg, idf_table,
-                          reward_spec=reward_spec, variant="hilite", fmt=fmt,
+                          reward_spec=reward_spec, variant="hilite",
                           mask_sampler=mask_sampler)
         rows.append({
             "axis_value": value,

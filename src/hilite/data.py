@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .policy import ScoreMap
 from .tokenization import TokenizedContext, tokenize
 
 REQUIRED_FIELDS = ("id", "query", "context", "gold")
@@ -414,18 +413,18 @@ def gold_token_indices(
 
 
 def evidence_overlap(
-    pred_scores: ScoreMap,
+    probs: np.ndarray,
     threshold: float,
     gold_spans: list[tuple[int, int]],
     ctx: TokenizedContext,
 ) -> tuple[float, float, float]:
-    """Token-level precision/recall/F1 of thresholded scores against gold
-    evidence spans.
+    """Token-level precision/recall/F1 of thresholded probabilities
+    against gold evidence spans.
 
     Predicted evidence tokens are those with p_i >= threshold.  Both sides
     empty scores (1, 1, 1); exactly one side empty scores (0, 0, 0).
     """
-    predicted = set(np.flatnonzero(pred_scores.probs >= threshold).tolist())
+    predicted = set(np.flatnonzero(probs >= threshold).tolist())
     gold = gold_token_indices(ctx, gold_spans)
     if not predicted and not gold:
         return 1.0, 1.0, 1.0

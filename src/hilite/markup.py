@@ -1,15 +1,18 @@
 """Non-destructive emphasis: span coalescence, marker injection and removal.
 
 Masks are uint8 arrays over token indices.  Selected tokens are coalesced
-into spans (bridging gaps of up to ``delta`` unselected tokens), marker
-strings are spliced in at the spans' byte boundaries, and :func:`strip`
-removes them again, reproducing the source byte-for-byte.  Nothing here ever
-rewrites, reorders, or deletes source bytes; the only destructive operation,
-:func:`prune`, exists as an ablation and says so.
+into spans (bridging gaps of up to ``delta`` unselected tokens); a span list
+is an (m, 2) int64 array of inclusive token ranges ``[first, last]``, sorted
+and disjoint.  :func:`byte_ranges` turns it into byte offsets, marker strings
+are spliced in at those offsets, and :func:`strip` removes them again,
+reproducing the source byte-for-byte.  Nothing here ever rewrites, reorders,
+or deletes source bytes; the only destructive operation, :func:`prune`,
+exists as an ablation and says so.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +21,7 @@ from .errors import BudgetError, IntegrityError, StructureError
 from .tokenization import TokenizedContext
 
 Mask = np.ndarray  # uint8 vector, one entry per token
-
-
-@dataclass(frozen=True)
-class Span:
-    """Inclusive token range [first_token, last_token] plus its byte range."""
-
-    first_token: int
-    last_token: int
-    char_start: int
-    char_end: int
+Spans = np.ndarray  # (m, 2) int64, inclusive token ranges [first, last]
 
 
 @dataclass(frozen=True)
@@ -64,37 +58,26 @@ BUILTIN_FORMATS: dict[str, MarkerFormat] = {
 DEFAULT_FORMAT = BUILTIN_FORMATS["default"]
 
 
-def get_format(name: str, extra: dict[str, MarkerFormat] | None = None) -> MarkerFormat:
-    """Look up a marker format by name, optionally merged with user formats."""
-    registry = dict(BUILTIN_FORMATS)
-    if extra:
-        registry.update(extra)
+def get_format(name: str) -> MarkerFormat:
+    """Look up a builtin marker format by name."""
     try:
-        return registry[name]
+        return BUILTIN_FORMATS[name]
     except KeyError:
         raise StructureError(f"unknown marker format {name!r}") from None
-
-
-def load_formats(config: dict[str, dict[str, str]]) -> dict[str, MarkerFormat]:
-    """Build a format registry from configuration entries
-    ``{name: {"open": ..., "close": ...}}``."""
-    out = {}
-    for name, entry in config.items():
-        out[name] = MarkerFormat(entry["open"], entry["close"], name)
-    return out
 
 
 def new_mask(ctx: TokenizedContext) -> Mask:
     return np.zeros(len(ctx), dtype=np.uint8)
 
 
-def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> list[Span]:
+def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> Spans:
     """Merge selected tokens into spans, bridging gaps of <= delta tokens.
 
-    Two consecutive output spans are always separated by more than ``delta``
-    unselected tokens, every selected token lies in exactly one span, and
-    the result is sorted.  Re-applying with the same delta to a span list's
-    own indicator mask is a no-op.
+    Returns an (m, 2) int64 array of inclusive token ranges, shape (0, 2)
+    when nothing is selected.  Two consecutive spans are always separated
+    by more than ``delta`` unselected tokens, every selected token lies in
+    exactly one span, and the rows are sorted.  Re-applying with the same
+    delta to the spans' own indicator mask is a no-op.
     """
     if len(mask) != len(ctx):
         raise StructureError(
@@ -104,56 +87,64 @@ def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> list[Span]:
         raise StructureError("delta must be >= 0")
     selected = np.flatnonzero(mask)
     if selected.size == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     # a run breaks where more than delta unselected tokens separate two picks
     breaks = np.flatnonzero(np.diff(selected) > delta + 1)
-    first = selected[np.concatenate(([0], breaks + 1))]
-    last = selected[np.concatenate((breaks, [selected.size - 1]))]
-    return [
-        Span(*span)
-        for span in zip(
-            first.tolist(), last.tolist(), ctx.starts[first].tolist(), ctx.ends[last].tolist()
-        )
-    ]
+    spans = np.empty((breaks.size + 1, 2), dtype=np.int64)
+    spans[:, 0] = selected[np.concatenate(([0], breaks + 1))]
+    spans[:, 1] = selected[np.concatenate((breaks, [selected.size - 1]))]
+    return spans
 
 
-def spans_to_mask(spans: list[Span], n_tokens: int) -> Mask:
+def spans_to_mask(spans: Spans, n_tokens: int) -> Mask:
     """Indicator mask of every token covered by the spans (bridged tokens
     included)."""
     mask = np.zeros(n_tokens, dtype=np.uint8)
-    for s in spans:
-        mask[s.first_token : s.last_token + 1] = 1
+    for first, last in spans:
+        mask[first : last + 1] = 1
     return mask
 
 
-def _check_spans(spans: list[Span], n_bytes: int) -> None:
-    prev_end = -1
-    for s in spans:
-        if s.char_start < 0 or s.char_end > n_bytes or s.char_start >= s.char_end:
-            raise StructureError(f"span byte range [{s.char_start}, {s.char_end}) invalid")
-        if s.char_start < prev_end:
-            raise StructureError("spans overlap or are unsorted")
-        prev_end = s.char_end
+def byte_ranges(ctx: TokenizedContext, spans: Spans) -> list[tuple[int, int]]:
+    """Half-open byte range ``(starts[first], ends[last])`` of every span.
+
+    ``spans`` (an array from :func:`coalesce`, or ``[]``) must hold sorted,
+    disjoint token ranges inside the context: 0 <= first_i <= last_i <
+    first_{i+1} and every last < len(ctx); anything else raises
+    StructureError.
+    """
+    spans = np.asarray(spans, dtype=np.int64)
+    if spans.size == 0:
+        return []
+    if spans.ndim != 2 or spans.shape[1] != 2:
+        raise StructureError(f"spans must have shape (m, 2), got {spans.shape}")
+    first, last = spans.T.tolist()
+    if not (
+        first[0] >= 0
+        and last[-1] < len(ctx)
+        and all(map(operator.le, first, last))
+        and all(map(operator.lt, last, first[1:]))
+    ):
+        raise StructureError(
+            f"spans must be sorted, disjoint token ranges within [0, {len(ctx)})"
+        )
+    return list(zip(ctx.starts[spans[:, 0]].tolist(), ctx.ends[spans[:, 1]].tolist()))
 
 
-def inject(ctx: TokenizedContext, spans: list[Span], fmt: MarkerFormat) -> str:
+def inject(ctx: TokenizedContext, spans: Spans, fmt: MarkerFormat) -> str:
     """Splice ``fmt.open`` before each span and ``fmt.close`` after it.
 
     All original bytes are preserved in order; markers sit outside the token
     text, so surrounding whitespace stays outside the tags.
     """
     src = ctx.source_bytes
-    _check_spans(spans, len(src))
     open_b = fmt.open.encode("utf-8")
     close_b = fmt.close.encode("utf-8")
     pieces: list[bytes] = []
     cursor = 0
-    for s in spans:
-        pieces.append(src[cursor : s.char_start])
-        pieces.append(open_b)
-        pieces.append(src[s.char_start : s.char_end])
-        pieces.append(close_b)
-        cursor = s.char_end
+    for start, end in byte_ranges(ctx, spans):
+        pieces += (src[cursor:start], open_b, src[start:end], close_b)
+        cursor = end
     pieces.append(src[cursor:])
     return b"".join(pieces).decode("utf-8")
 
@@ -166,51 +157,32 @@ def scan_markers(data: bytes, fmt: MarkerFormat) -> tuple[bytes, list[tuple[int,
     Shared by :func:`strip` and by the oracle solver, which needs the
     enclosed regions to measure evidence coverage.
     """
-    open_b = fmt.open.encode("utf-8")
-    close_b = fmt.close.encode("utf-8")
-    events: list[tuple[int, int, bytes]] = []  # (pos, kind, marker)
-    if open_b == close_b:
-        pos = 0
-        k = 0
-        while True:
-            i = data.find(open_b, pos)
-            if i < 0:
-                break
-            events.append((i, k % 2, open_b))
-            k += 1
-            pos = i + len(open_b)
-        if k % 2 != 0:
-            raise IntegrityError("odd number of identical markers")
-    else:
-        pos = 0
-        while True:
-            io = data.find(open_b, pos)
-            ic = data.find(close_b, pos)
-            if io < 0 and ic < 0:
-                break
-            if ic < 0 or (0 <= io < ic):
-                events.append((io, 0, open_b))
-                pos = io + len(open_b)
-            else:
-                events.append((ic, 1, close_b))
-                pos = ic + len(close_b)
-        kinds = [k for _, k, _ in events]
-        if len(kinds) % 2 != 0 or kinds != [i % 2 for i in range(len(kinds))]:
-            raise IntegrityError("unbalanced or interleaved markers")
-
+    markers = (fmt.open.encode("utf-8"), fmt.close.encode("utf-8"))
     out: list[bytes] = []
     regions: list[tuple[int, int]] = []
-    cursor = 0
-    removed = 0
+    cursor = 0  # first byte of data not yet consumed
+    removed = 0  # marker bytes removed before cursor
     region_start = 0
-    for pos, kind, marker in events:
+    inside = False
+    while True:
+        expected, other = markers[inside], markers[not inside]
+        pos = data.find(expected, cursor)
+        if other != expected:
+            rival = data.find(other, cursor)
+            if rival >= 0 and (pos < 0 or rival < pos):
+                raise IntegrityError("unbalanced or interleaved markers")
+        if pos < 0:
+            break
         out.append(data[cursor:pos])
-        if kind == 0:
-            region_start = pos - removed
-        else:
+        if inside:
             regions.append((region_start, pos - removed))
-        removed += len(marker)
-        cursor = pos + len(marker)
+        else:
+            region_start = pos - removed
+        removed += len(expected)
+        cursor = pos + len(expected)
+        inside = not inside
+    if inside:
+        raise IntegrityError("unbalanced markers: a span is never closed")
     out.append(data[cursor:])
     return b"".join(out), regions
 
@@ -221,13 +193,12 @@ def strip(emphasized: str, fmt: MarkerFormat) -> str:
     return stripped.decode("utf-8")
 
 
-def prune(ctx: TokenizedContext, spans: list[Span], joiner: str) -> str:
+def prune(ctx: TokenizedContext, spans: Spans, joiner: str) -> str:
     """Keep only the span texts, joined by ``joiner``.  Everything outside
     the spans is discarded (the deletion-based ablation)."""
     src = ctx.source_bytes
-    _check_spans(spans, len(src))
     return joiner.join(
-        src[s.char_start : s.char_end].decode("utf-8") for s in spans
+        src[start:end].decode("utf-8") for start, end in byte_ranges(ctx, spans)
     )
 
 

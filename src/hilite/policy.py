@@ -12,6 +12,10 @@ with respect to (w, b) has the usual closed form, verified against finite
 differences in the test suite.  :func:`forward` is the one place that
 evaluates this map; scoring and both gradients read its result.
 
+Values pass between layers as plain arrays: :func:`featurize` returns the
+(n_tokens, 7) float64 feature matrix, and :func:`score` (like both external
+scorers) returns the vector of clamped per-token probabilities.
+
 Feature standardization statistics live inside ScorerParams and are frozen
 at initialization (computed once from the training split), keeping the
 policy stationary during optimization.
@@ -36,6 +40,7 @@ from .tokenization import TokenizedContext, tokenize
 
 PROB_CLAMP = 1e-6
 NORM_EPS = 1e-8
+CLOSE_GRACE_S = 5.0  # SubprocessScorer.close waits this long before SIGKILL
 
 FEATURE_NAMES = (
     "query_unigram_overlap",
@@ -50,20 +55,6 @@ FEATURE_DIM = len(FEATURE_NAMES)
 
 _SENTENCE_FINAL = {".", "!", "?"}
 _LENGTH_CAP = 20
-
-
-@dataclass
-class TokenFeatures:
-    """Per-token feature matrix, shape (n_tokens, d)."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -115,17 +106,6 @@ class ScorerParams:
         )
 
 
-@dataclass
-class ScoreMap:
-    """Per-token selection probabilities, clamped into
-    [PROB_CLAMP, 1 - PROB_CLAMP].  Meaningful only on omega."""
-
-    probs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-
 def build_idf_table(contexts: list[TokenizedContext]) -> dict[str, float]:
     """Smoothed inverse document frequency over casefolded token texts.
 
@@ -146,8 +126,9 @@ def featurize(
     ctx: TokenizedContext,
     idf_table: dict[str, float],
     idf_ceiling: float = 6.0,
-) -> TokenFeatures:
-    """Compute the fixed 7-dimensional feature vector for every token.
+) -> np.ndarray:
+    """Compute the fixed 7-dimensional feature vector for every token, as
+    an (n_tokens, 7) float64 matrix.
 
     Features are independent of any mask or budget: query unigram/bigram
     overlap, idf, relative position i/L, capped token length, numeric flag,
@@ -158,7 +139,7 @@ def featurize(
     n = len(ctx)
     x = np.zeros((n, FEATURE_DIM), dtype=np.float64)
     if n == 0:
-        return TokenFeatures(matrix=x)
+        return x
     # distinct token text -> text id, and distinct casefolded word -> word id
     vocab = {t: i for i, t in enumerate(dict.fromkeys(ctx.texts))}
     text_id = np.fromiter(map(vocab.__getitem__, ctx.texts), dtype=np.int64, count=n)
@@ -194,7 +175,7 @@ def featurize(
     x[:, 5] = per_text((t.isdigit() for t in vocab), bool)
     x[0, 6] = 1.0
     x[1:, 6] = per_text((t in _SENTENCE_FINAL for t in vocab), bool)[:-1]
-    return TokenFeatures(matrix=x)
+    return x
 
 
 def init_params(
@@ -225,13 +206,13 @@ def init_params(
     )
 
 
-def standardize(feats: TokenFeatures, params: ScorerParams) -> np.ndarray:
+def standardize(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
     """Per-feature mean/variance standardization with frozen statistics."""
-    if feats.dim != params.dim:
+    if feats.ndim != 2 or feats.shape[1] != params.dim:
         raise StructureError(
-            f"feature dim {feats.dim} != parameter dim {params.dim}"
+            f"feature matrix of shape {feats.shape} != (n, {params.dim})"
         )
-    return (feats.matrix - params.norm_mean) / np.sqrt(params.norm_var + NORM_EPS)
+    return (feats - params.norm_mean) / np.sqrt(params.norm_var + NORM_EPS)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -258,7 +239,7 @@ class Forward:
     interior: np.ndarray
 
 
-def forward(feats: TokenFeatures, params: ScorerParams, omega=None) -> Forward:
+def forward(feats: np.ndarray, params: ScorerParams, omega=None) -> Forward:
     """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped, on the rows in
     ``omega`` (every row when omega is None)."""
     x = standardize(feats, params)
@@ -272,25 +253,26 @@ def forward(feats: TokenFeatures, params: ScorerParams, omega=None) -> Forward:
     )
 
 
-def score(feats: TokenFeatures, params: ScorerParams) -> ScoreMap:
-    """Clamped selection probabilities for every token."""
-    return ScoreMap(probs=forward(feats, params).p)
+def score(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
+    """Clamped selection probabilities for every token (meaningful only on
+    omega)."""
+    return forward(feats, params).p
 
 
-def log_prob(mask: np.ndarray, scores: ScoreMap, omega) -> float:
+def log_prob(mask: np.ndarray, probs: np.ndarray, omega) -> float:
     """Bernoulli log-likelihood of ``mask`` restricted to omega.
 
     Always finite (probabilities are clamped) and <= 0.
     """
     idx = omega_index(omega)
-    p = scores.probs[idx]
+    p = probs[idx]
     m = np.asarray(mask, dtype=np.float64)[idx]
     return float(np.sum(m * np.log(p) + (1.0 - m) * np.log1p(-p)))
 
 
 def log_prob_grad(
     mask: np.ndarray,
-    feats: TokenFeatures,
+    feats: np.ndarray,
     params: ScorerParams,
     omega,
 ) -> tuple[np.ndarray, float]:
@@ -309,12 +291,12 @@ def log_prob_grad(
     return dz @ fwd.x, float(dz.sum())
 
 
-def entropy(scores: ScoreMap, omega) -> float:
+def entropy(probs: np.ndarray, omega) -> float:
     """Token-wise Bernoulli entropy averaged over omega, in [0, ln 2]."""
     idx = omega_index(omega)
     if idx.size == 0:
         return 0.0
-    p = scores.probs[idx]
+    p = probs[idx]
     h = -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
     return float(h.mean())
 
@@ -350,7 +332,7 @@ class SubprocessScorer:
             text=True,
         )
 
-    def score_tokens(self, query: str, tokens: list[str]) -> ScoreMap:
+    def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
         request = json.dumps({"op": "score", "query": query, "tokens": tokens})
         assert self._proc.stdin is not None and self._proc.stdout is not None
         try:
@@ -365,13 +347,22 @@ class SubprocessScorer:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"scorer sent invalid JSON: {exc}") from exc
-        return ScoreMap(probs=_validate_probs(payload, len(tokens)))
+        return _validate_probs(payload, len(tokens))
 
     def close(self) -> None:
-        if self._proc.stdin:
-            self._proc.stdin.close()
+        """Stop the child: SIGTERM, then SIGKILL after ``CLOSE_GRACE_S``.
+        Always reaps it and never raises."""
+        for stream in (self._proc.stdin, self._proc.stdout):
+            try:
+                stream.close()
+            except OSError:  # a dead child leaves unflushed input behind
+                pass
         self._proc.terminate()
-        self._proc.wait(timeout=5)
+        try:
+            self._proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self):
         return self
@@ -387,7 +378,7 @@ class HTTPScorer:
         self.url = url
         self.timeout = timeout
 
-    def score_tokens(self, query: str, tokens: list[str]) -> ScoreMap:
+    def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
         import requests
 
         try:
@@ -400,4 +391,4 @@ class HTTPScorer:
             payload = resp.json()
         except Exception as exc:
             raise ProtocolError(f"scorer endpoint failed: {exc}") from exc
-        return ScoreMap(probs=_validate_probs(payload, len(tokens)))
+        return _validate_probs(payload, len(tokens))

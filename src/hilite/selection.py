@@ -1,6 +1,6 @@
 """Budgeted mask production.
 
-Training draws a preliminary Bernoulli mask from the score map and projects
+Training draws a preliminary Bernoulli mask from the probability vector and projects
 it down to the budget k = floor(gamma * |omega|), keeping the selected
 tokens with the largest probabilities (projection only ever deselects; no
 gradient flows through it).  Inference uses deterministic top-k.  Two
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, StructureError
 from .markup import Mask
-from .policy import ScoreMap, omega_index
+from .policy import omega_index
 
 GUMBEL_FLOOR = 1e-12
 
@@ -86,18 +86,18 @@ def _topk_indices(values: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return idx[order[:k]]
 
 
-def sample_bernoulli(scores: ScoreMap, omega, rng) -> Mask:
+def sample_bernoulli(probs: np.ndarray, omega, rng) -> Mask:
     """Preliminary mask: m_i ~ Bernoulli(p_i) on omega, zero elsewhere."""
     rng = _as_rng(rng)
     idx = omega_index(omega)
-    mask = np.zeros(len(scores), dtype=np.uint8)
+    mask = np.zeros(len(probs), dtype=np.uint8)
     if idx.size:
         draws = rng.random(idx.size)
-        mask[idx[draws < scores.probs[idx]]] = 1
+        mask[idx[draws < probs[idx]]] = 1
     return mask
 
 
-def project_k(mask: Mask, scores: ScoreMap, k: int) -> Mask:
+def project_k(mask: Mask, probs: np.ndarray, k: int) -> Mask:
     """Deselect down to at most k tokens, keeping the largest p_i.
 
     Output bits are a subset of input bits; idempotent; already-feasible
@@ -106,21 +106,21 @@ def project_k(mask: Mask, scores: ScoreMap, k: int) -> Mask:
     selected = np.flatnonzero(mask)
     if selected.size <= k:
         return mask.copy()
-    keep = _topk_indices(scores.probs[selected], selected, k)
+    keep = _topk_indices(probs[selected], selected, k)
     return _mask_from_indices(len(mask), keep)
 
 
-def topk(scores: ScoreMap, omega, k: int) -> Mask:
+def topk(probs: np.ndarray, omega, k: int) -> Mask:
     """Deterministic inference-time selection: the k largest p_i on omega."""
     idx = omega_index(omega)
     if k > idx.size:
         raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
-    keep = _topk_indices(scores.probs[idx], idx, k)
-    return _mask_from_indices(len(scores), keep)
+    keep = _topk_indices(probs[idx], idx, k)
+    return _mask_from_indices(len(probs), keep)
 
 
 def sample_alternative(
-    scores: ScoreMap,
+    probs: np.ndarray,
     omega,
     k: int,
     kind: SamplerKind,
@@ -140,7 +140,7 @@ def sample_alternative(
     idx = omega_index(omega)
     if k > idx.size:
         raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
-    p = scores.probs[idx]
+    p = probs[idx]
     kind = SamplerKind(kind)
     if kind == SamplerKind.GREEDY_TOPK:
         keys = p
@@ -155,11 +155,11 @@ def sample_alternative(
         keys = np.log(p) + noise_scale * gumbel
     else:
         raise StructureError(f"{kind} is not an alternative sampler")
-    return _mask_from_indices(len(scores), _topk_indices(keys, idx, k))
+    return _mask_from_indices(len(probs), _topk_indices(keys, idx, k))
 
 
 def sample_mask(
-    scores: ScoreMap,
+    probs: np.ndarray,
     omega,
     k: int,
     kind: SamplerKind,
@@ -176,7 +176,7 @@ def sample_mask(
     """
     kind = SamplerKind(kind)
     if kind == SamplerKind.BERNOULLI_PROJECT:
-        prelim = sample_bernoulli(scores, omega, rng)
-        return prelim, project_k(prelim, scores, k)
-    mask = sample_alternative(scores, omega, k, kind, rng, noise_scale)
+        prelim = sample_bernoulli(probs, omega, rng)
+        return prelim, project_k(prelim, probs, k)
+    mask = sample_alternative(probs, omega, k, kind, rng, noise_scale)
     return mask, mask

@@ -46,6 +46,9 @@ FREE_TEXT = "free-text"
 
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 _FINAL_JSON_RE = re.compile(r"<FINAL_JSON>(.*?)</FINAL_JSON>", re.DOTALL)
+_PLACEHOLDER_RE = re.compile(
+    re.escape(CONTEXT_PLACEHOLDER) + "|" + re.escape(INSTRUCTION_PLACEHOLDER)
+)
 _RETRIED_4XX = (408, 429)  # request timeout, too many requests
 
 
@@ -132,25 +135,13 @@ TEMPLATES: dict[str, PromptTemplate] = {
 def render_prompt(query: str, emphasized_context: str, template: PromptTemplate) -> str:
     """Substitute both placeholders.
 
-    Single-pass splice: substituted material is inserted verbatim and never
-    re-scanned, so contexts containing brace markers or placeholder-looking
-    text cannot corrupt the template.
+    Single pass over the template body: substituted material is inserted
+    verbatim (a callable replacement, so backslashes are not expanded) and
+    never re-scanned, so contexts containing brace markers or
+    placeholder-looking text cannot corrupt the template.
     """
-    body = template.body
-    positions = sorted(
-        (
-            (body.index(CONTEXT_PLACEHOLDER), CONTEXT_PLACEHOLDER, emphasized_context),
-            (body.index(INSTRUCTION_PLACEHOLDER), INSTRUCTION_PLACEHOLDER, query),
-        )
-    )
-    out = []
-    cursor = 0
-    for pos, placeholder, value in positions:
-        out.append(body[cursor:pos])
-        out.append(value)
-        cursor = pos + len(placeholder)
-    out.append(body[cursor:])
-    return "".join(out)
+    values = {CONTEXT_PLACEHOLDER: emphasized_context, INSTRUCTION_PLACEHOLDER: query}
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(0)], template.body)
 
 
 @dataclass

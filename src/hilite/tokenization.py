@@ -94,9 +94,6 @@ class TokenizedContext:
     def source_bytes(self) -> bytes:
         return self.source.encode("utf-8")
 
-    def token_texts(self) -> list[str]:
-        return list(self.texts)
-
 
 def _utf8_offsets(text: str) -> np.ndarray:
     """Byte offset of every character position 0..len(text): the cumulative

@@ -54,7 +54,7 @@ from .errors import (
     StructureError,
 )
 from .markup import MarkerFormat, get_format
-from .policy import ScorerParams, TokenFeatures, build_idf_table, featurize, score
+from .policy import ScorerParams, build_idf_table, featurize, score
 from .rewards import RewardSpec, composite
 from .selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from .solver import SolverOutput, parse_output
@@ -199,23 +199,23 @@ class LossTerms:
 
 def loss_terms(
     group: GroupSample,
-    scores: policy.ScoreMap,
+    probs: np.ndarray,
     omega,
     cfg: TrainConfig,
 ) -> LossTerms:
     """Evaluate the three loss components and their weighted sum."""
     l_pg = float(-(group.advantages * group.log_probs).mean())
     idx = policy.omega_index(omega)
-    mean_p = float(scores.probs[idx].mean()) if idx.size else cfg.gamma
+    mean_p = float(probs[idx].mean()) if idx.size else cfg.gamma
     l_len = float((mean_p - cfg.gamma) ** 2)
-    l_ent = float(-policy.entropy(scores, omega))
+    l_ent = float(-policy.entropy(probs, omega))
     total = l_pg + cfg.lambda_len * l_len + cfg.beta_ent * l_ent
     return LossTerms(l_pg=l_pg, l_len=l_len, l_ent=l_ent, total=total)
 
 
 def assemble_gradient(
     group: GroupSample,
-    feats: TokenFeatures,
+    feats: np.ndarray,
     params: ScorerParams,
     omega,
     cfg: TrainConfig,
@@ -254,7 +254,7 @@ def assemble_gradient(
 
 def grad_step(
     group: GroupSample,
-    feats: TokenFeatures,
+    feats: np.ndarray,
     params: ScorerParams,
     opt: OptimizerState,
     cfg: TrainConfig,
@@ -303,7 +303,7 @@ class TrainResult:
 
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
-) -> tuple[ScorerParams, dict[str, float], list[TokenizedContext], list[TokenFeatures]]:
+) -> tuple[ScorerParams, dict[str, float], list[TokenizedContext], list[np.ndarray]]:
     """Featurize the training split and freeze initialization state.
 
     Contexts and features are returned as lists aligned with ``dataset``
@@ -317,7 +317,7 @@ def init_from_dataset(
         featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
         for inst, ctx in zip(dataset, contexts)
     ]
-    stacked = np.vstack([f.matrix for f in feats])
+    stacked = np.vstack(feats)
     if stacked.shape[0] == 0:
         raise ConfigError("training split contains no tokens")
     params = policy.init_params(stacked, tau=cfg.tau, init_prob=cfg.gamma)
@@ -327,7 +327,7 @@ def init_from_dataset(
 def rollout_group(
     inst: Instance,
     ctx: TokenizedContext,
-    scores: policy.ScoreMap,
+    probs: np.ndarray,
     solver,
     cfg: TrainConfig,
     fmt: MarkerFormat,
@@ -345,7 +345,7 @@ def rollout_group(
     prelim_masks, proj_masks, emphasized = [], [], []
     for j in range(cfg.group_size):
         rng = rng_stream(cfg.seed, inst.id, j, step)
-        prelim, proj = sample_mask(scores, ctx.omega, budget.k, cfg.sampler, rng)
+        prelim, proj = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
         spans = markup.coalesce(proj, ctx, cfg.delta)
         prelim_masks.append(prelim)
         proj_masks.append(proj)
@@ -376,7 +376,7 @@ def rollout_group(
 
     adv = advantages(rewards, cfg.advantage_eps)
     log_probs = np.array(
-        [policy.log_prob(m, scores, ctx.omega) for m in prelim_masks]
+        [policy.log_prob(m, probs, ctx.omega) for m in prelim_masks]
     )
     group = GroupSample(
         prelim_masks=prelim_masks,
@@ -427,12 +427,11 @@ def train(
             i = step % len(dataset)
             inst, ctx, f = dataset[i], contexts[i], feats[i]
             fwd = policy.forward(f, params)
-            scores = policy.ScoreMap(probs=fwd.p)
             group, failures = rollout_group(
-                inst, ctx, scores, solver, cfg, fmt, reward_spec, step, pool
+                inst, ctx, fwd.p, solver, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
-            terms = loss_terms(group, scores, ctx.omega, cfg)
+            terms = loss_terms(group, fwd.p, ctx.omega, cfg)
             params = grad_step(group, f, params, opt, cfg, ctx.omega, fwd)
             idx = policy.omega_index(ctx.omega)
             record = {
@@ -441,7 +440,7 @@ def train(
                 "L_PG": terms.l_pg,
                 "L_LEN": terms.l_len,
                 "L_ENT": terms.l_ent,
-                "mean_p": float(scores.probs[idx].mean()) if idx.size else 0.0,
+                "mean_p": float(fwd.p[idx].mean()) if idx.size else 0.0,
                 "k": Budget.for_omega(cfg.gamma, len(ctx.omega)).k,
                 "seed": cfg.seed,
             }
@@ -510,7 +509,6 @@ def evaluate(
     idf_table: dict[str, float],
     reward_spec: RewardSpec | None = None,
     variant: str = "hilite",
-    fmt: MarkerFormat | None = None,
     mask_sampler: SamplerKind | None = None,
 ) -> dict:
     """Deterministic evaluation pass: top-k selection, one solver call per
@@ -527,7 +525,7 @@ def evaluate(
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")
     reward_spec = reward_spec or RewardSpec((("em", 1.0),))
-    fmt = fmt or get_format(cfg.marker_format)
+    fmt = get_format(cfg.marker_format)
     contract = getattr(solver, "output_contract", "free-text")
 
     rewards = []
@@ -537,7 +535,7 @@ def evaluate(
     for inst in dataset:
         ctx = tokenize(inst.context)
         feats = featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
-        scores = score(feats, params)
+        probs = score(feats, params)
         budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
         if variant == "random":
             mask = markup.random_mask(
@@ -545,11 +543,11 @@ def evaluate(
             )
         elif mask_sampler is not None:
             _, mask = sample_mask(
-                scores, ctx.omega, budget.k, mask_sampler,
+                probs, ctx.omega, budget.k, mask_sampler,
                 rng_stream(cfg.seed, f"eval-{inst.id}"),
             )
         else:
-            mask = topk(scores, ctx.omega, budget.k)
+            mask = topk(probs, ctx.omega, budget.k)
         spans = markup.coalesce(mask, ctx, cfg.delta)
         if variant == "no-highlight":
             emphasized = inst.context
@@ -571,7 +569,7 @@ def evaluate(
 
         if inst.evidence_spans:
             overlaps.append(
-                evidence_overlap(scores, cfg.eval_threshold, inst.evidence_spans, ctx)
+                evidence_overlap(probs, cfg.eval_threshold, inst.evidence_spans, ctx)
             )
 
     report = {

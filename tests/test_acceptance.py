@@ -29,7 +29,7 @@ from hilite.markup import (
     new_mask,
     strip,
 )
-from hilite.policy import ScoreMap, ScorerParams, TokenFeatures, log_prob, score
+from hilite.policy import ScorerParams, log_prob, score
 from hilite.rewards import RewardSpec, composite, em, hr_at_k, macro_f1, ndcg_at_k, token_f1
 from hilite.selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
@@ -96,11 +96,10 @@ def test_criterion_2_budget_safety():
         omega_size = int(rng.integers(1, n + 1))
         omega = sorted(rng.choice(n, size=omega_size, replace=False).tolist())
         probs = rng.uniform(1e-6, 1 - 1e-6, size=n)
-        scores = ScoreMap(probs=probs)
         gamma = float(rng.uniform(0.02, 1.0))
         k = Budget.for_omega(gamma, omega_size).k
         kind = kinds[case % 4]
-        _, mask = sample_mask(scores, omega, k, kind, int(rng.integers(1 << 62)))
+        _, mask = sample_mask(probs, omega, k, kind, int(rng.integers(1 << 62)))
         if int(mask.sum()) > k:
             violations += 1
     assert violations == 0
@@ -119,7 +118,7 @@ def test_criterion_3_gradient_correctness():
     for _ in range(100):
         n = int(rng.integers(3, 13))
         d = int(rng.integers(1, 9))
-        feats = TokenFeatures(matrix=rng.normal(size=(n, d)))
+        feats = rng.normal(size=(n, d))
         params = ScorerParams(
             w=rng.normal(scale=0.4, size=d),
             b=float(rng.normal(scale=0.3)),
@@ -259,9 +258,7 @@ def test_criterion_6_marker_swap_invariance():
             budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
             mask = topk(s, ctx.omega, budget.k)
             spans = coalesce(mask, ctx, cfg.delta)
-            per_instance_spans.append(
-                tuple((sp.first_token, sp.last_token) for sp in spans)
-            )
+            per_instance_spans.append(tuple(map(tuple, spans.tolist())))
         span_sets[name] = tuple(per_instance_spans)
         fmt_solver = OracleSolver(OracleSolverConfig(coverage_threshold=0.8), fmt)
         fmt_cfg = TrainConfig.from_dict({**cfg.to_dict(), "marker_format": name})

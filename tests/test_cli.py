@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from hilite.cli import main
 from hilite.data import gen_dataset, save_jsonl
+from hilite.markup import DEFAULT_FORMAT, scan_markers
 
 
 @pytest.fixture
@@ -144,6 +145,22 @@ def test_highlight_spans_json(runner, oracle_run):
     last_line = result.output.strip().splitlines()[-1]
     spans = json.loads(last_line)["spans"]
     assert all(len(s) == 2 and s[0] < s[1] for s in spans)
+
+
+def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
+    dataset_path, checkpoint, _ = oracle_run
+    # multi-byte text first, so byte and character offsets of every span differ
+    text = "Straße ΣΑΣ. " + json.loads(dataset_path.read_text().splitlines()[0])["context"]
+    result = runner.invoke(main, [
+        "highlight", "--checkpoint", str(checkpoint), "--text", text,
+        "--gamma", "0.2", "--delta", "1", "--spans",
+    ])
+    assert result.exit_code == 0, result.output
+    emphasized, spans_line = result.output.rstrip("\n").rsplit("\n", 1)
+    stripped, regions = scan_markers(emphasized.encode("utf-8"), DEFAULT_FORMAT)
+    assert stripped.decode("utf-8") == text
+    assert len(regions) > 1
+    assert json.loads(spans_line) == {"spans": [list(r) for r in regions]}
 
 
 def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path):

@@ -1,0 +1,34 @@
+"""Each demo script runs to completion with exit status 0.
+
+Demo 03 trains for several seconds on the same path the acceptance
+convergence test covers, so it is not run here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = (
+    "01_markup_basics",
+    "02_scoring_and_selection",
+    "04_sensitivity_sweeps",
+    "05_recsys_preprocessing",
+    "06_external_scorer",
+)
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -116,7 +116,7 @@ def golden_substrate() -> dict:
     feats = {
         name: featurize(query, ctxs[name], idf) for name, (query, _, _) in data.items()
     }
-    base = init_params(np.vstack([f.matrix for f in feats.values()]))
+    base = init_params(np.vstack(list(feats.values())))
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,
@@ -130,7 +130,7 @@ def golden_substrate() -> dict:
     }
     for name, (_, text, evidence) in data.items():
         ctx = ctxs[name]
-        matrix = feats[name].matrix
+        matrix = feats[name]
         assert matrix.dtype == np.float64
         n_bytes = len(text.encode("utf-8"))
         restricted = restrict_omega(ctx, [(0, n_bytes // 4), (n_bytes // 2, n_bytes // 2 + 40)]
@@ -150,8 +150,8 @@ def golden_substrate() -> dict:
                     masks.append(mask.tobytes().hex())
                     for delta in DELTAS:
                         sp = coalesce(mask, ctx, delta)
-                        spans.append([[s.first_token, s.last_token, s.char_start, s.char_end]
-                                      for s in sp])
+                        spans.append([[f, l, int(ctx.starts[f]), int(ctx.ends[l])]
+                                      for f, l in sp.tolist()])
                         emphasized.append(inject(ctx, sp, DEFAULT_FORMAT))
                         pruned.append(prune(ctx, sp, " ... "))
         record["masks"] = _sha(masks)

@@ -8,13 +8,14 @@ from hilite.markup import (
     BUILTIN_FORMATS,
     DEFAULT_FORMAT,
     MarkerFormat,
+    byte_ranges,
     coalesce,
     get_format,
     inject,
-    load_formats,
     new_mask,
     prune,
     random_mask,
+    scan_markers,
     spans_to_mask,
     strip,
 )
@@ -39,20 +40,20 @@ def ten_tokens():
 def test_coalesce_singleton():
     ctx = ten_tokens()
     spans = coalesce(mask_for(ctx, [4]), ctx, delta=10)
-    assert [(s.first_token, s.last_token) for s in spans] == [(4, 4)]
+    assert [tuple(s) for s in spans.tolist()] == [(4, 4)]
 
 
 def test_coalesce_gap_above_delta_splits():
     ctx = ten_tokens()
     spans = coalesce(mask_for(ctx, [2, 3, 7]), ctx, delta=2)
     # gap between 3 and 7 is 3 unselected tokens > 2
-    assert [(s.first_token, s.last_token) for s in spans] == [(2, 3), (7, 7)]
+    assert [tuple(s) for s in spans.tolist()] == [(2, 3), (7, 7)]
 
 
 def test_coalesce_gap_at_delta_merges():
     ctx = ten_tokens()
     spans = coalesce(mask_for(ctx, [2, 3, 7]), ctx, delta=3)
-    assert [(s.first_token, s.last_token) for s in spans] == [(2, 7)]
+    assert [tuple(s) for s in spans.tolist()] == [(2, 7)]
 
 
 def test_coalesce_length_mismatch_rejected():
@@ -63,7 +64,15 @@ def test_coalesce_length_mismatch_rejected():
 
 def test_coalesce_empty_mask():
     ctx = ten_tokens()
-    assert coalesce(new_mask(ctx), ctx, delta=5) == []
+    assert len(coalesce(new_mask(ctx), ctx, delta=5)) == 0
+
+
+def test_coalesce_returns_int64_token_ranges():
+    ctx = ten_tokens()
+    spans = coalesce(mask_for(ctx, [2, 3, 7]), ctx, delta=2)
+    assert spans.dtype == np.int64 and spans.shape == (2, 2)
+    empty = coalesce(new_mask(ctx), ctx, delta=2)
+    assert empty.dtype == np.int64 and empty.shape == (0, 2)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=40), st.integers(0, 12))
@@ -77,22 +86,22 @@ def test_coalesce_properties(bits, delta):
     # bounds: span count <= popcount; spans cover all selected tokens
     assert len(spans) <= int(mask.sum())
     covered = set()
-    for s in spans:
-        covered.update(range(s.first_token, s.last_token + 1))
+    for first, last in spans.tolist():
+        covered.update(range(first, last + 1))
     assert selected <= covered
     # separation: consecutive spans separated by > delta unselected tokens
-    for a, b in zip(spans, spans[1:]):
-        assert b.first_token - a.last_token - 1 > delta
+    for a, b in zip(spans.tolist(), spans[1:].tolist()):
+        assert b[0] - a[1] - 1 > delta
     # span ends are selected tokens
-    for s in spans:
-        assert s.first_token in selected and s.last_token in selected
+    for first, last in spans.tolist():
+        assert first in selected and last in selected
     # monotonicity: one more delta never increases the span count
     assert len(coalesce(mask, ctx, delta + 1)) <= len(spans)
     # idempotence on the spans' own indicator mask
     indicator = spans_to_mask(spans, len(ctx.tokens))
     again = coalesce(indicator, ctx, delta)
-    assert [(s.first_token, s.last_token) for s in again] == [
-        (s.first_token, s.last_token) for s in spans
+    assert [tuple(s) for s in again.tolist()] == [
+        tuple(s) for s in spans.tolist()
     ]
 
 
@@ -123,9 +132,34 @@ def test_inject_markdown_bold():
 def test_inject_overlapping_spans_rejected():
     ctx = tokenize("a b c")
     spans = coalesce(mask_for(ctx, [0, 1, 2]), ctx, delta=0)
-    doubled = spans + spans
+    doubled = np.concatenate((spans, spans))
     with pytest.raises(StructureError):
         inject(ctx, doubled, DEFAULT_FORMAT)
+
+
+@pytest.mark.parametrize("spans", [
+    [[-1, 0]],  # before the first token
+    [[8, 10]],  # past the last of ten tokens
+    [[3, 2]],  # first after last
+    [[5, 6], [2, 3]],  # unsorted
+    [[2, 4], [4, 6]],  # sharing a token
+    [[2, 5], [3, 4]],  # nested
+    [[1, 2, 3]],  # not (m, 2)
+    [1, 2],
+])
+def test_invalid_spans_rejected(spans):
+    ctx = ten_tokens()
+    with pytest.raises(StructureError):
+        inject(ctx, np.asarray(spans), DEFAULT_FORMAT)
+    with pytest.raises(StructureError):
+        prune(ctx, np.asarray(spans), " ... ")
+
+
+def test_adjacent_spans_accepted():
+    ctx = ten_tokens()
+    spans = np.array([[0, 0], [1, 2], [9, 9]])
+    assert byte_ranges(ctx, spans) == [(0, 2), (3, 8), (27, 29)]
+    assert inject(ctx, spans, BUILTIN_FORMATS["brace"]) == "{t0} {t1 t2} t3 t4 t5 t6 t7 t8 {t9}"
 
 
 def test_strip_round_trip_default():
@@ -159,6 +193,83 @@ def test_strip_nested_rejected():
     nested = "".join([fmt.open, "a ", fmt.open, "b", fmt.close, fmt.close])
     with pytest.raises(IntegrityError):
         strip(nested, fmt)
+
+
+# The two-branch scanner (identical markers counted, distinct markers
+# alternated) that the single loop replaced, kept as the reference.
+def reference_scan_markers(data: bytes, fmt: MarkerFormat):
+    open_b = fmt.open.encode("utf-8")
+    close_b = fmt.close.encode("utf-8")
+    events = []
+    if open_b == close_b:
+        pos = 0
+        k = 0
+        while True:
+            i = data.find(open_b, pos)
+            if i < 0:
+                break
+            events.append((i, k % 2, open_b))
+            k += 1
+            pos = i + len(open_b)
+        if k % 2 != 0:
+            raise IntegrityError("odd number of identical markers")
+    else:
+        pos = 0
+        while True:
+            io = data.find(open_b, pos)
+            ic = data.find(close_b, pos)
+            if io < 0 and ic < 0:
+                break
+            if ic < 0 or (0 <= io < ic):
+                events.append((io, 0, open_b))
+                pos = io + len(open_b)
+            else:
+                events.append((ic, 1, close_b))
+                pos = ic + len(close_b)
+        kinds = [k for _, k, _ in events]
+        if len(kinds) % 2 != 0 or kinds != [i % 2 for i in range(len(kinds))]:
+            raise IntegrityError("unbalanced or interleaved markers")
+    out, regions = [], []
+    cursor = removed = region_start = 0
+    for pos, kind, marker in events:
+        out.append(data[cursor:pos])
+        if kind == 0:
+            region_start = pos - removed
+        else:
+            regions.append((region_start, pos - removed))
+        removed += len(marker)
+        cursor = pos + len(marker)
+    out.append(data[cursor:])
+    return b"".join(out), regions
+
+
+SCAN_FORMATS = [*BUILTIN_FORMATS.values(), MarkerFormat("ab", "bc"),
+                MarkerFormat("<<x", "x>>"), MarkerFormat("aa", "aa")]
+
+
+@st.composite
+def marked_bytes(draw):
+    fmt = draw(st.sampled_from(SCAN_FORMATS))
+    pieces = draw(st.lists(st.one_of(
+        st.sampled_from([fmt.open, fmt.close]),
+        st.text(alphabet="abcx<>*{}[]/ é", max_size=4),
+    ), max_size=12))
+    return fmt, "".join(pieces).encode("utf-8")
+
+
+def _scan_outcome(scan, data, fmt):
+    try:
+        return scan(data, fmt)
+    except IntegrityError:
+        return IntegrityError
+
+
+@given(marked_bytes())
+@settings(max_examples=1000, deadline=None)
+def test_scan_markers_matches_two_branch_reference(case):
+    fmt, data = case
+    assert _scan_outcome(scan_markers, data, fmt) == _scan_outcome(
+        reference_scan_markers, data, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +354,6 @@ def test_format_validation():
 def test_get_format_and_user_registry():
     fmt = get_format("html-b")
     assert fmt.open == "<b>"
-    user = load_formats({"angle": {"open": "<<<", "close": ">>>"}})
-    assert get_format("angle", user).close == ">>>"
     with pytest.raises(StructureError):
         get_format("nope")
 

@@ -1,20 +1,21 @@
 import itertools
 import json
 import math
+import signal
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from hilite import policy
 from hilite.errors import ProtocolError, StructureError
 from hilite.policy import (
     FEATURE_DIM,
     HTTPScorer,
-    ScoreMap,
     ScorerParams,
     SubprocessScorer,
-    TokenFeatures,
     build_idf_table,
     entropy,
     featurize,
@@ -38,7 +39,7 @@ def identity_params(w, b=0.0, tau=1.0):
 
 
 def feats_of(matrix):
-    return TokenFeatures(matrix=np.asarray(matrix, dtype=np.float64))
+    return np.asarray(matrix, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -49,36 +50,36 @@ def feats_of(matrix):
 def test_query_overlap_feature_is_definitional():
     ctx = tokenize("the raven settled")
     f = featurize("where is the raven", ctx, {})
-    assert f.matrix[1, 0] == 1.0  # "raven" appears in the query
-    assert f.matrix[2, 0] == 0.0  # "settled" does not
+    assert f[1, 0] == 1.0  # "raven" appears in the query
+    assert f[2, 0] == 0.0  # "settled" does not
 
 
 def test_first_token_relative_position_zero():
     ctx = tokenize("alpha beta")
     f = featurize("", ctx, {})
-    assert f.matrix[0, 3] == 0.0
+    assert f[0, 3] == 0.0
 
 
 def test_relative_position_midpoint():
     ctx = tokenize("a b c d")  # 4 tokens; index 2 -> 2/4
     f = featurize("", ctx, {})
-    assert f.matrix[2, 3] == pytest.approx(0.5)
+    assert f[2, 3] == pytest.approx(0.5)
 
 
 def test_missing_idf_entries_use_ceiling():
     ctx = tokenize("zyxwv")
     f = featurize("", ctx, {}, idf_ceiling=6.0)
-    assert f.matrix[0, 2] == 6.0
+    assert f[0, 2] == 6.0
 
 
 def test_bigram_numeric_and_sentence_initial_features():
     ctx = tokenize("Code 417. Next line")
     f = featurize("the code 417 please", ctx, {})
-    assert f.matrix[0, 1] == 1.0  # "code 417" bigram matches
-    assert f.matrix[1, 5] == 1.0  # 417 is numeric
-    assert f.matrix[0, 6] == 1.0  # first token is sentence-initial
-    assert f.matrix[3, 6] == 1.0  # "Next" follows a period
-    assert f.matrix[4, 6] == 0.0
+    assert f[0, 1] == 1.0  # "code 417" bigram matches
+    assert f[1, 5] == 1.0  # 417 is numeric
+    assert f[0, 6] == 1.0  # first token is sentence-initial
+    assert f[3, 6] == 1.0  # "Next" follows a period
+    assert f[4, 6] == 0.0
 
 
 def test_build_idf_table_counts_documents():
@@ -97,20 +98,20 @@ def test_zero_params_give_half_everywhere():
     f = feats_of(np.random.default_rng(0).normal(size=(5, 3)))
     params = identity_params(np.zeros(3))
     s = score(f, params)
-    assert np.allclose(s.probs, 0.5)
+    assert np.allclose(s, 0.5)
 
 
 def test_zero_logit_is_half_for_any_tau():
     f = feats_of(np.zeros((4, 2)))
     for tau in (0.5, 1.0, 3.0):
         params = identity_params(np.zeros(2), tau=tau)
-        assert np.allclose(score(f, params).probs, 0.5)
+        assert np.allclose(score(f, params), 0.5)
 
 
 def test_logistic_spot_value():
     f = feats_of([[1.0, 0.0]])
     params = identity_params([2.0, 0.0])
-    assert score(f, params).probs[0] == pytest.approx(0.8807970779778823, abs=1e-6)
+    assert score(f, params)[0] == pytest.approx(0.8807970779778823, abs=1e-6)
 
 
 def test_score_dim_mismatch_rejected():
@@ -120,11 +121,17 @@ def test_score_dim_mismatch_rejected():
         score(f, params)
 
 
+def test_score_rejects_non_matrix_features():
+    params = identity_params(np.zeros(2))
+    with pytest.raises(StructureError):
+        score(np.zeros(2), params)
+
+
 def test_temperature_pulls_probabilities_toward_half():
     f = feats_of([[1.0], [-2.0]])
     dist = []
     for tau in (0.5, 1.0, 2.0, 5.0):
-        p = score(f, identity_params([1.0], tau=tau)).probs
+        p = score(f, identity_params([1.0], tau=tau))
         dist.append(np.abs(p - 0.5))
     for a, b in zip(dist, dist[1:]):
         assert np.all(b < a)
@@ -132,7 +139,7 @@ def test_temperature_pulls_probabilities_toward_half():
 
 def test_clamping_keeps_probs_interior():
     f = feats_of([[1000.0], [-1000.0]])
-    p = score(f, identity_params([1.0])).probs
+    p = score(f, identity_params([1.0]))
     assert p[0] == pytest.approx(1.0 - 1e-6)
     assert p[1] == pytest.approx(1e-6)
 
@@ -144,13 +151,13 @@ def test_clamping_keeps_probs_interior():
 
 def test_uniform_log_prob():
     n = 7
-    s = ScoreMap(probs=np.full(n, 0.5))
+    s = np.full(n, 0.5)
     mask = np.zeros(n, dtype=np.uint8)
     assert log_prob(mask, s, range(n)) == pytest.approx(-n * math.log(2))
 
 
 def test_log_prob_decomposes_per_token():
-    s = ScoreMap(probs=np.array([0.9, 0.1]))
+    s = np.array([0.9, 0.1])
     mask = np.array([1, 0], dtype=np.uint8)
     assert log_prob(mask, s, [0, 1]) == pytest.approx(
         math.log(0.9) + math.log(0.9), abs=1e-12
@@ -159,7 +166,7 @@ def test_log_prob_decomposes_per_token():
 
 
 def test_log_prob_ignores_bits_outside_omega():
-    s = ScoreMap(probs=np.array([0.9, 0.5]))
+    s = np.array([0.9, 0.5])
     m1 = np.array([1, 1], dtype=np.uint8)
     m0 = np.array([1, 0], dtype=np.uint8)
     assert log_prob(m1, s, [0]) == log_prob(m0, s, [0])
@@ -167,13 +174,13 @@ def test_log_prob_ignores_bits_outside_omega():
 
 def test_entropy_bounds_and_values():
     n = 4
-    assert entropy(ScoreMap(probs=np.full(n, 0.5)), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 0.5), range(n)) == pytest.approx(
         math.log(2)
     )
-    assert entropy(ScoreMap(probs=np.full(n, 1e-6)), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 1e-6), range(n)) == pytest.approx(
         0.0, abs=1e-4
     )
-    assert entropy(ScoreMap(probs=np.full(n, 0.25)), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 0.25), range(n)) == pytest.approx(
         0.5623351446188083, abs=1e-12
     )
 
@@ -200,7 +207,7 @@ def test_score_function_identity_expected_gradient_zero():
     n, d = 6, 3
     f = feats_of(rng.normal(size=(n, d)))
     params = identity_params(rng.normal(scale=0.5, size=d), b=0.1, tau=1.3)
-    p = score(f, params).probs
+    p = score(f, params)
     omega = list(range(n))
     total_w = np.zeros(d)
     total_b = 0.0
@@ -289,7 +296,7 @@ def test_init_params_freezes_stats_and_budget_bias():
     assert params.b == pytest.approx(math.log(0.15 / 0.85))
     # initial policy selects at the requested rate
     f = feats_of(stacked[:10])
-    assert np.allclose(score(f, params).probs, 0.15, atol=1e-2)
+    assert np.allclose(score(f, params), 0.15, atol=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +328,7 @@ WRONG_LENGTH_SCORER = (
 def test_subprocess_scorer_round_trip():
     with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
         s = scorer.score_tokens("q", ["a", "b", "c"])
-        assert np.allclose(s.probs, 0.25)
+        assert np.allclose(s, 0.25)
 
 
 def test_subprocess_scorer_malformed_response():
@@ -336,12 +343,32 @@ def test_subprocess_scorer_wrong_length():
             scorer.score_tokens("q", ["a", "b"])
 
 
+STUBBORN_SCORER = (
+    "import json, signal, sys, time\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+    "for line in sys.stdin:\n"
+    "    n = len(json.loads(line)['tokens'])\n"
+    "    print(json.dumps({'probs': [0.5] * n}), flush=True)\n"
+    "time.sleep(60)\n"
+)
+
+
+def test_subprocess_scorer_close_kills_child_ignoring_sigterm(monkeypatch):
+    monkeypatch.setattr(policy, "CLOSE_GRACE_S", 0.2)
+    scorer = SubprocessScorer([sys.executable, "-c", STUBBORN_SCORER])
+    scorer.score_tokens("q", ["a"])  # the child ignores SIGTERM from here on
+    start = time.monotonic()
+    scorer.close()
+    assert time.monotonic() - start < 5.0
+    assert scorer._proc.returncode == -signal.SIGKILL
+
+
 def test_http_scorer(scripted_server):
     url, handler = scripted_server
     handler.script.append((200, {"probs": [0.1, 0.2, 0.3]}))
     scorer = HTTPScorer(url)
     s = scorer.score_tokens("q", ["a", "b", "c"])
-    assert np.allclose(s.probs, [0.1, 0.2, 0.3])
+    assert np.allclose(s, [0.1, 0.2, 0.3])
     assert handler.requests_seen[0]["op"] == "score"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hilite.errors import BudgetError, StructureError
-from hilite.policy import PROB_CLAMP, ScoreMap
+from hilite.policy import PROB_CLAMP
 from hilite.selection import (
     Budget,
     SamplerKind,
@@ -16,7 +16,7 @@ from hilite.selection import (
 
 
 def scores_of(values):
-    return ScoreMap(probs=np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_budget_floor():

@@ -58,6 +58,12 @@ def test_render_is_injection_proof():
     assert out == "C={instruction} I=q"
 
 
+def test_render_inserts_backslashes_literally():
+    t = PromptTemplate(name="t", body="I={instruction} C={context}")
+    out = render_prompt(r"\1 \g<0>", r"C:\new\table \\", t)
+    assert out == r"I=\1 \g<0> C=C:\new\table \\"
+
+
 def test_qa_template_layout():
     out = render_prompt("Who?", "EV TEXT", TEMPLATES["qa"])
     assert out == (

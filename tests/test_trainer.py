@@ -8,7 +8,7 @@ import pytest
 from conftest import make_instance
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
-from hilite.policy import ScoreMap, ScorerParams, TokenFeatures, score
+from hilite.policy import ScorerParams, score
 from hilite.rewards import RewardSpec
 from hilite.solver import OracleSolver, OracleSolverConfig, ScriptedSolver
 from hilite.trainer import (
@@ -107,7 +107,7 @@ def test_pg_loss_hand_evaluated():
         log_probs=[-2.0, -3.0],
         advform=[1.0, -1.0],
     )
-    scores = ScoreMap(probs=np.array([0.5, 0.5]))
+    scores = np.array([0.5, 0.5])
     cfg = small_config(lambda_len=0.0, beta_ent=0.0)
     terms = loss_terms(group, scores, [0, 1], cfg)
     assert terms.l_pg == pytest.approx(-0.5)
@@ -117,7 +117,7 @@ def test_pg_loss_hand_evaluated():
 def test_len_loss_zero_on_budget():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config(gamma=0.25)
-    scores = ScoreMap(probs=np.array([0.25, 0.25]))
+    scores = np.array([0.25, 0.25])
     terms = loss_terms(group, scores, [0, 1], cfg)
     assert terms.l_len == 0.0
 
@@ -125,7 +125,7 @@ def test_len_loss_zero_on_budget():
 def test_entropy_loss_at_half():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config()
-    scores = ScoreMap(probs=np.array([0.5, 0.5]))
+    scores = np.array([0.5, 0.5])
     terms = loss_terms(group, scores, [0, 1], cfg)
     assert terms.l_ent == pytest.approx(-math.log(2))
 
@@ -175,7 +175,7 @@ def test_total_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
     d = int(rng.integers(1, 9))
-    feats = TokenFeatures(matrix=rng.normal(size=(n, d)))
+    feats = rng.normal(size=(n, d))
     params = ScorerParams(
         w=rng.normal(scale=0.4, size=d),
         b=float(rng.normal(scale=0.3)),
@@ -209,12 +209,12 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
 
     rng = np.random.default_rng(seed)
     n, d, g = 12, 3, 4
-    feats = TokenFeatures(matrix=rng.normal(size=(n, d)))
+    feats = rng.normal(size=(n, d))
     params = identity_params(rng.normal(scale=0.5, size=d), b=0.1, tau=0.8)
     masks = [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(g)]
     group = group_from(masks, rng.random(g), [0.0] * g)
     omega = sorted(rng.choice(n, size=8, replace=False).tolist())
-    p = score(feats, params).probs
+    p = score(feats, params)
     assert np.all((p > 1e-3) & (p < 1 - 1e-3))  # no token near the clamp
     x = standardize(feats, params)
     ref_w, ref_b = np.zeros(d), 0.0
@@ -231,8 +231,8 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
 def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
     # z = 1000 x: tokens 0, 1, 3, 4 are clamped (|z| >= 800), token 2 (z = 1) is not
     params = identity_params([1000.0])
-    a = TokenFeatures(matrix=np.array([[-1.0], [-0.8], [0.001], [0.8], [1.0]]))
-    b = TokenFeatures(matrix=np.array([[-3.0], [-0.9], [0.001], [2.0], [0.9]]))
+    a = np.array([[-1.0], [-0.8], [0.001], [0.8], [1.0]])
+    b = np.array([[-3.0], [-0.9], [0.001], [2.0], [0.9]])
     masks_a = [[1, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 1, 1, 0, 0]]
     masks_b = [[0, 1, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]  # clamped bits differ
     rewards = [1.0, 0.0, 0.5]
@@ -257,7 +257,7 @@ def test_zero_gradient_step_only_decays_weights():
     d = 3
     params = identity_params([0.5, -0.5, 1.0], b=0.3)
     opt = OptimizerState.zeros(d)
-    feats = TokenFeatures(matrix=np.zeros((2, d)))
+    feats = np.zeros((2, d))
     group = group_from([[0, 0], [0, 0]], [0.5, 0.5], [0.0, 0.0])  # zero advantages
     cfg = small_config(lambda_len=0.0, beta_ent=0.0, weight_decay=1e-2,
                        learning_rate=1e-4)
@@ -270,7 +270,7 @@ def test_zero_gradient_step_only_decays_weights():
 
 def test_grad_step_deterministic():
     rng = np.random.default_rng(0)
-    feats = TokenFeatures(matrix=rng.normal(size=(5, 3)))
+    feats = rng.normal(size=(5, 3))
     masks = [(rng.random(5) < 0.5).astype(np.uint8) for _ in range(3)]
     rewards = [1.0, 0.0, 0.5]
 
@@ -292,7 +292,7 @@ def test_grad_step_deterministic():
 def test_non_finite_gradient_skips_step(caplog):
     params = identity_params([0.1])
     opt = OptimizerState.zeros(1)
-    feats = TokenFeatures(matrix=np.array([[1.0]]))
+    feats = np.array([[1.0]])
     group = group_from([[1], [0]], [1.0, 0.0], [np.nan, np.nan], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
@@ -499,7 +499,7 @@ def test_evidence_report_identity():
     gold = gold_token_indices(ctx, inst.evidence_spans)
     probs = np.full(len(ctx.tokens), 0.1)
     probs[list(gold)] = 0.9
-    p, r, f1 = evidence_overlap(ScoreMap(probs=probs), 0.5, inst.evidence_spans, ctx)
+    p, r, f1 = evidence_overlap(probs, 0.5, inst.evidence_spans, ctx)
     assert (p, r, f1) == (1.0, 1.0, 1.0)
 
 
@@ -513,7 +513,7 @@ def test_evidence_half_coverage_values():
     probs = np.full(len(ctx.tokens), 0.1)
     half = gold[: len(gold) // 2]
     probs[half] = 0.9
-    p, r, f1 = evidence_overlap(ScoreMap(probs=probs), 0.5, inst.evidence_spans, ctx)
+    p, r, f1 = evidence_overlap(probs, 0.5, inst.evidence_spans, ctx)
     assert p == 1.0
     assert r == pytest.approx(len(half) / len(gold))
     assert f1 == pytest.approx(2 * r / (1 + r))
