@@ -6,8 +6,9 @@ small gaps), wrap the spans in marker strings, and strip the markers back
 out to recover the original bytes.
 """
 
+import numpy as np
+
 from hilite import BUILTIN_FORMATS, coalesce, inject, strip, tokenize
-from hilite.markup import new_mask
 
 # =============================================================================
 # Tokens carry exact byte offsets into the source
@@ -30,7 +31,7 @@ assert all(raw[t.char_start:t.char_end].decode() == t.text for t in ctx.tokens)
 # Masks coalesce into spans; small gaps get bridged
 # =============================================================================
 
-mask = new_mask(ctx)
+mask = np.zeros(len(ctx), dtype=np.uint8)  # one uint8 per token
 mask[[8, 9, 11]] = 1  # "grips", "on", "back"
 
 for delta in (0, 2):

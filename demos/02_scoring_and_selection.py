@@ -3,7 +3,10 @@
 Builds feature vectors for each context token, scores them through the
 logistic/temperature head, and shows the different ways of turning scores
 into a budget-feasible mask: Bernoulli sampling plus projection (training),
-deterministic top-k (inference), and the two ablation samplers.
+deterministic top-k (inference), and the keyed exact-k sampler for
+ablations.  Every sampler is a top-k over per-token keys: p itself for
+top-k, log(u)/p with u ~ U(0, 1) for the keyed sampler, which
+``softmax_wor`` and ``gumbel_topk`` both name.
 """
 
 import numpy as np

@@ -42,7 +42,6 @@ from .markup import (
     get_format,
     inject,
     prune,
-    random_mask,
     strip,
 )
 from .policy import (
@@ -73,8 +72,8 @@ from .selection import (
     Budget,
     SamplerKind,
     project_k,
+    random_mask,
     rng_stream,
-    sample_alternative,
     sample_bernoulli,
     sample_mask,
     topk,

@@ -13,6 +13,7 @@ and HILITE_AUTH_TOKEN environment variables).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -257,11 +258,21 @@ def cmd_eval(checkpoint_path, dataset, config_path, report_path,
         click.echo(f"report: {report_path}")
 
 
+# sweep axis -> (TrainConfig field, conversion of one grid value); every
+# grid point is checked before the first one is evaluated
+SWEEP_AXES = {
+    "budget": ("gamma", float),
+    "width": ("delta", int),
+    "marker": ("marker_format", lambda name: get_format(name).name),
+    "sampler": ("sampler", SamplerKind),
+}
+
+
 @main.command("sweep")
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--dataset", type=str, required=True)
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--axis", type=click.Choice(["budget", "marker", "width", "sampler"]),
+@click.option("--axis", type=click.Choice(list(SWEEP_AXES)),
               required=True)
 @click.option("--grid", type=str, required=True,
               help="Comma-separated grid values for the axis.")
@@ -281,25 +292,18 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
     data = load_jsonl(dataset)
     reward_spec = build_reward_spec(options)
 
+    field, conv = SWEEP_AXES[axis]
+    try:
+        run_cfgs = [dataclasses.replace(cfg, **{field: conv(value)}) for value in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {axis} grid value: {exc}") from exc
+
     rows = []
-    for value in values:
-        run_cfg = TrainConfig.from_dict(cfg.to_dict())
-        mask_sampler = None
-        if axis == "budget":
-            run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "gamma": float(value)})
-        elif axis == "width":
-            run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "delta": int(value)})
-        elif axis == "marker":
-            run_cfg = TrainConfig.from_dict({**cfg.to_dict(), "marker_format": value})
-        elif axis == "sampler":
-            try:
-                mask_sampler = SamplerKind(value)
-            except ValueError as exc:
-                raise ConfigError(f"unknown sampler {value!r}") from exc
+    for value, run_cfg in zip(values, run_cfgs):
         solver = build_solver(options, run_cfg)
         report = evaluate(data, params, solver, run_cfg, idf_table,
                           reward_spec=reward_spec, variant="hilite",
-                          mask_sampler=mask_sampler)
+                          mask_sampler=run_cfg.sampler if axis == "sampler" else None)
         rows.append({
             "axis_value": value,
             "mean_reward": report["mean_reward"],

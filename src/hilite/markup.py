@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, IntegrityError, StructureError
+from .errors import IntegrityError, StructureError
 from .tokenization import TokenizedContext
 
 Mask = np.ndarray  # uint8 vector, one entry per token
@@ -64,10 +64,6 @@ def get_format(name: str) -> MarkerFormat:
         return BUILTIN_FORMATS[name]
     except KeyError:
         raise StructureError(f"unknown marker format {name!r}") from None
-
-
-def new_mask(ctx: TokenizedContext) -> Mask:
-    return np.zeros(len(ctx), dtype=np.uint8)
 
 
 def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> Spans:
@@ -201,16 +197,3 @@ def prune(ctx: TokenizedContext, spans: Spans, joiner: str) -> str:
         src[start:end].decode("utf-8") for start, end in byte_ranges(ctx, spans)
     )
 
-
-def random_mask(ctx: TokenizedContext, k: int, rng: np.random.Generator | int) -> Mask:
-    """Select exactly k tokens uniformly without replacement from omega."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    omega = np.asarray(ctx.omega, dtype=np.int64)
-    if k > omega.size:
-        raise BudgetError(f"k={k} exceeds |omega|={omega.size}")
-    mask = new_mask(ctx)
-    if k > 0:
-        chosen = rng.choice(omega, size=k, replace=False)
-        mask[chosen] = 1
-    return mask

@@ -1,12 +1,28 @@
-"""Budgeted mask production.
+"""Budgeted mask production: no mask holds more than k = floor(gamma * |omega|)
+tokens.
 
-Training draws a preliminary Bernoulli mask from the probability vector and projects
-it down to the budget k = floor(gamma * |omega|), keeping the selected
-tokens with the largest probabilities (projection only ever deselects; no
-gradient flows through it).  Inference uses deterministic top-k.  Two
-alternative exact-k samplers are provided for ablations: sequential
-without-replacement sampling proportional to p, and top-k over
-Gumbel-perturbed log-probabilities.
+Every sampler but the random baseline keeps the k tokens with the largest
+per-token key, and every exact-k draw, the baseline's included, passes one
+k > |omega| check:
+
+- ``greedy_topk`` and :func:`topk`, the inference rule, key on p itself;
+- ``softmax_wor`` and ``gumbel_topk`` are one keyed exact-k sampler.  The
+  Efraimidis-Spirakis key log(u)/p, u ~ U(0, 1), orders tokens exactly as
+  log p + Gumbel(0, 1) noise does, and its top k is a draw of k tokens
+  sequentially without replacement with probability proportional to p
+  (Kool et al., "Stochastic Beams and Where to Find Them", ICML 2019);
+- ``bernoulli_project``, the training default, draws a preliminary mask
+  m_i ~ Bernoulli(p_i) and projects it to the budget by keeping the drawn
+  tokens with the largest p (projection only ever deselects; no gradient
+  flows through it);
+- :func:`random_mask`, the evaluation baseline, draws k tokens of omega
+  uniformly without replacement.
+
+Known approximation: training scores every mask by its Bernoulli
+log-likelihood.  For the exact-k samplers that is not the probability of
+the drawn set; exact estimators exist (Kool et al., "Estimating Gradients
+for Discrete Random Variables by Sampling without Replacement", ICLR 2020),
+but the exact-k samplers still reach held-out reward 1.0 on the oracle task.
 
 Ties are broken by lowest token index everywhere, so identical inputs and
 seeds reproduce identical masks.  Randomized call sites derive their
@@ -26,28 +42,32 @@ import numpy as np
 from .errors import BudgetError, StructureError
 from .markup import Mask
 from .policy import omega_index
+from .tokenization import TokenizedContext
 
 GUMBEL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Highlight budget: fraction gamma and the derived count k."""
+    """Highlight budget: at most k = floor(gamma * omega_size) of omega_size
+    tokens."""
 
     gamma: float
-    k: int
+    omega_size: int
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise StructureError("gamma must lie in (0, 1]")
-        if self.k < 0:
-            raise StructureError("k must be >= 0")
+        if self.omega_size < 0:
+            raise StructureError("omega_size must be >= 0")
+
+    @property
+    def k(self) -> int:
+        return math.floor(self.gamma * self.omega_size)
 
     @classmethod
     def for_omega(cls, gamma: float, omega_size: int) -> "Budget":
-        if not 0.0 < gamma <= 1.0:
-            raise StructureError("gamma must lie in (0, 1]")
-        return cls(gamma=gamma, k=int(math.floor(gamma * omega_size)))
+        return cls(gamma=gamma, omega_size=omega_size)
 
 
 class SamplerKind(str, enum.Enum):
@@ -80,9 +100,17 @@ def _mask_from_indices(n: int, indices: np.ndarray) -> Mask:
     return mask
 
 
-def _topk_indices(values: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
-    # stable: sort by value descending, ties by lowest token index
-    order = np.lexsort((idx, -values))
+def _budget_index(omega, k: int) -> np.ndarray:
+    """omega as an index array, once k is known to fit in it."""
+    idx = omega_index(omega)
+    if k > idx.size:
+        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
+    return idx
+
+
+def _topk_indices(keys: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
+    # stable: sort by key descending, ties by lowest token index
+    order = np.lexsort((idx, -keys))
     return idx[order[:k]]
 
 
@@ -106,56 +134,19 @@ def project_k(mask: Mask, probs: np.ndarray, k: int) -> Mask:
     selected = np.flatnonzero(mask)
     if selected.size <= k:
         return mask.copy()
-    keep = _topk_indices(probs[selected], selected, k)
-    return _mask_from_indices(len(mask), keep)
+    return _mask_from_indices(len(mask), _topk_indices(probs[selected], selected, k))
 
 
 def topk(probs: np.ndarray, omega, k: int) -> Mask:
     """Deterministic inference-time selection: the k largest p_i on omega."""
-    idx = omega_index(omega)
-    if k > idx.size:
-        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
-    keep = _topk_indices(probs[idx], idx, k)
-    return _mask_from_indices(len(probs), keep)
+    idx = _budget_index(omega, k)
+    return _mask_from_indices(len(probs), _topk_indices(probs[idx], idx, k))
 
 
-def sample_alternative(
-    probs: np.ndarray,
-    omega,
-    k: int,
-    kind: SamplerKind,
-    rng,
-    noise_scale: float = 1.0,
-) -> Mask:
-    """Exact-k ablation samplers.
-
-    greedy_topk ignores the generator and equals :func:`topk`.  softmax_wor
-    draws k items sequentially without replacement with probability
-    proportional to p (implemented one-shot via exponential keys, which is
-    distributionally equivalent).  gumbel_topk takes the top k of
-    log(p) + noise_scale * Gumbel(0, 1); at noise_scale 0 it reduces to
-    plain top-k.
-    """
-    rng = _as_rng(rng)
-    idx = omega_index(omega)
-    if k > idx.size:
-        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
-    p = probs[idx]
-    kind = SamplerKind(kind)
-    if kind == SamplerKind.GREEDY_TOPK:
-        keys = p
-    elif kind == SamplerKind.SOFTMAX_WOR:
-        # Efraimidis-Spirakis keys: top-k of log(u)/p_i reproduces sequential
-        # without-replacement sampling with weights p_i.
-        u = rng.random(idx.size)
-        keys = np.log(np.maximum(u, GUMBEL_FLOOR)) / p
-    elif kind == SamplerKind.GUMBEL_TOPK:
-        u = rng.random(idx.size)
-        gumbel = -np.log(-np.log(np.maximum(u, GUMBEL_FLOOR)))
-        keys = np.log(p) + noise_scale * gumbel
-    else:
-        raise StructureError(f"{kind} is not an alternative sampler")
-    return _mask_from_indices(len(probs), _topk_indices(keys, idx, k))
+def random_mask(ctx: TokenizedContext, k: int, rng: np.random.Generator | int) -> Mask:
+    """Select exactly k tokens uniformly without replacement from omega."""
+    idx = _budget_index(ctx.omega, k)
+    return _mask_from_indices(len(ctx), _as_rng(rng).choice(idx, size=k, replace=False))
 
 
 def sample_mask(
@@ -164,19 +155,24 @@ def sample_mask(
     k: int,
     kind: SamplerKind,
     rng,
-    noise_scale: float = 1.0,
 ) -> tuple[Mask, Mask]:
-    """Route to the configured sampler.
+    """Draw a mask with the configured sampler.
 
     Returns (preliminary mask, budget-feasible mask).  For
     bernoulli_project the two differ when projection truncates; the exact-k
     samplers are their own pre-projection masks, so the log-probability in
     the policy-gradient loss is evaluated on the same bits that were
-    selected.
+    selected.  greedy_topk ignores the generator and equals :func:`topk`.
     """
     kind = SamplerKind(kind)
     if kind == SamplerKind.BERNOULLI_PROJECT:
         prelim = sample_bernoulli(probs, omega, rng)
         return prelim, project_k(prelim, probs, k)
-    mask = sample_alternative(probs, omega, k, kind, rng, noise_scale)
+    if kind == SamplerKind.GREEDY_TOPK:
+        mask = topk(probs, omega, k)
+    else:  # softmax_wor and gumbel_topk: Efraimidis-Spirakis keys
+        idx = _budget_index(omega, k)
+        u = _as_rng(rng).random(idx.size)
+        keys = np.log(np.maximum(u, GUMBEL_FLOOR)) / probs[idx]
+        mask = _mask_from_indices(len(probs), _topk_indices(keys, idx, k))
     return mask, mask

@@ -56,7 +56,7 @@ from .errors import (
 from .markup import MarkerFormat, get_format
 from .policy import ScorerParams, build_idf_table, featurize, score
 from .rewards import RewardSpec, composite
-from .selection import Budget, SamplerKind, rng_stream, sample_mask, topk
+from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
 from .solver import SolverOutput, parse_output
 from .tokenization import TokenizedContext, tokenize
 
@@ -324,6 +324,27 @@ def init_from_dataset(
     return params, idf_table, contexts, feats
 
 
+def episode(
+    solver, inst: Instance, text: str, contract: str, reward_spec: RewardSpec
+) -> tuple[SolverOutput | None, float]:
+    """One solver call on ``text``, scored against the instance's gold answer.
+
+    Transport exhaustion and off-contract payloads give ``(None, 0.0)``; a
+    reply that does not parse under ``contract`` comes back flagged.  Either
+    way it is a zero-reward episode, never a crash.
+    """
+    try:
+        out = solver.solve(inst.query, text, inst)
+    except (SolverUnavailableError, ProtocolError):
+        return None, 0.0
+    try:
+        out.parsed = parse_output(out.raw_text, contract)
+    except ParseError:
+        out.flagged = True
+        return out, 0.0
+    return out, composite(out.parsed, inst.gold, reward_spec)
+
+
 def rollout_group(
     inst: Instance,
     ctx: TokenizedContext,
@@ -351,28 +372,12 @@ def rollout_group(
         proj_masks.append(proj)
         emphasized.append(markup.inject(ctx, spans, fmt))
 
-    def call(text: str) -> SolverOutput | None:
-        try:
-            return solver.solve(inst.query, text, inst)
-        except (SolverUnavailableError, ProtocolError):
-            # transport exhaustion and off-contract payloads are both
-            # flagged zero-reward episodes, never training crashes
-            return None
-
-    outputs = list(pool.map(call, emphasized))
-    failures = outputs.count(None)
-
     contract = getattr(solver, "output_contract", "free-text")
-    rewards = np.zeros(cfg.group_size)
-    for j, out in enumerate(outputs):
-        if out is None:
-            continue
-        try:
-            out.parsed = parse_output(out.raw_text, contract)
-        except ParseError:
-            out.flagged = True
-            continue
-        rewards[j] = composite(out.parsed, inst.gold, reward_spec)
+    outputs, rewards = zip(*pool.map(
+        lambda text: episode(solver, inst, text, contract, reward_spec), emphasized
+    ))
+    rewards = np.array(rewards, dtype=np.float64)
+    failures = outputs.count(None)
 
     adv = advantages(rewards, cfg.advantage_eps)
     log_probs = np.array(
@@ -382,12 +387,23 @@ def rollout_group(
         prelim_masks=prelim_masks,
         proj_masks=proj_masks,
         emphasized=emphasized,
-        outputs=outputs,
+        outputs=list(outputs),
         rewards=rewards,
         advantages=adv,
         log_probs=log_probs,
     )
     return group, failures
+
+
+REGRESSION_WINDOW = 50
+
+
+def reward_regressed(previous: np.ndarray, current: np.ndarray) -> bool:
+    """True when the current window's mean per-step reward lies more than 3
+    standard errors of the difference below the previous window's, each
+    window's variance taken from its per-step mean rewards."""
+    se = math.sqrt(previous.var(ddof=1) / previous.size + current.var(ddof=1) / current.size)
+    return bool(current.mean() < previous.mean() - 3.0 * se)
 
 
 def train(
@@ -420,7 +436,7 @@ def train(
     total_failures = 0
     aborted = False
     reward_regressions: list[int] = []
-    window_means: list[float] = []
+    prev_window: np.ndarray | None = None
     pool = ThreadPoolExecutor(max_workers=cfg.group_size)
     try:
         for step in range(cfg.steps):
@@ -445,22 +461,21 @@ def train(
                 "seed": cfg.seed,
             }
             history.append(record)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(record) + "\n")
-            # sanity flag (never a hard failure): smoothed mean reward over
-            # 50-step windows should not regress; slack of 0.1 keeps ordinary
-            # sampling noise (~3 sigma of a 50-step window mean) from firing
-            if (step + 1) % 50 == 0:
-                window = float(
-                    np.mean([np.mean(r["rewards"]) for r in history[-50:]])
-                )
-                if window_means and window < window_means[-1] - 0.1:
+            # sanity flag (never a hard failure): the mean reward of each
+            # 50-step window should not fall below the previous window's
+            if (step + 1) % REGRESSION_WINDOW == 0:
+                window = np.array([np.mean(r["rewards"]) for r in history[-REGRESSION_WINDOW:]])
+                regressed = prev_window is not None and reward_regressed(prev_window, window)
+                record["reward_regressed"] = regressed
+                if regressed:
                     reward_regressions.append(step)
                     log.warning(
                         "smoothed reward regressed at step %d (%.4f < %.4f)",
-                        step, window, window_means[-1],
+                        step, window.mean(), prev_window.mean(),
                     )
-                window_means.append(window)
+                prev_window = window
+            if metrics_fh is not None:
+                metrics_fh.write(json.dumps(record) + "\n")
             if total_failures > cfg.solver_failure_budget:
                 aborted = True
                 log.error(
@@ -538,9 +553,7 @@ def evaluate(
         probs = score(feats, params)
         budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
         if variant == "random":
-            mask = markup.random_mask(
-                ctx, budget.k, rng_stream(cfg.seed, f"eval-random-{inst.id}")
-            )
+            mask = random_mask(ctx, budget.k, rng_stream(cfg.seed, f"eval-random-{inst.id}"))
         elif mask_sampler is not None:
             _, mask = sample_mask(
                 probs, ctx.omega, budget.k, mask_sampler,
@@ -559,13 +572,9 @@ def evaluate(
             emphasized = markup.inject(ctx, spans, fmt)
             fractions.append(mask.sum() / max(1, len(ctx.omega)))
 
-        try:
-            out = solver.solve(inst.query, emphasized, inst)
-            parsed = parse_output(out.raw_text, contract)
-            rewards.append(composite(parsed, inst.gold, reward_spec))
-        except (SolverUnavailableError, ProtocolError, ParseError):
-            flagged += 1
-            rewards.append(0.0)
+        out, reward = episode(solver, inst, emphasized, contract, reward_spec)
+        rewards.append(reward)
+        flagged += out is None or out.flagged
 
         if inst.evidence_spans:
             overlaps.append(

@@ -26,7 +26,6 @@ from hilite.markup import (
     BUILTIN_FORMATS,
     coalesce,
     inject,
-    new_mask,
     strip,
 )
 from hilite.policy import ScorerParams, log_prob, score
@@ -67,7 +66,7 @@ def test_criterion_1_non_destructiveness():
         n_chars = int(rng.integers(0, 120))
         text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), n_chars))
         ctx = tokenize(text)
-        mask = new_mask(ctx)
+        mask = np.zeros(len(ctx), dtype=np.uint8)
         if len(ctx.tokens):
             rate = rng.uniform(0.0, 1.0)
             mask[rng.random(len(ctx.tokens)) < rate] = 1

@@ -282,6 +282,21 @@ def test_sweep_unknown_sampler_exits_2(runner, oracle_run, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("axis,grid", [
+    ("budget", "abc"), ("budget", "0.15,1.5"), ("width", "1.5"), ("width", "4,-1"),
+    ("marker", "default,bogus"),
+])
+def test_sweep_bad_grid_value_exits_2(runner, oracle_run, axis, grid):
+    dataset_path, checkpoint, root = oracle_run
+    result = runner.invoke(main, [
+        "sweep", "--checkpoint", str(checkpoint), "--dataset", str(dataset_path),
+        "--axis", axis, "--grid", grid, "--out", str(root / "x.csv"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    assert not (root / "x.csv").exists()
+
+
 def test_sweep_empty_grid_exits_2(runner, oracle_run, tmp_path):
     dataset_path, checkpoint, root = oracle_run
     result = runner.invoke(main, [

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 from hilite import trainer
 from hilite.data import SynthSpec, gen_dataset, gen_needle, gold_token_indices
-from hilite.markup import DEFAULT_FORMAT, coalesce, inject, prune, random_mask
+from hilite.markup import DEFAULT_FORMAT, coalesce, inject, prune
 from hilite.policy import ScorerParams, build_idf_table, featurize, init_params, score
-from hilite.selection import Budget, topk
+from hilite.selection import Budget, random_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
 from hilite.tokenization import restrict_omega, tokenize
 

@@ -12,18 +12,17 @@ from hilite.markup import (
     coalesce,
     get_format,
     inject,
-    new_mask,
     prune,
-    random_mask,
     scan_markers,
     spans_to_mask,
     strip,
 )
+from hilite.selection import random_mask
 from hilite.tokenization import tokenize
 
 
 def mask_for(ctx, indices):
-    mask = new_mask(ctx)
+    mask = np.zeros(len(ctx), dtype=np.uint8)
     mask[list(indices)] = 1
     return mask
 
@@ -64,14 +63,14 @@ def test_coalesce_length_mismatch_rejected():
 
 def test_coalesce_empty_mask():
     ctx = ten_tokens()
-    assert len(coalesce(new_mask(ctx), ctx, delta=5)) == 0
+    assert len(coalesce(np.zeros(len(ctx), dtype=np.uint8), ctx, delta=5)) == 0
 
 
 def test_coalesce_returns_int64_token_ranges():
     ctx = ten_tokens()
     spans = coalesce(mask_for(ctx, [2, 3, 7]), ctx, delta=2)
     assert spans.dtype == np.int64 and spans.shape == (2, 2)
-    empty = coalesce(new_mask(ctx), ctx, delta=2)
+    empty = coalesce(np.zeros(len(ctx), dtype=np.uint8), ctx, delta=2)
     assert empty.dtype == np.int64 and empty.shape == (0, 2)
 
 
@@ -376,7 +375,7 @@ def test_non_destructiveness(words, delta, fmt_name, pyrandom):
     # exactly the inverse of injection
     text = " ".join(words)
     ctx = tokenize(text)
-    mask = new_mask(ctx)
+    mask = np.zeros(len(ctx), dtype=np.uint8)
     for i in range(len(ctx.tokens)):
         if pyrandom.random() < 0.3:
             mask[i] = 1

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilite.errors import BudgetError, StructureError
 from hilite.policy import PROB_CLAMP
 from hilite.selection import (
+    GUMBEL_FLOOR,
     Budget,
     SamplerKind,
     project_k,
+    random_mask,
     rng_stream,
-    sample_alternative,
     sample_bernoulli,
     sample_mask,
     topk,
 )
+from hilite.tokenization import tokenize
 
 
 def scores_of(values):
@@ -27,6 +31,9 @@ def test_budget_floor():
         Budget.for_omega(0.0, 10)
     with pytest.raises(StructureError):
         Budget.for_omega(1.5, 10)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(StructureError):
+            Budget.for_omega(gamma, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -152,33 +159,33 @@ def test_topk_restricted_to_omega():
 # ---------------------------------------------------------------------------
 
 
-def test_gumbel_noiseless_reduces_to_topk():
+def test_greedy_topk_equals_topk():
     s = scores_of([0.3, 0.8, 0.5, 0.5])
-    got = sample_alternative(s, range(4), 2, SamplerKind.GUMBEL_TOPK, 0, noise_scale=0.0)
+    got = sample_mask(s, range(4), 2, SamplerKind.GREEDY_TOPK, 0)[1]
     want = topk(s, range(4), 2)
     assert np.array_equal(got, want)
 
 
 def test_softmax_single_candidate():
     s = scores_of([0.7])
-    out = sample_alternative(s, [0], 1, SamplerKind.SOFTMAX_WOR, 0)
+    out = sample_mask(s, [0], 1, SamplerKind.SOFTMAX_WOR, 0)[1]
     assert out[0] == 1
 
 
 def test_gumbel_golden_draw():
     # frozen draw: fixed seed on equal probabilities must reproduce exactly
     s = scores_of([0.5, 0.5, 0.5])
-    out = sample_alternative(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))
+    out = sample_mask(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
     first = int(np.flatnonzero(out)[0])
-    again = sample_alternative(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))
+    again = sample_mask(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
     assert int(np.flatnonzero(again)[0]) == first
     assert first == 0  # golden value recorded from the reference run
 
 
 def test_greedy_topk_ignores_rng():
     s = scores_of([0.1, 0.9, 0.3])
-    a = sample_alternative(s, range(3), 1, SamplerKind.GREEDY_TOPK, 0)
-    b = sample_alternative(s, range(3), 1, SamplerKind.GREEDY_TOPK, 999)
+    a = sample_mask(s, range(3), 1, SamplerKind.GREEDY_TOPK, 0)[1]
+    b = sample_mask(s, range(3), 1, SamplerKind.GREEDY_TOPK, 999)[1]
     assert np.array_equal(a, b)
 
 
@@ -186,10 +193,10 @@ def test_alternative_exact_k_and_budget_error():
     rng = np.random.default_rng(1)
     s = scores_of(rng.uniform(0.05, 0.95, size=30))
     for kind in (SamplerKind.GREEDY_TOPK, SamplerKind.SOFTMAX_WOR, SamplerKind.GUMBEL_TOPK):
-        out = sample_alternative(s, range(30), 7, kind, 0)
+        out = sample_mask(s, range(30), 7, kind, 0)[1]
         assert out.sum() == 7
         with pytest.raises(BudgetError):
-            sample_alternative(s, range(30), 31, kind, 0)
+            sample_mask(s, range(30), 31, kind, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +249,61 @@ def test_rng_stream_is_stable_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# ---------------------------------------------------------------------------
+# one keyed exact-k sampler, pinned by properties
+# ---------------------------------------------------------------------------
+
+EXACT_K_KINDS = (SamplerKind.GREEDY_TOPK, SamplerKind.SOFTMAX_WOR, SamplerKind.GUMBEL_TOPK)
+
+
+@st.composite
+def sampling_cases(draw):
+    """(probs, omega, k, seed) with probabilities inside the policy's clamp,
+    drawn from a few shared levels so that ties are common."""
+    n = draw(st.integers(1, 60))
+    p = st.floats(PROB_CLAMP, 1 - PROB_CLAMP)
+    levels = draw(st.lists(p, min_size=1, max_size=3))
+    probs = np.array(draw(st.lists(st.sampled_from(levels) | p, min_size=n, max_size=n)))
+    omega = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    k = draw(st.integers(0, len(omega)))
+    return probs, omega, k, draw(st.integers(0, 2**32 - 1))
+
+
+def gumbel_reference(probs, omega, k, rng):
+    """Top k of log p + Gumbel(0, 1) noise, ties to the lowest index."""
+    idx = np.asarray(omega, dtype=np.int64)
+    u = rng.random(idx.size)
+    keys = np.log(probs[idx]) - np.log(-np.log(np.maximum(u, GUMBEL_FLOOR)))
+    mask = np.zeros(len(probs), dtype=np.uint8)
+    mask[idx[np.lexsort((idx, -keys))[:k]]] = 1
+    return mask
+
+
+@given(sampling_cases())
+@settings(max_examples=300, deadline=None)
+def test_softmax_wor_and_gumbel_topk_draw_the_gumbel_reference_mask(case):
+    probs, omega, k, seed = case
+    want = gumbel_reference(probs, omega, k, rng_stream(seed))
+    for kind in (SamplerKind.SOFTMAX_WOR, SamplerKind.GUMBEL_TOPK):
+        prelim, proj = sample_mask(probs, omega, k, kind, rng_stream(seed))
+        assert np.array_equal(prelim, want)
+        assert np.array_equal(proj, want)
+
+
+@given(sampling_cases())
+@settings(max_examples=300, deadline=None)
+def test_every_mask_lies_in_omega_within_budget(case):
+    probs, omega, k, seed = case
+    outside = np.setdiff1d(np.arange(len(probs)), omega)
+    for kind in SamplerKind:
+        prelim, proj = sample_mask(probs, omega, k, kind, rng_stream(seed))
+        assert not prelim[outside].any()
+        assert np.all(proj <= prelim)
+        assert proj.sum() == k if kind in EXACT_K_KINDS else proj.sum() <= k
+    ctx = tokenize(" ".join(["w"] * len(probs)))
+    ctx.omega = np.asarray(omega, dtype=np.int64)
+    mask = random_mask(ctx, k, rng_stream(seed))
+    assert not mask[outside].any()
+    assert mask.sum() == k

@@ -8,7 +8,7 @@ from hilite.errors import (
     SolverUnavailableError,
     TemplateError,
 )
-from hilite.markup import BUILTIN_FORMATS, DEFAULT_FORMAT, coalesce, inject, new_mask
+from hilite.markup import BUILTIN_FORMATS, DEFAULT_FORMAT, coalesce, inject
 from hilite.solver import (
     ANSWER_TAG,
     EndpointConfig,
@@ -236,7 +236,7 @@ def tagged_instance(select, fmt=DEFAULT_FORMAT, delta=0):
     start = ctx.tokens[4].char_start
     end = ctx.tokens[6].char_end
     inst = make_instance(context=context, gold="7777", evidence_spans=[(start, end)])
-    mask = new_mask(ctx)
+    mask = np.zeros(len(ctx), dtype=np.uint8)
     mask[list(select)] = 1
     emphasized = inject(ctx, coalesce(mask, ctx, delta), fmt)
     return inst, emphasized
@@ -276,7 +276,7 @@ def test_oracle_exact_threshold_boundary():
     context = "a b"
     ctx = tokenize(context)
     inst = make_instance(context=context, gold="g", evidence_spans=[(0, 1), (2, 3)])
-    mask = new_mask(ctx)
+    mask = np.zeros(len(ctx), dtype=np.uint8)
     mask[0] = 1
     emphasized = inject(ctx, coalesce(mask, ctx, 0), DEFAULT_FORMAT)
     out = oracle_solve("q", emphasized, inst, OracleSolverConfig(coverage_threshold=0.5))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -10,7 +12,7 @@ from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
 from hilite.policy import ScorerParams, score
 from hilite.rewards import RewardSpec
-from hilite.solver import OracleSolver, OracleSolverConfig, ScriptedSolver
+from hilite.solver import ANSWER_TAG, OracleSolver, OracleSolverConfig, ScriptedSolver, SolverOutput
 from hilite.trainer import (
     GroupSample,
     OptimizerState,
@@ -22,6 +24,7 @@ from hilite.trainer import (
     grad_step,
     load_checkpoint,
     loss_terms,
+    reward_regressed,
     save_checkpoint,
     train,
 )
@@ -464,6 +467,54 @@ def test_source_holding_a_marker_is_a_flagged_episode_not_crash():
     report = evaluate([inst], result.params, solver, cfg, result.idf_table)
     assert report["flagged"] == 1
     assert report["rewards"] == [0.0]
+
+
+class HashedRateSolver:
+    """Answers correctly at a scripted rate: call c uses
+    ``rates[c // calls_per_rate]`` (the last rate once they run out), and a
+    hash of the emphasized text decides each answer."""
+
+    output_contract = ANSWER_TAG
+
+    def __init__(self, rates, calls_per_rate):
+        self.rates = rates
+        self.calls_per_rate = calls_per_rate
+        self.calls = itertools.count()
+
+    def solve(self, query, emphasized, instance=None):
+        phase = next(self.calls) // self.calls_per_rate
+        rate = self.rates[min(phase, len(self.rates) - 1)]
+        draw = hashlib.sha256(emphasized.encode("utf-8")).digest()[0] / 256
+        answer = instance.gold if draw < rate else "wrong"
+        return SolverOutput(raw_text=f"<answer>{answer}</answer>")
+
+
+def test_reward_collapse_raises_the_regression_flag(tmp_path):
+    # 50 steps x G=4 calls per window: two windows near 0.8, then near 0.1
+    solver = HashedRateSolver([0.8, 0.8, 0.1], calls_per_rate=200)
+    result = train(oracle_dataset(), solver, TrainConfig(steps=150, seed=0),
+                   out_dir=tmp_path)
+    assert result.reward_regressions == [149]
+    records = [json.loads(line) for line in result.metrics_path.read_text().splitlines()]
+    flags = {r["step"]: r["reward_regressed"] for r in records if "reward_regressed" in r}
+    assert flags == {49: False, 99: False, 149: True}
+
+
+def test_reward_noise_does_not_raise_the_regression_flag():
+    # a steady 0.4 success rate; at this seed the window ending at step 649
+    # sits 0.1 below the one before it, a 2.4-sigma dip of the difference
+    solver = HashedRateSolver([0.4], calls_per_rate=1)
+    result = train(oracle_dataset(), solver, TrainConfig(steps=1000, seed=1))
+    means = [np.mean(r["rewards"]) for r in result.history]
+    assert np.mean(means[600:650]) < np.mean(means[550:600]) - 0.1
+    assert result.reward_regressions == []
+
+
+def test_regression_flag_on_windows_without_spread():
+    steady = np.full(50, 0.5)
+    assert reward_regressed(steady, steady - 0.01)
+    assert not reward_regressed(steady, steady)
+    assert not reward_regressed(steady, steady + 0.01)
 
 
 def test_empty_dataset_rejected():
