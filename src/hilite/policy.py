@@ -30,12 +30,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import select
 import subprocess
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProtocolError, StructureError
+from .solver import TRANSPORT_ERRORS, ConnectionPool
 from .tokenization import TokenizedContext, tokenize
 
 PROB_CLAMP = 1e-6
@@ -315,39 +319,73 @@ def _validate_probs(payload: dict, n_tokens: int) -> np.ndarray:
             f"scorer returned {len(probs) if isinstance(probs, list) else 'non-list'}"
             f" probabilities for {n_tokens} tokens"
         )
-    arr = np.asarray(probs, dtype=np.float64)
+    try:
+        arr = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # strings, ragged lists
+        raise ProtocolError(f"scorer returned non-numeric probabilities: {exc}") from exc
+    if arr.ndim != 1:
+        raise ProtocolError("scorer returned nested probability lists")
     if not np.all(np.isfinite(arr)):
         raise ProtocolError("scorer returned non-finite probabilities")
     return np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-class SubprocessScorer:
-    """Line-delimited JSON scorer over a child process's stdin/stdout."""
+def _parse_reply(data: bytes) -> dict:
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ProtocolError(f"scorer sent invalid JSON: {exc}") from exc
 
-    def __init__(self, argv: list[str]):
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
+
+class SubprocessScorer:
+    """Line-delimited JSON scorer over a child process's stdin/stdout.
+
+    Each call gives the child ``timeout`` seconds to take the request and
+    send its reply line; a child that stays silent longer is a
+    ProtocolError, not a hang.
+    """
+
+    def __init__(self, argv: list[str], timeout: float = 30.0):
+        self.timeout = timeout
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._pending = b""  # bytes the child sent after its last reply line
 
     def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
         request = json.dumps({"op": "score", "query": query, "tokens": tokens})
-        assert self._proc.stdin is not None and self._proc.stdout is not None
+        deadline = time.monotonic() + self.timeout
         try:
-            self._proc.stdin.write(request + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            self._write(request.encode("utf-8") + b"\n", deadline)
+            line = self._read_line(deadline)
+        except OSError as exc:  # BrokenPipeError and friends
             raise ProtocolError(f"scorer process unavailable: {exc}") from exc
-        if not line:
-            raise ProtocolError("scorer process closed its stream")
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"scorer sent invalid JSON: {exc}") from exc
-        return _validate_probs(payload, len(tokens))
+        return _validate_probs(_parse_reply(line), len(tokens))
+
+    def _wait(self, fd: int, deadline: float, write: bool) -> None:
+        """Block until ``fd`` is ready, or raise ProtocolError at ``deadline``."""
+        rlist, wlist = ([], [fd]) if write else ([fd], [])
+        remaining = max(0.0, deadline - time.monotonic())
+        readable, writable, _ = select.select(rlist, wlist, [], remaining)
+        if not (readable or writable):
+            raise ProtocolError(f"scorer process did not answer within {self.timeout} s")
+
+    def _write(self, data: bytes, deadline: float) -> None:
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            self._wait(fd, deadline, write=True)
+            view = view[os.write(fd, view):]
+
+    def _read_line(self, deadline: float) -> bytes:
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            self._wait(fd, deadline, write=False)
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                raise ProtocolError("scorer process closed its stream")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
 
     def close(self) -> None:
         """Stop the child: SIGTERM, then SIGKILL after ``CLOSE_GRACE_S``.
@@ -372,23 +410,31 @@ class SubprocessScorer:
 
 
 class HTTPScorer:
-    """Same protocol over a POST endpoint."""
+    """Same protocol over a POST endpoint, one request per call and no
+    retries: any transport error or non-2xx status is a ProtocolError.
+
+    Requests reuse the instance's keep-alive connections
+    (:class:`hilite.solver.ConnectionPool`, standard library only);
+    ``https://`` URLs get TLS, environment proxy settings are not read, and
+    ``timeout`` bounds each socket operation.
+    """
 
     def __init__(self, url: str, timeout: float = 30.0):
         self.url = url
         self.timeout = timeout
+        self.pool = ConnectionPool(url, timeout)
 
     def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
-        import requests
-
+        body = json.dumps({"op": "score", "query": query, "tokens": tokens})
         try:
-            resp = requests.post(
-                self.url,
-                json={"op": "score", "query": query, "tokens": tokens},
-                timeout=self.timeout,
+            status, data = self.pool.post(
+                body.encode("utf-8"), {"Content-Type": "application/json"}
             )
-            resp.raise_for_status()
-            payload = resp.json()
-        except Exception as exc:
+        except TRANSPORT_ERRORS as exc:
             raise ProtocolError(f"scorer endpoint failed: {exc}") from exc
-        return _validate_probs(payload, len(tokens))
+        if not 200 <= status < 300:
+            raise ProtocolError(f"scorer endpoint failed: HTTP {status}")
+        return _validate_probs(_parse_reply(data), len(tokens))
+
+    def close(self) -> None:
+        self.pool.close()

@@ -5,7 +5,17 @@ This module renders the consistent prompt template, talks to an HTTP
 endpoint with bounded retries, parses the two structured output contracts
 (short answer inside <answer>...</answer>, ranking inside
 <FINAL_JSON>...</FINAL_JSON>), and provides deterministic in-process stand-ins
-for desk-scale verification:
+for desk-scale verification.
+
+The HTTP transport uses only the standard library: a :class:`ConnectionPool`
+keeps HTTP/1.1 connections open and hands them to whichever thread calls
+next, so a training run reuses about one connection per concurrent rollout
+instead of opening one per request.  ``https://`` URLs get TLS connections
+(certificates verified against the system store); proxy settings in the
+environment (``HTTP_PROXY``, ``NO_PROXY``) are not read, and redirects are
+not followed.
+
+In-process solvers:
 
 * OracleSolver answers correctly iff the marker pairs in the emphasized
   context enclose at least a configured fraction of the instance's gold
@@ -21,10 +31,14 @@ reward, flagged), never a crash.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import math
 import re
+import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 
 from .errors import (
@@ -50,6 +64,14 @@ _PLACEHOLDER_RE = re.compile(
     re.escape(CONTEXT_PLACEHOLDER) + "|" + re.escape(INSTRUCTION_PLACEHOLDER)
 )
 _RETRIED_4XX = (408, 429)  # request timeout, too many requests
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+# what a reused connection raises when the server closed it while idle
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# refused, reset, timed out, cut short or garbled: retried like 408/429/5xx
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 @dataclass(frozen=True)
@@ -216,7 +238,9 @@ class EndpointConfig:
     """Where and how to reach a generation endpoint.
 
     Wire format: POST {"prompt", "max_tokens", "temperature"} (+ Authorization
-    header when auth_token is set), response {"text": ...}.
+    header when auth_token is set), response {"text": ...}.  ``timeout``
+    bounds each socket operation (connect, send, each read), not a whole
+    request.
     """
 
     url: str
@@ -228,69 +252,156 @@ class EndpointConfig:
     temperature: float = 0.0
 
 
-def call_http(prompt: str, endpoint: EndpointConfig) -> SolverOutput:
+class ConnectionPool:
+    """Keep-alive HTTP/1.1 connections to the host of one ``http://`` or
+    ``https://`` URL, shared by any number of threads.
+
+    Idle connections wait on a stack under a lock.  :meth:`post` takes one
+    (or opens a new one), sends the request, reads the whole reply and puts
+    the connection back unless the reply closes it; any error closes it
+    instead.  ``timeout`` bounds each socket operation.  Proxy settings in
+    the environment are not read.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = urllib.parse.urlsplit(url)
+        try:
+            connection_class = _CONNECTION_CLASSES[parts.scheme]
+            port = parts.port  # ValueError unless a number in range
+            if not parts.hostname:
+                raise ValueError("no host")
+        except (KeyError, ValueError):
+            raise ConfigError(f"endpoint {url!r} is not an http:// or https:// URL") from None
+        self._connect = functools.partial(
+            connection_class, parts.hostname, port, timeout=timeout
+        )
+        self.path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST ``body`` and return the reply's status and whole body.
+
+        A request that meets a reused connection closed by the server while
+        it sat idle is sent again at once on a fresh connection; every other
+        transport error propagates.
+        """
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            reply = self._exchange(conn, body, headers, reused=True)
+            if reply is not None:
+                return reply
+        return self._exchange(self._connect(), body, headers, reused=False)
+
+    def _exchange(self, conn, body, headers, reused):
+        """One request on ``conn``; None when a reused connection turned out
+        to be closed before any response byte arrived."""
+        resp = None
+        try:
+            conn.request("POST", self.path, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException as exc:
+            conn.close()
+            if reused and resp is None and isinstance(exc, _STALE_CONNECTION):
+                return None
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, data
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def call_http(
+    prompt: str, endpoint: EndpointConfig, pool: ConnectionPool | None = None
+) -> SolverOutput:
     """POST the prompt, retrying transport failures with exponential backoff.
 
     At most ``max_retries`` network attempts are made; exhausting them
     raises SolverUnavailableError.  Connection errors, timeouts, 408, 429
-    and 5xx responses are retried.  Any other 4xx response, or a reachable
-    endpoint returning an off-contract payload, raises ProtocolError
-    immediately (retrying a deterministic rejection would not help).
+    and 5xx responses are retried.  Any other non-2xx response, or a
+    reachable endpoint returning an off-contract payload, raises
+    ProtocolError immediately (retrying a deterministic rejection would not
+    help).  Requests go over ``pool``'s connections (an empty pool, closed
+    afterwards, when None).
     """
-    import requests
-
-    headers = {}
+    owned = pool is None
+    if owned:
+        pool = ConnectionPool(endpoint.url, endpoint.timeout)
+    headers = {"Content-Type": "application/json"}
     if endpoint.auth_token:
         headers["Authorization"] = f"Bearer {endpoint.auth_token}"
-    body = {
+    body = json.dumps({
         "prompt": prompt,
         "max_tokens": endpoint.max_tokens,
         "temperature": endpoint.temperature,
-    }
+    }).encode("utf-8")
     start = time.monotonic()
-    last_exc: Exception | None = None
-    for attempt in range(1, endpoint.max_retries + 1):
-        try:
-            resp = requests.post(
-                endpoint.url, json=body, headers=headers, timeout=endpoint.timeout
-            )
-            if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIED_4XX:
-                raise ProtocolError(
-                    f"{endpoint.url} rejected the request: HTTP {resp.status_code}"
-                )
-            resp.raise_for_status()
-            payload = resp.json()
-            if not isinstance(payload, dict) or "text" not in payload:
-                raise ProtocolError("solver response missing 'text'")
-            return SolverOutput(
-                raw_text=str(payload["text"]),
-                latency=time.monotonic() - start,
-                attempt_count=attempt,
-            )
-        except ProtocolError:
-            raise
-        except ValueError as exc:  # undecodable JSON body
-            raise ProtocolError(f"solver returned invalid JSON: {exc}") from exc
-        except requests.RequestException as exc:
-            last_exc = exc
+    failure = "no attempt allowed"
+    try:
+        for attempt in range(1, endpoint.max_retries + 1):
+            try:
+                status, data = pool.post(body, headers)
+            except TRANSPORT_ERRORS as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+            else:
+                if status in _RETRIED_4XX or status >= 500:
+                    failure = f"HTTP {status}"
+                else:
+                    return SolverOutput(
+                        raw_text=_reply_text(endpoint.url, status, data),
+                        latency=time.monotonic() - start,
+                        attempt_count=attempt,
+                    )
             if attempt < endpoint.max_retries:
                 time.sleep(endpoint.backoff_base * (2 ** (attempt - 1)))
+    finally:
+        if owned:
+            pool.close()
     raise SolverUnavailableError(
-        f"{endpoint.url} failed after {endpoint.max_retries} attempts: {last_exc}"
+        f"{endpoint.url} failed after {endpoint.max_retries} attempts: {failure}"
     )
 
 
+def _reply_text(url: str, status: int, data: bytes) -> str:
+    """The ``text`` of a reply that is not retried, or ProtocolError."""
+    if not 200 <= status < 300:
+        raise ProtocolError(f"{url} rejected the request: HTTP {status}")
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ProtocolError(f"solver returned invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "text" not in payload:
+        raise ProtocolError("solver response missing 'text'")
+    return str(payload["text"])
+
+
 class HTTPSolver:
-    """Solver client rendering a template and calling an endpoint."""
+    """Solver client rendering a template and calling an endpoint over the
+    instance's own connection pool."""
 
     def __init__(self, endpoint: EndpointConfig, template: PromptTemplate):
         self.endpoint = endpoint
         self.template = template
         self.output_contract = template.output_contract
+        self.pool = ConnectionPool(endpoint.url, endpoint.timeout)
 
     def solve(self, query: str, emphasized_context: str, instance=None) -> SolverOutput:
         prompt = render_prompt(query, emphasized_context, self.template)
-        return call_http(prompt, self.endpoint)
+        return call_http(prompt, self.endpoint, self.pool)
+
+    def close(self) -> None:
+        self.pool.close()
 
 
 # ---------------------------------------------------------------------------

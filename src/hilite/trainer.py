@@ -395,6 +395,13 @@ def rollout_group(
     return group, failures
 
 
+def solver_usage(outputs) -> tuple[int, list[float]]:
+    """Attempts summed over the replies among ``outputs``, and each reply's
+    latency in milliseconds.  A call that raised left no reply to count."""
+    replies = [out for out in outputs if out is not None]
+    return sum(out.attempt_count for out in replies), [out.latency * 1e3 for out in replies]
+
+
 REGRESSION_WINDOW = 50
 
 
@@ -450,6 +457,7 @@ def train(
             terms = loss_terms(group, fwd.p, ctx.omega, cfg)
             params = grad_step(group, f, params, opt, cfg, ctx.omega, fwd)
             idx = policy.omega_index(ctx.omega)
+            attempts, latencies_ms = solver_usage(group.outputs)
             record = {
                 "step": step,
                 "rewards": group.rewards.tolist(),
@@ -459,6 +467,8 @@ def train(
                 "mean_p": float(fwd.p[idx].mean()) if idx.size else 0.0,
                 "k": Budget.for_omega(cfg.gamma, len(ctx.omega)).k,
                 "seed": cfg.seed,
+                "solver_attempts": attempts,
+                "solver_latency_ms": max(latencies_ms, default=0.0),
             }
             history.append(record)
             # sanity flag (never a hard failure): the mean reward of each
@@ -527,8 +537,9 @@ def evaluate(
     mask_sampler: SamplerKind | None = None,
 ) -> dict:
     """Deterministic evaluation pass: top-k selection, one solver call per
-    instance, task reward, mean highlight fraction, and (when gold spans
-    exist) evidence precision/recall/F1 at the configured threshold.
+    instance, task reward, mean highlight fraction, the solver's attempts
+    (summed) and reply latency (p50/p99, ms), and (when gold spans exist)
+    evidence precision/recall/F1 at the configured threshold.
 
     Variants: "hilite" injects markers around the top-k spans, "random"
     does the same for a seeded random mask of equal budget, "pruned" feeds
@@ -546,7 +557,7 @@ def evaluate(
     rewards = []
     fractions = []
     overlaps = []
-    flagged = 0
+    outputs = []
     for inst in dataset:
         ctx = tokenize(inst.context)
         feats = featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
@@ -574,20 +585,24 @@ def evaluate(
 
         out, reward = episode(solver, inst, emphasized, contract, reward_spec)
         rewards.append(reward)
-        flagged += out is None or out.flagged
+        outputs.append(out)
 
         if inst.evidence_spans:
             overlaps.append(
                 evidence_overlap(probs, cfg.eval_threshold, inst.evidence_spans, ctx)
             )
 
+    attempts, latencies_ms = solver_usage(outputs)
+    p50, p99 = np.percentile(latencies_ms, [50, 99]) if latencies_ms else (0.0, 0.0)
     report = {
         "variant": variant,
         "n": len(dataset),
         "mean_reward": float(np.mean(rewards)) if rewards else 0.0,
         "mean_highlight_fraction": float(np.mean(fractions)) if fractions else 0.0,
-        "flagged": flagged,
+        "flagged": sum(out is None or out.flagged for out in outputs),
         "rewards": [float(r) for r in rewards],
+        "solver_attempts": attempts,
+        "solver_latency_ms": {"p50": float(p50), "p99": float(p99)},
     }
     if overlaps:
         arr = np.asarray(overlaps)

@@ -1,10 +1,10 @@
-"""Shared fixtures: a scriptable local HTTP endpoint and tiny datasets."""
+"""Shared fixtures: scriptable local HTTP endpoints and tiny datasets."""
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
@@ -51,6 +51,72 @@ def scripted_server():
     yield url, _ScriptedHandler
     server.shutdown()
     thread.join(timeout=5)
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 echo endpoint that keeps connections open.
+
+    Replies ``{"text": prompt}`` to a solver request and ``{"probs": [0.5,
+    ...]}`` to a scorer request.  ``server.script`` entries, taken one per
+    request, replace the reply by ``(body bytes, Content-Length)``, sent as
+    they are before the connection is closed.  With ``server.drop_after_reply``
+    every connection is closed after its reply, without a ``Connection:
+    close`` header.
+    """
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # an idle connection's handler thread gives up after this
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.requests += 1
+            scripted = self.server.script.pop(0) if self.server.script else None
+        if scripted is not None:
+            data, length = scripted
+            self.close_connection = True
+        else:
+            if "tokens" in request:
+                reply = {"probs": [0.5] * len(request["tokens"])}
+            else:
+                reply = {"text": request["prompt"]}
+            data = json.dumps(reply).encode()
+            length = len(data)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(data)
+        if self.server.drop_after_reply:
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_server():
+    """Yields (url, server); the server counts ``connections`` accepted and
+    ``requests`` served, and tests may fill ``script`` or set
+    ``drop_after_reply``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.lock = threading.Lock()
+    server.connections = server.requests = 0
+    server.script = []
+    server.drop_after_reply = False
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}/"
+    yield url, server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def make_instance(

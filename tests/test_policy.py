@@ -363,6 +363,40 @@ def test_subprocess_scorer_close_kills_child_ignoring_sigterm(monkeypatch):
     assert scorer._proc.returncode == -signal.SIGKILL
 
 
+SILENT_SCORER = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "time.sleep(60)\n"
+)
+DEAF_SCORER = "import time\ntime.sleep(60)\n"
+
+
+@pytest.mark.parametrize("child, n_tokens", [
+    (SILENT_SCORER, 3),  # takes the request, never answers
+    (DEAF_SCORER, 200_000),  # never reads a request larger than the pipe buffer
+], ids=["silent", "deaf"])
+def test_subprocess_scorer_times_out(child, n_tokens):
+    with SubprocessScorer([sys.executable, "-c", child], timeout=0.2) as scorer:
+        start = time.monotonic()
+        with pytest.raises(ProtocolError):
+            scorer.score_tokens("q", ["tok"] * n_tokens)
+        assert time.monotonic() - start < 5.0
+
+
+def test_subprocess_scorer_reads_replies_split_and_joined():
+    child = (
+        "import sys, json, time\n"
+        "for line in sys.stdin:\n"
+        "    n = len(json.loads(line)['tokens'])\n"
+        "    reply = json.dumps({'probs': [0.25] * n}) + '\\n'\n"
+        "    sys.stdout.write(reply[:3]); sys.stdout.flush(); time.sleep(0.05)\n"
+        "    sys.stdout.write(reply[3:] + reply); sys.stdout.flush()\n"
+    )
+    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
+        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.25)
+        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.25)  # queued copy
+
+
 def test_http_scorer(scripted_server):
     url, handler = scripted_server
     handler.script.append((200, {"probs": [0.1, 0.2, 0.3]}))
@@ -377,3 +411,11 @@ def test_http_scorer_wrong_length(scripted_server):
     handler.script.append((200, {"probs": [0.1]}))
     with pytest.raises(ProtocolError):
         HTTPScorer(url).score_tokens("q", ["a", "b"])
+
+
+@pytest.mark.parametrize("probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None]])
+def test_http_scorer_off_contract_probabilities(scripted_server, probs):
+    url, handler = scripted_server
+    handler.script.append((200, {"probs": probs}))
+    with pytest.raises(ProtocolError):
+        HTTPScorer(url).score_tokens("q", ["t"] * len(probs))

@@ -1,16 +1,27 @@
+import ast
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_instance
 from hilite.errors import (
+    ConfigError,
     ParseError,
     ProtocolError,
     SolverUnavailableError,
     TemplateError,
 )
 from hilite.markup import BUILTIN_FORMATS, DEFAULT_FORMAT, coalesce, inject
+from hilite.policy import HTTPScorer
 from hilite.solver import (
     ANSWER_TAG,
+    ConnectionPool,
     EndpointConfig,
     HTTPSolver,
     OracleSolver,
@@ -222,6 +233,132 @@ def test_http_solver_renders_template(scripted_server):
     assert out.raw_text == "<answer>x</answer>"
     assert "QUESTION:\nwho?" in handler.requests_seen[0]["prompt"]
     assert solver.output_contract == ANSWER_TAG
+
+
+# ---------------------------------------------------------------------------
+# keep-alive connections (HTTP/1.1 endpoint)
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_calls_share_few_connections(keepalive_server):
+    url, server = keepalive_server
+    solver = HTTPSolver(_endpoint(url), PromptTemplate("echo", "{instruction}{context}"))
+    failures = []
+
+    def worker(t):
+        for j in range(25):
+            prompt = f"thread {t} call {j}"
+            out = solver.solve(prompt, "")
+            if out.raw_text != prompt or out.attempt_count != 1:
+                failures.append((prompt, out.raw_text, out.attempt_count))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+        solver.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert server.requests == 100
+    assert server.connections <= 4
+
+
+def test_idle_connection_closed_by_server_is_resent_without_backoff(keepalive_server):
+    url, server = keepalive_server
+    server.drop_after_reply = True  # closes without a Connection: close header
+    endpoint = EndpointConfig(url=url, max_retries=3, backoff_base=5.0, timeout=5.0)
+    pool = ConnectionPool(url, endpoint.timeout)
+    start = time.monotonic()
+    try:
+        outs = [call_http(f"p{i}", endpoint, pool) for i in range(5)]
+    finally:
+        pool.close()
+    assert [out.raw_text for out in outs] == [f"p{i}" for i in range(5)]
+    assert [out.attempt_count for out in outs] == [1] * 5
+    assert time.monotonic() - start < 2.5  # one backoff would sleep 5 s
+    assert server.connections == 5
+
+
+def test_non_json_reply_is_protocol_error_after_one_request(keepalive_server):
+    url, server = keepalive_server
+    server.script.append((b"not json", 8))
+    with pytest.raises(ProtocolError):
+        call_http("p", _endpoint(url, retries=3))
+    assert server.requests == 1
+
+
+def test_reply_cut_short_is_retried_as_transport_failure(keepalive_server):
+    url, server = keepalive_server
+    pool = ConnectionPool(url, 5.0)
+    try:
+        assert call_http("first", _endpoint(url), pool).attempt_count == 1
+        server.script.append((b'{"text": "cut', 40))  # on the reused connection
+        out = call_http("second", _endpoint(url), pool)
+    finally:
+        pool.close()
+    assert out.raw_text == "second"
+    assert out.attempt_count == 2
+    assert server.requests == 3
+
+
+def test_http_scorer_reuses_its_connection(keepalive_server):
+    url, server = keepalive_server
+    scorer = HTTPScorer(url, timeout=5.0)
+    try:
+        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.5)
+        assert np.allclose(scorer.score_tokens("q", ["c"]), 0.5)
+    finally:
+        scorer.close()
+    assert server.requests == 2
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize("url", ["ftp://host/", "localhost:8000", "http:///x", "http://h:port/"])
+def test_endpoint_must_be_an_http_url(url):
+    with pytest.raises(ConfigError):
+        ConnectionPool(url, 1.0)
+
+
+NO_REQUESTS_CHILD = """
+import sys
+import hilite, hilite.cli
+from hilite.policy import HTTPScorer
+from hilite.solver import EndpointConfig, HTTPSolver, TEMPLATES
+url = sys.argv[1]
+solver = HTTPSolver(EndpointConfig(url=url, timeout=5.0), TEMPLATES["basic"])
+assert solver.solve("q", "ctx").raw_text
+assert len(HTTPScorer(url, timeout=5.0).score_tokens("q", ["a"])) == 1
+assert "requests" not in sys.modules, "requests was imported"
+"""
+
+
+def test_http_clients_do_not_import_requests(keepalive_server):
+    url, server = keepalive_server
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS_CHILD, url],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert server.requests == 2
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            assert not any(n.split(".")[0] == "requests" for n in names), path
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +13,16 @@ from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
 from hilite.policy import ScorerParams, score
 from hilite.rewards import RewardSpec
-from hilite.solver import ANSWER_TAG, OracleSolver, OracleSolverConfig, ScriptedSolver, SolverOutput
+from hilite.solver import (
+    ANSWER_TAG,
+    TEMPLATES,
+    EndpointConfig,
+    HTTPSolver,
+    OracleSolver,
+    OracleSolverConfig,
+    ScriptedSolver,
+    SolverOutput,
+)
 from hilite.trainer import (
     GroupSample,
     OptimizerState,
@@ -358,7 +368,8 @@ def test_metrics_log_schema(tmp_path):
     assert len(lines) == 3
     record = json.loads(lines[0])
     assert set(record) == {"step", "rewards", "L_PG", "L_LEN", "L_ENT",
-                           "mean_p", "k", "seed"}
+                           "mean_p", "k", "seed", "solver_attempts",
+                           "solver_latency_ms"}
     assert len(record["rewards"]) == 4
 
 
@@ -583,6 +594,52 @@ def test_evaluate_variants(tmp_path):
     plain = evaluate(data, result.params, solver, cfg, result.idf_table,
                      variant="no-highlight")
     assert plain["mean_reward"] == 0.0
+
+
+class TimedSolver:
+    """Answers with fixed transport bookkeeping; the first call raises."""
+
+    output_contract = ANSWER_TAG
+
+    def __init__(self):
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def solve(self, query, emphasized_context, instance=None):
+        with self.lock:  # the trainer calls from its pool threads
+            self.calls += 1
+            call = self.calls
+        if call == 1:
+            raise SolverUnavailableError("scripted failure")
+        return SolverOutput("<answer>x</answer>", latency=call / 1000, attempt_count=2)
+
+
+def test_metrics_record_solver_attempts_and_latency(tmp_path):
+    data = oracle_dataset(n=2)
+    cfg = TrainConfig(steps=2, seed=0, group_size=4)
+    result = train(data, TimedSolver(), cfg, out_dir=tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert records == result.history
+    # step 0: calls 1-4, the first raised; step 1: calls 5-8
+    assert [r["solver_attempts"] for r in records] == [6, 8]
+    assert [r["solver_latency_ms"] for r in records] == pytest.approx([4.0, 8.0])
+
+
+def test_evaluate_reports_solver_attempts(scripted_server):
+    url, handler = scripted_server
+    inst = oracle_dataset(n=1)[0]
+    cfg = TrainConfig(steps=0, seed=0)
+    result = train([inst], OracleSolver(OracleSolverConfig()), cfg)
+    handler.script.extend([(429, {"err": "slow down"}), (200, {"text": "<answer>x</answer>"})])
+    solver = HTTPSolver(EndpointConfig(url=url, backoff_base=0.01, timeout=5.0), TEMPLATES["qa"])
+    report = evaluate([inst], result.params, solver, cfg, result.idf_table)
+    assert report["solver_attempts"] == 2
+    latency = report["solver_latency_ms"]
+    assert 0.0 < latency["p50"] <= latency["p99"]
+    oracle = evaluate([inst], result.params, OracleSolver(OracleSolverConfig()), cfg,
+                      result.idf_table)
+    assert oracle["solver_attempts"] == 1
+    assert oracle["solver_latency_ms"] == {"p50": 0.0, "p99": 0.0}
 
 
 # ---------------------------------------------------------------------------
