@@ -267,6 +267,10 @@ SWEEP_AXES = {
     "sampler": ("sampler", SamplerKind),
 }
 
+# evaluate() report keys written as sweep CSV columns, after axis_value
+SWEEP_COLUMNS = ("mean_reward", "mean_highlight_fraction", "mean_covered_fraction",
+                 "mean_spans")
+
 
 @main.command("sweep")
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
@@ -304,18 +308,12 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
         report = evaluate(data, params, solver, run_cfg, idf_table,
                           reward_spec=reward_spec, variant="hilite",
                           mask_sampler=run_cfg.sampler if axis == "sampler" else None)
-        rows.append({
-            "axis_value": value,
-            "mean_reward": report["mean_reward"],
-            "mean_highlight_fraction": report["mean_highlight_fraction"],
-        })
+        rows.append({"axis_value": value, **{key: report[key] for key in SWEEP_COLUMNS}})
         click.echo(f"{axis}={value}: reward={report['mean_reward']:.4f}")
 
     Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["axis_value", "mean_reward", "mean_highlight_fraction"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=["axis_value", *SWEEP_COLUMNS])
         writer.writeheader()
         writer.writerows(rows)
     click.echo(f"csv: {csv_path}")

@@ -537,7 +537,9 @@ def evaluate(
     mask_sampler: SamplerKind | None = None,
 ) -> dict:
     """Deterministic evaluation pass: top-k selection, one solver call per
-    instance, task reward, mean highlight fraction, the solver's attempts
+    instance, task reward, mean highlight fraction (selected tokens over
+    |ω|), mean covered fraction (tokens inside the coalesced spans, bridged
+    ones included, over all tokens) and span count, the solver's attempts
     (summed) and reply latency (p50/p99, ms), and (when gold spans exist)
     evidence precision/recall/F1 at the configured threshold.
 
@@ -556,6 +558,8 @@ def evaluate(
 
     rewards = []
     fractions = []
+    covered = []
+    n_spans = []
     overlaps = []
     outputs = []
     for inst in dataset:
@@ -576,12 +580,15 @@ def evaluate(
         if variant == "no-highlight":
             emphasized = inst.context
             fractions.append(0.0)
+            spans = spans[:0]  # the solver sees no span
         elif variant == "pruned":
             emphasized = markup.prune(ctx, spans, cfg.prune_joiner)
             fractions.append(mask.sum() / max(1, len(ctx.omega)))
         else:
             emphasized = markup.inject(ctx, spans, fmt)
             fractions.append(mask.sum() / max(1, len(ctx.omega)))
+        covered.append((spans[:, 1] - spans[:, 0] + 1).sum() / max(1, len(ctx)))
+        n_spans.append(len(spans))
 
         out, reward = episode(solver, inst, emphasized, contract, reward_spec)
         rewards.append(reward)
@@ -599,6 +606,8 @@ def evaluate(
         "n": len(dataset),
         "mean_reward": float(np.mean(rewards)) if rewards else 0.0,
         "mean_highlight_fraction": float(np.mean(fractions)) if fractions else 0.0,
+        "mean_covered_fraction": float(np.mean(covered)) if covered else 0.0,
+        "mean_spans": float(np.mean(n_spans)) if n_spans else 0.0,
         "flagged": sum(out is None or out.flagged for out in outputs),
         "rewards": [float(r) for r in rewards],
         "solver_attempts": attempts,

@@ -50,6 +50,7 @@ def scripted_server():
     url = f"http://127.0.0.1:{server.server_address[1]}/"
     yield url, _ScriptedHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

@@ -226,7 +226,8 @@ def test_sweep_budget_grid_rows(runner, oracle_run, tmp_path):
     assert result.exit_code == 0, result.output
     rows = list(csv.DictReader(csv_path.open()))
     assert [r["axis_value"] for r in rows] == ["0.10", "0.15", "0.25", "0.30"]
-    assert set(rows[0]) == {"axis_value", "mean_reward", "mean_highlight_fraction"}
+    assert set(rows[0]) == {"axis_value", "mean_reward", "mean_highlight_fraction",
+                            "mean_covered_fraction", "mean_spans"}
 
 
 def test_sweep_marker_grid_all_builtins(runner, oracle_run, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilite.data import SynthSpec, gen_needle
 from hilite.errors import BudgetError, IntegrityError, StructureError
 from hilite.markup import (
     BUILTIN_FORMATS,
@@ -102,6 +103,32 @@ def test_coalesce_properties(bits, delta):
     assert [tuple(s) for s in again.tolist()] == [
         tuple(s) for s in spans.tolist()
     ]
+
+
+def reference_spans_to_mask(spans, n_tokens):
+    mask = np.zeros(n_tokens, dtype=np.uint8)
+    for first, last in spans:
+        mask[first : last + 1] = 1
+    return mask
+
+
+@st.composite
+def spans_in_range(draw):
+    n_tokens = draw(st.integers(0, 30))
+    if n_tokens == 0:
+        return 0, []
+    ends = st.tuples(st.integers(0, n_tokens - 1), st.integers(0, n_tokens - 1))
+    return n_tokens, [tuple(sorted(pair)) for pair in draw(st.lists(ends, max_size=8))]
+
+
+@given(spans_in_range())
+@settings(max_examples=300, deadline=None)
+def test_spans_to_mask_matches_per_span_loop(case):
+    n_tokens, spans = case
+    got = spans_to_mask(np.asarray(spans, dtype=np.int64).reshape(-1, 2), n_tokens)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reference_spans_to_mask(spans, n_tokens))
+    assert np.array_equal(spans_to_mask(spans, n_tokens), got)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +296,41 @@ def test_scan_markers_matches_two_branch_reference(case):
     fmt, data = case
     assert _scan_outcome(scan_markers, data, fmt) == _scan_outcome(
         reference_scan_markers, data, fmt)
+
+
+def _drop_nth(data: bytes, marker: bytes, n: int) -> bytes:
+    """``data`` without the n-th occurrence of ``marker``."""
+    parts = data.split(marker)
+    return marker.join(parts[: n + 1]) + marker.join(parts[n + 1:])
+
+
+@pytest.mark.parametrize("fmt_name", ["default", "double-bracket", "html-b"])
+def test_scan_markers_matches_reference_on_long_input(fmt_name):
+    fmt = BUILTIN_FORMATS[fmt_name]
+    text = gen_needle(SynthSpec(target_tokens=16000, seed=31)).context
+    text = text.replace(". ", ". Grüße vom Süden, 古い灯台. ", 60)
+    ctx = tokenize(text)
+    assert len(ctx) >= 16000
+    spans = coalesce(random_mask(ctx, 300, 4), ctx, delta=0)
+    assert len(spans) >= 250
+    data = inject(ctx, spans, fmt).encode("utf-8")
+    open_b, close_b = fmt.open.encode("utf-8"), fmt.close.encode("utf-8")
+    stripped, regions = scan_markers(data, fmt)
+    assert stripped == text.encode("utf-8")
+    assert regions == byte_ranges(ctx, spans)
+    corrupted = [
+        _drop_nth(data, close_b, 150),  # a span never closed, then nested
+        _drop_nth(data, open_b, 150),  # a close without its open
+        _drop_nth(data, close_b, len(spans) - 1),  # the last span never closed
+        data + open_b,
+        close_b + data,
+    ]
+    for case in [data, *corrupted]:
+        assert _scan_outcome(scan_markers, case, fmt) == _scan_outcome(
+            reference_scan_markers, case, fmt)
+    for case in corrupted:
+        with pytest.raises(IntegrityError):
+            scan_markers(case, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from hilite.errors import (
@@ -459,6 +461,63 @@ def test_evidence_coverage_destructive_input():
     )
     assert coverage == 1.0
     assert not connective
+
+
+# The regions x evidence double loop that the interval product replaced,
+# kept as the reference.
+def reference_covered_bytes(evidence_spans, regions):
+    covered = 0
+    for es, ee in evidence_spans:
+        for ms, me in regions:
+            lo, hi = max(es, ms), min(ee, me)
+            if hi > lo:
+                covered += hi - lo
+    return covered
+
+
+def _intervals(n_bytes):
+    """Sorted, disjoint half-open ranges in [0, n_bytes]; ranges may touch
+    and may be empty."""
+    def pair_up(cuts):
+        cuts = sorted(cuts)
+        return list(zip(cuts[0::2], cuts[1::2]))
+
+    return st.lists(st.integers(0, n_bytes), max_size=12).map(pair_up)
+
+
+@st.composite
+def coverage_cases(draw):
+    n_bytes = draw(st.integers(0, 40))
+    return n_bytes, draw(_intervals(n_bytes)), draw(_intervals(n_bytes))
+
+
+@given(coverage_cases())
+@example((10, [], []))  # no region, no evidence
+@example((10, [(2, 5)], []))  # no evidence
+@example((10, [], [(2, 5)]))  # no region
+@example((10, [(0, 3), (3, 7)], [(2, 4), (7, 9)]))  # touching ranges
+@example((10, [(1, 9)], [(2, 3), (4, 8)]))  # evidence inside a region
+@example((10, [(3, 4), (5, 6)], [(0, 10)]))  # regions inside the evidence
+@example((10, [(2, 8)], [(4, 4), (5, 7)]))  # zero-length evidence
+@example((10, [(4, 4)], [(3, 6)]))  # empty region
+@settings(max_examples=500, deadline=None)
+def test_evidence_coverage_matches_nested_loop(case):
+    n_bytes, regions, evidence = case
+    fmt = DEFAULT_FORMAT
+    context = "".join(chr(ord("a") + i % 26) for i in range(n_bytes))
+    pieces, cursor = [], 0
+    for start, end in regions:
+        pieces += [context[cursor:start], fmt.open, context[start:end], fmt.close]
+        cursor = end
+    emphasized = "".join(pieces) + context[cursor:]
+    total = sum(end - start for start, end in evidence)
+    coverage, connective = evidence_coverage(emphasized, context, evidence, fmt)
+    if total == 0:
+        assert (coverage, connective) == (0.0, n_bytes > 0)
+    else:
+        assert coverage == reference_covered_bytes(evidence, regions) / total
+        assert type(coverage) is float
+        assert connective == (n_bytes > total)
 
 
 def test_oracle_solver_class_requires_evidence():

@@ -550,6 +550,45 @@ def test_evaluate_smoke_and_identity_cases(tmp_path):
     assert "evidence" in report
 
 
+def test_evaluate_reports_covered_fraction_and_span_count():
+    from hilite.markup import coalesce, spans_to_mask
+    from hilite.policy import featurize
+    from hilite.selection import Budget, topk
+    from hilite.tokenization import tokenize
+
+    data = oracle_dataset(n=4)
+    solver = OracleSolver(OracleSolverConfig())
+    result = train(data, solver, TrainConfig(steps=0, seed=0))
+    for delta in (0, 4):
+        cfg = TrainConfig(steps=0, seed=0, delta=delta)
+        covered, n_spans = [], []
+        for inst in data:
+            ctx = tokenize(inst.context)
+            probs = score(featurize(inst.query, ctx, result.idf_table, cfg.idf_ceiling),
+                          result.params)
+            mask = topk(probs, ctx.omega, Budget.for_omega(cfg.gamma, len(ctx.omega)).k)
+            spans = coalesce(mask, ctx, delta)
+            covered.append(spans_to_mask(spans, len(ctx)).sum() / len(ctx))
+            n_spans.append(len(spans))
+        reports = {variant: evaluate(data, result.params, solver, cfg, result.idf_table,
+                                     variant=variant)
+                   for variant in ("hilite", "pruned", "random", "no-highlight")}
+        for variant in ("hilite", "pruned"):
+            assert reports[variant]["mean_covered_fraction"] == pytest.approx(np.mean(covered))
+            assert reports[variant]["mean_spans"] == pytest.approx(np.mean(n_spans))
+        assert reports["no-highlight"]["mean_covered_fraction"] == 0.0
+        assert reports["no-highlight"]["mean_spans"] == 0.0
+        for report in reports.values():
+            # without bridging the spans cover exactly the selected tokens
+            if delta == 0:
+                assert report["mean_covered_fraction"] == pytest.approx(
+                    report["mean_highlight_fraction"])
+            assert report["mean_covered_fraction"] >= report["mean_highlight_fraction"]
+    random = reports["random"]  # at delta 4 a random mask's spans bridge gaps
+    assert random["mean_covered_fraction"] > random["mean_highlight_fraction"]
+    assert random["mean_spans"] >= 1.0
+
+
 def test_evidence_report_identity():
     # scorer that puts all gold tokens above threshold and others below
     # yields evidence F1 = 1 through the evaluate path
