@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tokenization
 from .errors import DataError
-from .tokenization import TokenizedContext, tokenize
+from .tokenization import TokenizedContext, count_tokens
 
 REQUIRED_FIELDS = ("id", "query", "context", "gold")
 _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
@@ -40,7 +41,11 @@ _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
 @dataclass
 class Instance:
     """One dataset record: query, context, gold target, optional gold
-    evidence byte ranges and candidate items."""
+    evidence byte ranges and candidate items.
+
+    :attr:`tokens` tokenizes the context once per instance per process, so
+    every evaluation pass over the same instances shares one tokenization.
+    """
 
     id: str
     query: str
@@ -49,6 +54,8 @@ class Instance:
     evidence_spans: list[tuple[int, int]] | None = None
     candidates: list[dict] | None = None
     extra: dict = field(default_factory=dict)
+
+    _tokens = None  # kept context; a plain class attribute, not a field
 
     def __post_init__(self):
         if self.evidence_spans is not None:
@@ -65,6 +72,21 @@ class Instance:
                         f"instance {self.id}: evidence spans overlap or are unsorted"
                     )
                 prev_end = end
+
+    @property
+    def tokens(self) -> TokenizedContext:
+        """The tokenized context, computed on first read and kept on the
+        instance while ``context`` stays the same string object.
+
+        Kept tokens cost about 80 bytes per token and live as long as the
+        instance.  They are not a field: equality, ``to_record`` and
+        ``dataclasses.replace`` ignore them, so a replaced instance
+        tokenizes afresh, and so does one whose ``context`` was reassigned.
+        """
+        ctx = self._tokens
+        if ctx is None or ctx.source is not self.context:
+            ctx = self._tokens = tokenization.tokenize(self.context)
+        return ctx
 
     def to_record(self) -> dict:
         record = {
@@ -199,10 +221,6 @@ def _distractor_sentence(rng: np.random.Generator) -> str:
     )
 
 
-def _count_tokens(text: str) -> int:
-    return len(tokenize(text))
-
-
 def gen_needle(spec: SynthSpec) -> Instance:
     """Generate one needle instance, deterministic in the seed.
 
@@ -234,7 +252,7 @@ def gen_needle(spec: SynthSpec) -> Instance:
         + "."
     )
 
-    needle_tokens = _count_tokens(needle)
+    needle_tokens = count_tokens(needle)
     if spec.target_tokens < needle_tokens:
         raise DataError(
             f"target_tokens={spec.target_tokens} below needle length {needle_tokens}"
@@ -245,11 +263,11 @@ def gen_needle(spec: SynthSpec) -> Instance:
         for _ in range(spec.n_distractors):
             s = _distractor_sentence(rng)
             sentences.append(s)
-            count += _count_tokens(s)
+            count += count_tokens(s)
     else:
         while True:
             s = _distractor_sentence(rng)
-            c = _count_tokens(s)
+            c = count_tokens(s)
             if count + c > spec.target_tokens:
                 break
             sentences.append(s)

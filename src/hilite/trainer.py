@@ -123,7 +123,8 @@ def config_hash(cfg: TrainConfig) -> str:
 
 @dataclass
 class GroupSample:
-    """Everything produced by one instance's G rollouts."""
+    """Everything produced by one instance's G rollouts; ``spans`` holds
+    each projected mask's coalesced spans."""
 
     prelim_masks: list[np.ndarray]
     proj_masks: list[np.ndarray]
@@ -132,11 +133,13 @@ class GroupSample:
     rewards: np.ndarray
     advantages: np.ndarray
     log_probs: np.ndarray
+    spans: list[np.ndarray]
 
     def __post_init__(self):
         lengths = [
             len(self.prelim_masks), len(self.proj_masks), len(self.emphasized),
             len(self.outputs), len(self.rewards), len(self.advantages), len(self.log_probs),
+            len(self.spans),
         ]
         if len(set(lengths)) != 1:
             raise StructureError(f"group holds per-episode lists of lengths {lengths}")
@@ -311,6 +314,7 @@ def init_from_dataset(
     the stacked training features; the bias starts at tau * logit(gamma) so
     the initial expected highlight fraction sits on budget.
     """
+    # not inst.tokens: training's contexts live only as long as the run
     contexts = [tokenize(inst.context) for inst in dataset]
     idf_table = build_idf_table(contexts)
     feats = [
@@ -363,14 +367,14 @@ def rollout_group(
     zero-reward, flagged episode).
     """
     budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
-    prelim_masks, proj_masks, emphasized = [], [], []
+    prelim_masks, proj_masks, spans, emphasized = [], [], [], []
     for j in range(cfg.group_size):
         rng = rng_stream(cfg.seed, inst.id, j, step)
         prelim, proj = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
-        spans = markup.coalesce(proj, ctx, cfg.delta)
         prelim_masks.append(prelim)
         proj_masks.append(proj)
-        emphasized.append(markup.inject(ctx, spans, fmt))
+        spans.append(markup.coalesce(proj, ctx, cfg.delta))
+        emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
     contract = getattr(solver, "output_contract", "free-text")
     outputs, rewards = zip(*pool.map(
@@ -391,8 +395,14 @@ def rollout_group(
         rewards=rewards,
         advantages=adv,
         log_probs=log_probs,
+        spans=spans,
     )
     return group, failures
+
+
+def covered_fraction(spans: np.ndarray, n_tokens: int) -> float:
+    """Share of all tokens inside the coalesced spans, bridged ones included."""
+    return (spans[:, 1] - spans[:, 0] + 1).sum() / max(1, n_tokens)
 
 
 def solver_usage(outputs) -> tuple[int, list[float]]:
@@ -458,6 +468,8 @@ def train(
             params = grad_step(group, f, params, opt, cfg, ctx.omega, fwd)
             idx = policy.omega_index(ctx.omega)
             attempts, latencies_ms = solver_usage(group.outputs)
+            # means over the G rollouts, from their spans stacked in one array
+            spans = np.concatenate(group.spans)
             record = {
                 "step": step,
                 "rewards": group.rewards.tolist(),
@@ -469,6 +481,8 @@ def train(
                 "seed": cfg.seed,
                 "solver_attempts": attempts,
                 "solver_latency_ms": max(latencies_ms, default=0.0),
+                "covered_fraction": float(covered_fraction(spans, len(ctx))) / cfg.group_size,
+                "spans": len(spans) / cfg.group_size,
             }
             history.append(record)
             # sanity flag (never a hard failure): the mean reward of each
@@ -549,6 +563,11 @@ def evaluate(
     untouched.  ``mask_sampler`` swaps the deterministic top-k rule for one
     of the sampler kinds (seeded per instance), for sampler-sensitivity
     sweeps.
+
+    Contexts come from :attr:`Instance.tokens`, computed once per instance
+    per process: repeated passes over the same instances (ablation variants,
+    sweep grid points) tokenize nothing again, and the tokens stay alive with
+    the instances (about 80 bytes per token).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")
@@ -563,7 +582,7 @@ def evaluate(
     overlaps = []
     outputs = []
     for inst in dataset:
-        ctx = tokenize(inst.context)
+        ctx = inst.tokens
         feats = featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
         probs = score(feats, params)
         budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
@@ -587,7 +606,7 @@ def evaluate(
         else:
             emphasized = markup.inject(ctx, spans, fmt)
             fractions.append(mask.sum() / max(1, len(ctx.omega)))
-        covered.append((spans[:, 1] - spans[:, 0] + 1).sum() / max(1, len(ctx)))
+        covered.append(covered_fraction(spans, len(ctx)))
         n_spans.append(len(spans))
 
         out, reward = episode(solver, inst, emphasized, contract, reward_spec)

@@ -139,6 +139,7 @@ def test_criterion_3_gradient_correctness():
             rewards=np.asarray(rewards),
             advantages=advantages(rewards),
             log_probs=np.array([log_prob(m, s, omega) for m in masks]),
+            spans=[np.empty((0, 2), dtype=np.int64)] * g,
         )
         gw, gb = assemble_gradient(group, feats, params, omega, cfg)
 
@@ -148,7 +149,7 @@ def test_criterion_3_gradient_correctness():
             g2 = GroupSample(
                 prelim_masks=masks, proj_masks=masks, emphasized=[""] * g,
                 outputs=[None] * g, rewards=group.rewards,
-                advantages=group.advantages, log_probs=lps,
+                advantages=group.advantages, log_probs=lps, spans=group.spans,
             )
             return loss_terms(g2, s2, omega, cfg).total
 

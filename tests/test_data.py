@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from hilite.data import (
     popularity_from_histories,
     save_jsonl,
 )
+from hilite import tokenization
 from hilite.errors import DataError
 from hilite.tokenization import tokenize
 
@@ -46,6 +48,62 @@ def test_round_trip_preserves_unknown_fields(tmp_path):
     assert loaded == [inst]
     record = json.loads(p.read_text())
     assert record["difficulty"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Instance.tokens
+# ---------------------------------------------------------------------------
+
+
+def test_tokens_are_computed_once_per_instance(monkeypatch):
+    from hilite.solver import OracleSolver, OracleSolverConfig
+    from hilite.trainer import VARIANTS, TrainConfig, evaluate, init_from_dataset
+
+    data = gen_dataset(3, target_tokens=150, seed=4, n_clusters=2, cluster_size=3)
+    cfg = TrainConfig(steps=0, seed=0)
+    params, idf_table, _, _ = init_from_dataset(data, cfg)
+    seen = []
+    original = tokenization.tokenize
+
+    def counting(text):
+        seen.append(text)
+        return original(text)
+
+    monkeypatch.setattr(tokenization, "tokenize", counting)
+    solver = OracleSolver(OracleSolverConfig())
+    reports = [evaluate(data, params, solver, cfg, idf_table, variant=variant)
+               for variant in VARIANTS]
+    assert len(reports) == 4
+    assert seen == [inst.context for inst in data]
+
+
+def test_tokens_follow_a_reassigned_context():
+    inst = Instance(id="a", query="q", context="one two", gold="g")
+    assert inst.tokens.texts == ["one", "two"]
+    assert inst.tokens is inst.tokens
+    inst.context = "three, four"
+    assert inst.tokens.texts == ["three", ",", "four"]
+    assert inst.tokens == tokenize("three, four")
+
+
+def test_replaced_instance_tokenizes_afresh():
+    inst = Instance(id="a", query="q", context="one two", gold="g")
+    kept = inst.tokens
+    same = dataclasses.replace(inst)
+    assert same.tokens is not kept and same.tokens == kept
+    other = dataclasses.replace(inst, context="five six seven")
+    assert other.tokens.texts == ["five", "six", "seven"]
+
+
+def test_kept_tokens_leave_equality_and_records_alone():
+    a = Instance(id="a", query="q", context="one two", gold="g", extra={"x": 1})
+    b = Instance(id="a", query="q", context="one two", gold="g", extra={"x": 1})
+    record = a.to_record()
+    assert len(a.tokens) == 2
+    assert a == b
+    assert a.to_record() == record == b.to_record()
+    assert "_tokens" not in {f.name for f in dataclasses.fields(a)}
+    assert repr(a) == repr(b)
 
 
 def test_missing_field_reports_line_number(tmp_path):

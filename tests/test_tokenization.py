@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilite.errors import RangeBoundsError
-from hilite.tokenization import restrict_omega, tokenize
+from hilite.tokenization import count_tokens, restrict_omega, tokenize
 
 
 def test_empty_text_yields_zero_tokens():
@@ -79,6 +79,12 @@ def test_round_trip_and_monotonicity(text):
 @settings(max_examples=100, deadline=None)
 def test_determinism(text):
     assert tokenize(text) == tokenize(text)
+
+
+@given(TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_count_tokens_matches_tokenize(text):
+    assert count_tokens(text) == len(tokenize(text))
 
 
 def test_restrict_omega_no_ranges_is_identity():

@@ -65,6 +65,7 @@ def group_from(prelim_masks, rewards, log_probs, advform=None):
         rewards=rewards,
         advantages=np.asarray(adv, dtype=np.float64),
         log_probs=np.asarray(log_probs, dtype=np.float64),
+        spans=[np.empty((0, 2), dtype=np.int64) for _ in prelim_masks],
     )
 
 
@@ -161,6 +162,7 @@ def total_loss_given(params, feats, group, omega, cfg):
         rewards=group.rewards,
         advantages=group.advantages,
         log_probs=lps,
+        spans=group.spans,
     )
     return loss_terms(g2, s, omega, cfg).total
 
@@ -369,8 +371,34 @@ def test_metrics_log_schema(tmp_path):
     record = json.loads(lines[0])
     assert set(record) == {"step", "rewards", "L_PG", "L_LEN", "L_ENT",
                            "mean_p", "k", "seed", "solver_attempts",
-                           "solver_latency_ms"}
+                           "solver_latency_ms", "covered_fraction", "spans"}
     assert len(record["rewards"]) == 4
+
+
+def test_metrics_covered_fraction_and_spans_match_coalesced_masks(monkeypatch):
+    from hilite import trainer
+    from hilite.markup import coalesce, spans_to_mask
+    from hilite.tokenization import tokenize
+
+    data = oracle_dataset(n=3)
+    cfg = TrainConfig(steps=5, seed=0, delta=3)
+    groups = []
+    original = trainer.rollout_group
+
+    def recording(*args, **kwargs):
+        group, failures = original(*args, **kwargs)
+        groups.append(group)
+        return group, failures
+
+    monkeypatch.setattr(trainer, "rollout_group", recording)
+    result = train(data, OracleSolver(OracleSolverConfig()), cfg)
+    assert len(groups) == len(result.history) == 5
+    for step, (group, record) in enumerate(zip(groups, result.history)):
+        ctx = tokenize(data[step % len(data)].context)
+        spans = [coalesce(m, ctx, cfg.delta) for m in group.proj_masks]
+        covered = [spans_to_mask(s, len(ctx)).sum() / len(ctx) for s in spans]
+        assert record["covered_fraction"] == pytest.approx(np.mean(covered))
+        assert record["spans"] == pytest.approx(np.mean([len(s) for s in spans]))
 
 
 def test_training_mutates_only_scorer_state():
