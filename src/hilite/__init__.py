@@ -54,7 +54,6 @@ from .policy import (
     featurize,
     init_params,
     log_prob,
-    log_prob_grad,
     score,
 )
 from .rewards import (
@@ -102,7 +101,7 @@ from .trainer import (
     evaluate,
     grad_step,
     load_checkpoint,
-    loss_terms,
+    objective,
     save_checkpoint,
     train,
 )

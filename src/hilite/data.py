@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tokenization
 from .errors import DataError
-from .tokenization import TokenizedContext, count_tokens
+from .tokenization import TokenizedContext, count_tokens, tokens_touching
 
 REQUIRED_FIELDS = ("id", "query", "context", "gold")
 _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
@@ -131,10 +131,20 @@ def load_jsonl(path: str | Path) -> list[Instance]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
             for fname in REQUIRED_FIELDS:
                 if fname not in record:
                     raise DataError(f"{path}:{lineno}: missing field {fname!r}")
-            instances.append(Instance.from_record(record))
+            for fname in ("query", "context"):
+                if not isinstance(record[fname], str):
+                    raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
+            try:
+                instances.append(Instance.from_record(record))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            except (TypeError, ValueError) as exc:  # only evidence_spans is converted
+                raise DataError(f"{path}:{lineno}: malformed evidence_spans: {exc}") from exc
     return instances
 
 
@@ -424,10 +434,7 @@ def gold_token_indices(
     ctx: TokenizedContext, gold_spans: list[tuple[int, int]]
 ) -> set[int]:
     """Indices of tokens whose byte range intersects any gold span."""
-    hit = np.zeros(len(ctx), dtype=bool)
-    for start, end in gold_spans:
-        hit |= (ctx.starts < end) & (ctx.ends > start)
-    return set(np.flatnonzero(hit).tolist())
+    return set(np.flatnonzero(tokens_touching(ctx, gold_spans)).tolist())
 
 
 def evidence_overlap(
@@ -439,18 +446,20 @@ def evidence_overlap(
     """Token-level precision/recall/F1 of thresholded probabilities
     against gold evidence spans.
 
-    Predicted evidence tokens are those with p_i >= threshold.  Both sides
+    ``probs`` holds one probability per token of ``ctx``; predicted
+    evidence tokens are those with p_i >= threshold.  Both sides
     empty scores (1, 1, 1); exactly one side empty scores (0, 0, 0).
     """
-    predicted = set(np.flatnonzero(probs >= threshold).tolist())
-    gold = gold_token_indices(ctx, gold_spans)
-    if not predicted and not gold:
+    predicted = probs >= threshold
+    gold = tokens_touching(ctx, gold_spans)
+    n_predicted, n_gold = int(predicted.sum()), int(gold.sum())
+    if not n_predicted and not n_gold:
         return 1.0, 1.0, 1.0
-    if not predicted or not gold:
+    if not n_predicted or not n_gold:
         return 0.0, 0.0, 0.0
-    tp = len(predicted & gold)
-    precision = tp / len(predicted)
-    recall = tp / len(gold)
+    tp = int(np.count_nonzero(predicted & gold))
+    precision = tp / n_predicted
+    recall = tp / n_gold
     if tp == 0:
         return precision, recall, 0.0
     f1 = 2 * precision * recall / (precision + recall)

@@ -7,10 +7,10 @@ linear layer and a temperature-controlled sigmoid:
 
 which defines a Bernoulli-factorized selection policy over the
 policy-controlled index set omega.  Probabilities are clamped away from 0/1
-so log-likelihood and entropy stay finite, and the log-probability gradient
-with respect to (w, b) has the usual closed form, verified against finite
-differences in the test suite.  :func:`forward` is the one place that
-evaluates this map; scoring and both gradients read its result.
+so log-likelihood and entropy stay finite.  :func:`forward` is the one place
+that evaluates this map; scoring and the training objective read its result.
+The training loss and its gradient with respect to (w, b) live in one place,
+:func:`hilite.trainer.objective`.
 
 Values pass between layers as plain arrays: :func:`featurize` returns the
 (n_tokens, 7) float64 feature matrix, and :func:`score` (like both external
@@ -243,12 +243,9 @@ class Forward:
     interior: np.ndarray
 
 
-def forward(feats: np.ndarray, params: ScorerParams, omega=None) -> Forward:
-    """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped, on the rows in
-    ``omega`` (every row when omega is None)."""
+def forward(feats: np.ndarray, params: ScorerParams) -> Forward:
+    """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped, on every row."""
     x = standardize(feats, params)
-    if omega is not None:
-        x = x[omega_index(omega)]
     p_raw = _sigmoid((x @ params.w + params.b) / params.tau)
     return Forward(
         x=x,
@@ -272,27 +269,6 @@ def log_prob(mask: np.ndarray, probs: np.ndarray, omega) -> float:
     p = probs[idx]
     m = np.asarray(mask, dtype=np.float64)[idx]
     return float(np.sum(m * np.log(p) + (1.0 - m) * np.log1p(-p)))
-
-
-def log_prob_grad(
-    mask: np.ndarray,
-    feats: np.ndarray,
-    params: ScorerParams,
-    omega,
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of :func:`log_prob` with respect to (w, b):
-
-        d/dw = sum_{i in omega} (m_i - p_i) x~_i / tau
-        d/db = sum_{i in omega} (m_i - p_i) / tau
-
-    Clamped tokens contribute zero, matching finite differences of the
-    clamped log-likelihood.
-    """
-    idx = omega_index(omega)
-    fwd = forward(feats, params, idx)
-    m = np.asarray(mask, dtype=np.float64)[idx]
-    dz = np.where(fwd.interior, m - fwd.p, 0.0) / params.tau
-    return dz @ fwd.x, float(dz.sum())
 
 
 def entropy(probs: np.ndarray, omega) -> float:

@@ -129,6 +129,15 @@ def count_tokens(text: str) -> int:
     return len(_TOKEN_SPLIT_RE.findall(text))
 
 
+def tokens_touching(ctx: TokenizedContext, byte_ranges) -> np.ndarray:
+    """Boolean array over all tokens: true where the token's byte range
+    intersects any of the half-open ``byte_ranges``."""
+    hit = np.zeros(len(ctx), dtype=bool)
+    for start, end in byte_ranges:
+        hit |= (ctx.starts < end) & (ctx.ends > start)
+    return hit
+
+
 def restrict_omega(
     ctx: TokenizedContext, excluded_char_ranges: list[tuple[int, int]]
 ) -> TokenizedContext:
@@ -145,8 +154,4 @@ def restrict_omega(
                 f"excluded range [{start}, {end}) outside source bounds [0, {n_bytes})"
             )
     omega = np.asarray(ctx.omega, dtype=np.int64)
-    starts, ends = ctx.starts[omega], ctx.ends[omega]
-    inside = np.zeros(omega.size, dtype=bool)
-    for start, end in excluded_char_ranges:
-        inside |= (starts < end) & (ends > start)
-    return replace(ctx, omega=omega[~inside])
+    return replace(ctx, omega=omega[~tokens_touching(ctx, excluded_char_ranges)[omega]])

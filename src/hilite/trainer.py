@@ -16,8 +16,9 @@ One training step on one instance:
        L_ENT = -(mean Bernoulli entropy over omega)
 
    with one AdamW step (decoupled weight decay on the weight vector) over
-   the analytic gradient.  Log-probabilities are always evaluated on the
-   pre-projection masks; the projected mask only shapes the emphasized text.
+   the analytic gradient; :func:`objective` computes both.
+   Log-probabilities are always evaluated on the pre-projection masks; the
+   projected mask only shapes the emphasized text.
 
 Each step runs one forward pass of the scorer, used for both sampling and
 the update.  The solver is frozen: training mutates scorer parameters and
@@ -194,82 +195,83 @@ def advantages(rewards, epsilon: float = 1e-8) -> np.ndarray:
 
 @dataclass
 class LossTerms:
+    """One step's loss terms, their weighted sum ``total``, and the sum's
+    gradient (``grad_w``, ``grad_b``).  ``mean_p`` is the mean probability
+    over omega (0.0 when omega is empty)."""
+
     l_pg: float
     l_len: float
     l_ent: float
     total: float
+    grad_w: np.ndarray
+    grad_b: float
+    mean_p: float
 
 
-def loss_terms(
+def objective(
     group: GroupSample,
-    probs: np.ndarray,
-    omega,
-    cfg: TrainConfig,
-) -> LossTerms:
-    """Evaluate the three loss components and their weighted sum."""
-    l_pg = float(-(group.advantages * group.log_probs).mean())
-    idx = policy.omega_index(omega)
-    mean_p = float(probs[idx].mean()) if idx.size else cfg.gamma
-    l_len = float((mean_p - cfg.gamma) ** 2)
-    l_ent = float(-policy.entropy(probs, omega))
-    total = l_pg + cfg.lambda_len * l_len + cfg.beta_ent * l_ent
-    return LossTerms(l_pg=l_pg, l_len=l_len, l_ent=l_ent, total=total)
-
-
-def assemble_gradient(
-    group: GroupSample,
-    feats: np.ndarray,
+    fwd: policy.Forward,
     params: ScorerParams,
     omega,
     cfg: TrainConfig,
-    fwd: policy.Forward | None = None,
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the total loss with respect to (w, b).
+) -> LossTerms:
+    """L = L_PG + lambda_len * L_LEN + beta_ent * L_ENT and its analytic
+    gradient with respect to (w, b), from ``fwd``, the step's forward pass
+    over every row.
 
-    Matches central finite differences of loss_terms' total (masks and
-    advantages held fixed); clamped tokens contribute zero everywhere, like
-    the clamped forward pass they correspond to.  ``fwd`` is the forward
-    pass over every row of ``feats`` when the caller already has it.
+    The gradient holds masks and advantages fixed and matches central finite
+    differences of ``total``; clamped tokens contribute zero everywhere,
+    like the clamped forward pass they correspond to.  An empty omega adds
+    no length penalty, entropy or gradient.
     """
     idx = policy.omega_index(omega)
-    if idx.size == 0:
-        return np.zeros(params.dim), 0.0
-    if fwd is None:
-        fwd = policy.forward(feats, params)
     x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
     n, tau = idx.size, params.tau
     masks = np.stack(group.prelim_masks)[:, idx]
     g = len(masks)
 
-    # policy-gradient term: -(1/G) sum_j A_j (m_j - p) / tau
+    # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau
+    l_pg = float(-(group.advantages * group.log_probs).mean())
     dz_pg = -(group.advantages @ (masks - p)) / (g * tau)
 
-    # length term: 2 (mean p - gamma) * dp/dz / (n tau)
+    # length: L_LEN = (mean p - gamma)^2, dz = 2 (mean p - gamma) * dp/dz / (n tau)
+    mean_p = float(p.mean()) if n else 0.0
+    l_len = float((mean_p - cfg.gamma) ** 2) if n else 0.0
     dp_dz = p * (1.0 - p)
-    dz_len = 2.0 * (p.mean() - cfg.gamma) * dp_dz / (n * tau)
+    dz_len = 2.0 * (mean_p - cfg.gamma) * dp_dz / (n * tau)
 
-    # entropy bonus: d(-H)/dz = -ln((1-p)/p) * dp/dz / (n tau)
+    # entropy bonus: L_ENT = -H, dz = -ln((1-p)/p) * dp/dz / (n tau)
+    l_ent = float(-policy.entropy(fwd.p, idx))
     dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * tau)
 
     dz = np.where(interior, dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent, 0.0)
-    return dz @ x, float(dz.sum())
+    return LossTerms(
+        l_pg=l_pg,
+        l_len=l_len,
+        l_ent=l_ent,
+        total=l_pg + cfg.lambda_len * l_len + cfg.beta_ent * l_ent,
+        grad_w=dz @ x,
+        grad_b=float(dz.sum()),
+        mean_p=mean_p,
+    )
 
 
 def grad_step(
     group: GroupSample,
-    feats: np.ndarray,
+    fwd: policy.Forward,
     params: ScorerParams,
     opt: OptimizerState,
     cfg: TrainConfig,
     omega,
-    fwd: policy.Forward | None = None,
-) -> ScorerParams:
-    """One AdamW update on (w, b).  Decoupled weight decay applies to the
-    weight vector only.  Non-finite gradients skip the step (logged)."""
-    grad_w, grad_b = assemble_gradient(group, feats, params, omega, cfg, fwd)
+) -> tuple[ScorerParams, LossTerms]:
+    """Evaluate the objective on the step's forward pass and apply one AdamW
+    update on (w, b).  Decoupled weight decay applies to the weight vector
+    only.  Non-finite gradients skip the update (logged)."""
+    terms = objective(group, fwd, params, omega, cfg)
+    grad_w, grad_b = terms.grad_w, terms.grad_b
     if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
-        return params
+        return params, terms
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     opt.step += 1
     t = opt.step
@@ -284,7 +286,7 @@ def grad_step(
     lr = cfg.learning_rate
     params.w = params.w - lr * m_w_hat / (np.sqrt(v_w_hat) + eps) - lr * cfg.weight_decay * params.w
     params.b = float(params.b - lr * m_b_hat / (math.sqrt(v_b_hat) + eps))
-    return params
+    return params, terms
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,6 @@ class TrainResult:
     history: list[dict]
     checkpoint_path: Path | None = None
     metrics_path: Path | None = None
-    aborted: bool = False
     reward_regressions: list[int] = field(default_factory=list)
 
 
@@ -451,7 +452,6 @@ def train(
 
     history: list[dict] = []
     total_failures = 0
-    aborted = False
     reward_regressions: list[int] = []
     prev_window: np.ndarray | None = None
     pool = ThreadPoolExecutor(max_workers=cfg.group_size)
@@ -464,9 +464,7 @@ def train(
                 inst, ctx, fwd.p, solver, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
-            terms = loss_terms(group, fwd.p, ctx.omega, cfg)
-            params = grad_step(group, f, params, opt, cfg, ctx.omega, fwd)
-            idx = policy.omega_index(ctx.omega)
+            params, terms = grad_step(group, fwd, params, opt, cfg, ctx.omega)
             attempts, latencies_ms = solver_usage(group.outputs)
             # means over the G rollouts, from their spans stacked in one array
             spans = np.concatenate(group.spans)
@@ -476,7 +474,7 @@ def train(
                 "L_PG": terms.l_pg,
                 "L_LEN": terms.l_len,
                 "L_ENT": terms.l_ent,
-                "mean_p": float(fwd.p[idx].mean()) if idx.size else 0.0,
+                "mean_p": terms.mean_p,
                 "k": Budget.for_omega(cfg.gamma, len(ctx.omega)).k,
                 "seed": cfg.seed,
                 "solver_attempts": attempts,
@@ -501,7 +499,6 @@ def train(
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(record) + "\n")
             if total_failures > cfg.solver_failure_budget:
-                aborted = True
                 log.error(
                     "solver failure budget exceeded (%d failures); aborting at step %d",
                     total_failures, step,
@@ -516,21 +513,19 @@ def train(
     if out_dir is not None:
         checkpoint_path = out_dir / "checkpoint.json"
         save_checkpoint(checkpoint_path, params, opt, cfg, idf_table)
-    result = TrainResult(
+    if total_failures > cfg.solver_failure_budget:
+        raise SolverUnavailableError(
+            f"training aborted after {total_failures} solver failures"
+        )
+    return TrainResult(
         params=params,
         opt=opt,
         idf_table=idf_table,
         history=history,
         checkpoint_path=checkpoint_path,
         metrics_path=metrics_path,
-        aborted=aborted,
         reward_regressions=reward_regressions,
     )
-    if aborted:
-        raise SolverUnavailableError(
-            f"training aborted after {total_failures} solver failures"
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hilite.markup import (
     inject,
     strip,
 )
-from hilite.policy import ScorerParams, log_prob, score
+from hilite.policy import ScorerParams, forward, log_prob, score
 from hilite.rewards import RewardSpec, composite, em, hr_at_k, macro_f1, ndcg_at_k, token_f1
 from hilite.selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
@@ -37,9 +37,8 @@ from hilite.trainer import (
     GroupSample,
     TrainConfig,
     advantages,
-    assemble_gradient,
     evaluate,
-    loss_terms,
+    objective,
     train,
 )
 
@@ -141,7 +140,8 @@ def test_criterion_3_gradient_correctness():
             log_probs=np.array([log_prob(m, s, omega) for m in masks]),
             spans=[np.empty((0, 2), dtype=np.int64)] * g,
         )
-        gw, gb = assemble_gradient(group, feats, params, omega, cfg)
+        terms = objective(group, forward(feats, params), params, omega, cfg)
+        gw, gb = terms.grad_w, terms.grad_b
 
         def total_at(p2):
             s2 = score(feats, p2)
@@ -151,7 +151,7 @@ def test_criterion_3_gradient_correctness():
                 outputs=[None] * g, rewards=group.rewards,
                 advantages=group.advantages, log_probs=lps, spans=group.spans,
             )
-            return loss_terms(g2, s2, omega, cfg).total
+            return objective(g2, forward(feats, p2), p2, omega, cfg).total
 
         h = 1e-6
         fd = np.zeros(d + 1)

@@ -48,6 +48,14 @@ def test_train_nonexistent_dataset_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_train_malformed_dataset_line_exits_4(runner, tmp_path):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text('{"id": "a", "query": "q", "context": 5, "gold": "g"}\n')
+    result = runner.invoke(main, ["train", "--dataset", str(dataset), "--out", str(tmp_path)])
+    assert result.exit_code == 4
+    assert "bad.jsonl:1" in result.output
+
+
 def test_train_writes_checkpoint_and_log(oracle_run):
     _, checkpoint, _ = oracle_run
     assert checkpoint.exists()

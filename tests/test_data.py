@@ -121,6 +121,28 @@ def test_malformed_json_reports_line_number(tmp_path):
         load_jsonl(p)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ('{"id": "a", "query": "q", "context": "abc", "gold": "g", "evidence_spans": [["zz", 3]]}',
+     "evidence_spans"),
+    ('{"id": "a", "query": "q", "context": "abc", "gold": "g", "evidence_spans": [[0, 3, 4]]}',
+     "evidence_spans"),
+    ('{"id": "a", "query": "q", "context": "abc", "gold": "g", "evidence_spans": 5}',
+     "evidence_spans"),
+    ('{"id": "a", "query": "q", "context": "abc", "gold": "g", "evidence_spans": [[0, 9]]}',
+     "outside context bounds"),
+    ('"just a string"', "JSON object"),
+    ('[1, 2]', "JSON object"),
+    ('{"id": "a", "query": "q", "context": 5, "gold": "g"}', "'context' is not a string"),
+    ('{"id": "a", "query": null, "context": "c", "gold": "g"}', "'query' is not a string"),
+], ids=["span-not-int", "span-of-three", "spans-not-list", "span-out-of-bounds",
+        "string-line", "array-line", "context-not-string", "query-null"])
+def test_malformed_line_is_a_data_error_with_its_number(tmp_path, line, reason):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "a", "query": "q", "context": "c", "gold": "g"}\n' + line + "\n")
+    with pytest.raises(DataError, match=rf"bad\.jsonl:2: .*{reason}"):
+        load_jsonl(p)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(DataError):
         load_jsonl(tmp_path / "nope.jsonl")

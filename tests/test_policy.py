@@ -21,10 +21,10 @@ from hilite.policy import (
     featurize,
     init_params,
     log_prob,
-    log_prob_grad,
     score,
 )
 from hilite.tokenization import tokenize
+from hilite.trainer import GroupSample, TrainConfig, objective
 
 
 def identity_params(w, b=0.0, tau=1.0):
@@ -190,13 +190,27 @@ def test_entropy_bounds_and_values():
 # ---------------------------------------------------------------------------
 
 
+def pg_term_grad(mask, feats, params, omega):
+    """Gradient of log pi(mask) with respect to (w, b), read off the training
+    objective: its L_PG term for one mask with advantage -1, no length or
+    entropy term."""
+    group = GroupSample(
+        prelim_masks=[mask], proj_masks=[mask], emphasized=[""], outputs=[None],
+        rewards=np.zeros(1), advantages=np.array([-1.0]), log_probs=np.zeros(1),
+        spans=[np.empty((0, 2), dtype=np.int64)],
+    )
+    cfg = TrainConfig(steps=0, lambda_len=0.0, beta_ent=0.0)
+    terms = objective(group, policy.forward(feats, params), params, omega, cfg)
+    return terms.grad_w, terms.grad_b
+
+
 def test_single_token_gradient_values():
     f = feats_of([[1.0]])
     params = identity_params([0.0])
-    gw, gb = log_prob_grad(np.array([1], dtype=np.uint8), f, params, [0])
+    gw, gb = pg_term_grad(np.array([1], dtype=np.uint8), f, params, [0])
     assert gw[0] == pytest.approx(0.5)
     assert gb == pytest.approx(0.5)
-    gw, gb = log_prob_grad(np.array([0], dtype=np.uint8), f, params, [0])
+    gw, gb = pg_term_grad(np.array([0], dtype=np.uint8), f, params, [0])
     assert gw[0] == pytest.approx(-0.5)
     assert gb == pytest.approx(-0.5)
 
@@ -214,7 +228,7 @@ def test_score_function_identity_expected_gradient_zero():
     for bits in itertools.product([0, 1], repeat=n):
         mask = np.array(bits, dtype=np.uint8)
         prob = float(np.prod(np.where(mask, p, 1 - p)))
-        gw, gb = log_prob_grad(mask, f, params, omega)
+        gw, gb = pg_term_grad(mask, f, params, omega)
         total_w += prob * gw
         total_b += prob * gb
     assert np.allclose(total_w, 0.0, atol=1e-12)
@@ -260,7 +274,7 @@ def test_gradient_matches_finite_differences(seed):
     )
     mask = (rng.random(n) < 0.5).astype(np.uint8)
     omega = sorted(rng.choice(n, size=max(1, n // 2), replace=False).tolist())
-    gw, gb = log_prob_grad(mask, feats, params, omega)
+    gw, gb = pg_term_grad(mask, feats, params, omega)
     fw, fb = finite_diff_log_prob(mask, feats, params, omega)
     ref = np.concatenate([fw, [fb]])
     got = np.concatenate([gw, [gb]])
@@ -275,8 +289,8 @@ def test_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
     mask = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gw, gb = log_prob_grad(mask, f, params, range(5))
-        gw_2, gb_2 = log_prob_grad(mask, f, params, [2])
+        gw, gb = pg_term_grad(mask, f, params, range(5))
+        gw_2, gb_2 = pg_term_grad(mask, f, params, [2])
     assert np.all(np.isfinite(gw)) and math.isfinite(gb)
     assert gw.tolist() == gw_2.tolist() and gb == gb_2
     assert gb == pytest.approx(1.0 - 1.0 / (1.0 + math.exp(-1.0)))

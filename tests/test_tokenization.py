@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilite.errors import RangeBoundsError
-from hilite.tokenization import count_tokens, restrict_omega, tokenize
+from hilite.tokenization import count_tokens, restrict_omega, tokenize, tokens_touching
 
 
 def test_empty_text_yields_zero_tokens():
@@ -102,6 +102,18 @@ def test_restrict_omega_partial():
     ctx = tokenize("aa bb cc dd ee")  # tokens at 0-2, 3-5, 6-8, 9-11, 12-14
     out = restrict_omega(ctx, [(0, 5)])  # covers tokens 0 and 1
     assert tuple(out.omega) == (2, 3, 4)
+
+
+@given(st.text(max_size=60), st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200)),
+                                      max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_tokens_touching_matches_per_token_check(text, ranges):
+    ctx = tokenize(text)
+    expected = [
+        any(start < end_r and end > start_r for start_r, end_r in ranges)
+        for start, end in zip(ctx.starts.tolist(), ctx.ends.tolist())
+    ]
+    assert tokens_touching(ctx, ranges).tolist() == expected
 
 
 def test_restrict_omega_out_of_bounds_rejected():

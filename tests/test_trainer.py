@@ -11,7 +11,7 @@ import pytest
 from conftest import make_instance
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
-from hilite.policy import ScorerParams, score
+from hilite.policy import Forward, ScorerParams, forward, score
 from hilite.rewards import RewardSpec
 from hilite.solver import (
     ANSWER_TAG,
@@ -28,12 +28,11 @@ from hilite.trainer import (
     OptimizerState,
     TrainConfig,
     advantages,
-    assemble_gradient,
     config_hash,
     evaluate,
     grad_step,
     load_checkpoint,
-    loss_terms,
+    objective,
     reward_regressed,
     save_checkpoint,
     train,
@@ -67,6 +66,14 @@ def group_from(prelim_masks, rewards, log_probs, advform=None):
         log_probs=np.asarray(log_probs, dtype=np.float64),
         spans=[np.empty((0, 2), dtype=np.int64) for _ in prelim_masks],
     )
+
+
+def terms_at(group, probs, omega, cfg):
+    """Objective terms for a forward pass whose probabilities are ``probs``
+    (every token interior, one all-zero feature column)."""
+    probs = np.asarray(probs, dtype=np.float64)
+    fwd = Forward(x=np.zeros((probs.size, 1)), p=probs, interior=np.ones(probs.size, bool))
+    return objective(group, fwd, identity_params([0.0]), omega, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +130,7 @@ def test_pg_loss_hand_evaluated():
     )
     scores = np.array([0.5, 0.5])
     cfg = small_config(lambda_len=0.0, beta_ent=0.0)
-    terms = loss_terms(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, [0, 1], cfg)
     assert terms.l_pg == pytest.approx(-0.5)
     assert terms.total == pytest.approx(-0.5)
 
@@ -132,7 +139,7 @@ def test_len_loss_zero_on_budget():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config(gamma=0.25)
     scores = np.array([0.25, 0.25])
-    terms = loss_terms(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, [0, 1], cfg)
     assert terms.l_len == 0.0
 
 
@@ -140,8 +147,16 @@ def test_entropy_loss_at_half():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config()
     scores = np.array([0.5, 0.5])
-    terms = loss_terms(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, [0, 1], cfg)
     assert terms.l_ent == pytest.approx(-math.log(2))
+
+
+def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
+    group = group_from([[1, 0], [0, 1]], [1.0, 0.0], [0.0, 0.0])
+    terms = terms_at(group, [0.9, 0.1], [], small_config(gamma=0.3))
+    assert (terms.l_len, terms.l_ent, terms.mean_p, terms.grad_b) == (0.0, 0.0, 0.0, 0.0)
+    assert terms.grad_w.tolist() == [0.0]
+    assert terms.total == terms.l_pg
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +179,7 @@ def total_loss_given(params, feats, group, omega, cfg):
         log_probs=lps,
         spans=group.spans,
     )
-    return loss_terms(g2, s, omega, cfg).total
+    return objective(g2, forward(feats, params), params, omega, cfg).total
 
 
 def finite_diff_total(params, feats, group, omega, cfg, h=1e-6):
@@ -209,7 +224,8 @@ def test_total_gradient_matches_finite_differences(seed):
     group = group_from(
         masks, rewards, [log_prob(m, s, omega) for m in masks]
     )
-    gw, gb = assemble_gradient(group, feats, params, omega, cfg)
+    terms = objective(group, forward(feats, params), params, omega, cfg)
+    gw, gb = terms.grad_w, terms.grad_b
     fw, fb = finite_diff_total(params, feats, group, omega, cfg)
     ref = np.concatenate([fw, [fb]])
     got = np.concatenate([gw, [gb]])
@@ -238,7 +254,8 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
             ref_w -= a * (m[i] - p[i]) * x[i] / (g * params.tau)
             ref_b -= a * (m[i] - p[i]) / (g * params.tau)
     cfg = small_config(group_size=g, lambda_len=0.0, beta_ent=0.0)
-    gw, gb = assemble_gradient(group, feats, params, omega, cfg)
+    terms = objective(group, forward(feats, params), params, omega, cfg)
+    gw, gb = terms.grad_w, terms.grad_b
     assert np.allclose(gw, ref_w, rtol=1e-12, atol=1e-14)
     assert gb == pytest.approx(ref_b, rel=1e-12, abs=1e-14)
 
@@ -254,10 +271,11 @@ def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens()
     cfg = small_config(group_size=3, gamma=0.3, lambda_len=0.5, beta_ent=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gw, gb = assemble_gradient(group_from(masks_a, rewards, [0.0] * 3), a, params,
-                                   range(5), cfg)
-        gw_b, gb_b = assemble_gradient(group_from(masks_b, rewards, [0.0] * 3), b, params,
-                                       range(5), cfg)
+        terms_a = objective(group_from(masks_a, rewards, [0.0] * 3), forward(a, params),
+                            params, range(5), cfg)
+        terms_b = objective(group_from(masks_b, rewards, [0.0] * 3), forward(b, params),
+                            params, range(5), cfg)
+    gw, gb, gw_b, gb_b = terms_a.grad_w, terms_a.grad_b, terms_b.grad_w, terms_b.grad_b
     assert np.all(np.isfinite(gw)) and math.isfinite(gb)
     assert gw.tolist() == gw_b.tolist() and gb == gb_b
     assert gw[0] != 0.0 and gb != 0.0
@@ -278,7 +296,7 @@ def test_zero_gradient_step_only_decays_weights():
                        learning_rate=1e-4)
     w_before = params.w.copy()
     b_before = params.b
-    grad_step(group, feats, params, opt, cfg, [0, 1])
+    grad_step(group, forward(feats, params), params, opt, cfg, [0, 1])
     assert np.allclose(params.w, w_before * (1 - 1e-4 * 1e-2))
     assert params.b == b_before  # decay is decoupled and applies to w only
 
@@ -298,7 +316,7 @@ def test_grad_step_deterministic():
         group = group_from(masks, rewards, [log_prob(m, s, range(5)) for m in masks])
         cfg = small_config(group_size=3)
         for _ in range(5):
-            grad_step(group, feats, params, opt, cfg, range(5))
+            grad_step(group, forward(feats, params), params, opt, cfg, range(5))
         return params.w.tobytes(), params.b
 
     assert run() == run()
@@ -311,7 +329,7 @@ def test_non_finite_gradient_skips_step(caplog):
     group = group_from([[1], [0]], [1.0, 0.0], [np.nan, np.nan], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
-    grad_step(group, feats, params, opt, cfg, [0])
+    grad_step(group, forward(feats, params), params, opt, cfg, [0])
     assert np.array_equal(params.w, w_before)
     assert opt.step == 0
 
