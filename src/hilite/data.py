@@ -2,12 +2,13 @@
 
 The JSONL instance schema is the single interchange format:
 
-    {"id": str, "query": str, "context": str, "gold": str|int,
+    {"id": str|int, "query": str, "context": str, "gold": str|int,
      "evidence_spans": [[start, end], ...]?,            # byte offsets
      "candidates": [{"id": int, "title": str, ...}]?}
 
-Unknown fields are preserved on round-trip.  Real benchmark corpora are
-converted into this schema by scripts outside the engine.
+An integer id loads as its decimal string; any other non-string id is
+rejected.  Unknown fields are preserved on round-trip.  Real benchmark
+corpora are converted into this schema by scripts outside the engine.
 
 The synthetic generator builds needle-in-a-haystack instances: one evidence
 sentence carrying per-instance codeword clusters and a numeric access code,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +40,15 @@ REQUIRED_FIELDS = ("id", "query", "context", "gold")
 _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """One dataset record: query, context, gold target, optional gold
     evidence byte ranges and candidate items.
 
-    :attr:`tokens` tokenizes the context once per instance per process, so
-    every evaluation pass over the same instances shares one tokenization.
+    Instances are immutable; derive a changed one with
+    ``dataclasses.replace``.  :attr:`tokens` tokenizes the context once per
+    instance per process, and training and every evaluation pass over the
+    same instances read that one tokenization.
     """
 
     id: str
@@ -54,8 +58,6 @@ class Instance:
     evidence_spans: list[tuple[int, int]] | None = None
     candidates: list[dict] | None = None
     extra: dict = field(default_factory=dict)
-
-    _tokens = None  # kept context; a plain class attribute, not a field
 
     def __post_init__(self):
         if self.evidence_spans is not None:
@@ -73,20 +75,16 @@ class Instance:
                     )
                 prev_end = end
 
-    @property
+    @cached_property
     def tokens(self) -> TokenizedContext:
-        """The tokenized context, computed on first read and kept on the
-        instance while ``context`` stays the same string object.
+        """The tokenized context, computed on first read and kept.
 
         Kept tokens cost about 80 bytes per token and live as long as the
-        instance.  They are not a field: equality, ``to_record`` and
-        ``dataclasses.replace`` ignore them, so a replaced instance
-        tokenizes afresh, and so does one whose ``context`` was reassigned.
+        instance.  They are not a field: equality, ``repr``, ``to_record``
+        and ``dataclasses.replace`` ignore them, so a replaced instance
+        tokenizes afresh.
         """
-        ctx = self._tokens
-        if ctx is None or ctx.source is not self.context:
-            ctx = self._tokens = tokenization.tokenize(self.context)
-        return ctx
+        return tokenization.tokenize(self.context)
 
     def to_record(self) -> dict:
         record = {
@@ -139,6 +137,8 @@ def load_jsonl(path: str | Path) -> list[Instance]:
             for fname in ("query", "context"):
                 if not isinstance(record[fname], str):
                     raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
+            if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
+                raise DataError(f"{path}:{lineno}: field 'id' is not a string or an integer")
             try:
                 instances.append(Instance.from_record(record))
             except DataError as exc:

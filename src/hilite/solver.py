@@ -325,9 +325,7 @@ class ConnectionPool:
             conn.close()
 
 
-def call_http(
-    prompt: str, endpoint: EndpointConfig, pool: ConnectionPool | None = None
-) -> SolverOutput:
+def call_http(prompt: str, endpoint: EndpointConfig, pool: ConnectionPool) -> SolverOutput:
     """POST the prompt, retrying transport failures with exponential backoff.
 
     At most ``max_retries`` network attempts are made; exhausting them
@@ -335,12 +333,8 @@ def call_http(
     and 5xx responses are retried.  Any other non-2xx response, or a
     reachable endpoint returning an off-contract payload, raises
     ProtocolError immediately (retrying a deterministic rejection would not
-    help).  Requests go over ``pool``'s connections (an empty pool, closed
-    afterwards, when None).
+    help).  Requests go over ``pool``'s connections.
     """
-    owned = pool is None
-    if owned:
-        pool = ConnectionPool(endpoint.url, endpoint.timeout)
     headers = {"Content-Type": "application/json"}
     if endpoint.auth_token:
         headers["Authorization"] = f"Bearer {endpoint.auth_token}"
@@ -351,26 +345,22 @@ def call_http(
     }).encode("utf-8")
     start = time.monotonic()
     failure = "no attempt allowed"
-    try:
-        for attempt in range(1, endpoint.max_retries + 1):
-            try:
-                status, data = pool.post(body, headers)
-            except TRANSPORT_ERRORS as exc:
-                failure = f"{type(exc).__name__}: {exc}"
+    for attempt in range(1, endpoint.max_retries + 1):
+        try:
+            status, data = pool.post(body, headers)
+        except TRANSPORT_ERRORS as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        else:
+            if status in _RETRIED_4XX or status >= 500:
+                failure = f"HTTP {status}"
             else:
-                if status in _RETRIED_4XX or status >= 500:
-                    failure = f"HTTP {status}"
-                else:
-                    return SolverOutput(
-                        raw_text=_reply_text(endpoint.url, status, data),
-                        latency=time.monotonic() - start,
-                        attempt_count=attempt,
-                    )
-            if attempt < endpoint.max_retries:
-                time.sleep(endpoint.backoff_base * (2 ** (attempt - 1)))
-    finally:
-        if owned:
-            pool.close()
+                return SolverOutput(
+                    raw_text=_reply_text(endpoint.url, status, data),
+                    latency=time.monotonic() - start,
+                    attempt_count=attempt,
+                )
+        if attempt < endpoint.max_retries:
+            time.sleep(endpoint.backoff_base * (2 ** (attempt - 1)))
     raise SolverUnavailableError(
         f"{endpoint.url} failed after {endpoint.max_retries} attempts: {failure}"
     )

@@ -12,7 +12,9 @@ A :class:`TokenizedContext` keeps the tokens as parallel arrays, not as one
 object per token: ``texts`` (a list of strings) and the int64 arrays
 ``starts``, ``ends`` and ``omega``.  Every layer reads those arrays;
 :attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand for
-callers that want one record per token.
+callers that want one record per token.  The encoded source,
+:attr:`TokenizedContext.source_bytes`, is computed on first read and kept,
+so splicing markers or pruning encodes each context once.
 
 The default rule splits on whitespace and keeps each punctuation character
 as its own token: a token is either a maximal run of word characters
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +93,9 @@ class TokenizedContext:
             for text, start, end in zip(self.texts, self.starts.tolist(), self.ends.tolist())
         ]
 
-    @property
+    @cached_property
     def source_bytes(self) -> bytes:
+        """The UTF-8 encoding of ``source``, encoded on first read and kept."""
         return self.source.encode("utf-8")
 
 

@@ -59,7 +59,8 @@ from .policy import ScorerParams, build_idf_table, featurize, score
 from .rewards import RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
 from .solver import SolverOutput, parse_output
-from .tokenization import TokenizedContext, tokenize
+# unused here, but perfbench/run.py's install_tracing wraps trainer.tokenize
+from .tokenization import tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -307,26 +308,26 @@ class TrainResult:
 
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
-) -> tuple[ScorerParams, dict[str, float], list[TokenizedContext], list[np.ndarray]]:
+) -> tuple[ScorerParams, dict[str, float], list[np.ndarray]]:
     """Featurize the training split and freeze initialization state.
 
-    Contexts and features are returned as lists aligned with ``dataset``
-    (instance ids need not be unique).  Standardization statistics come from
-    the stacked training features; the bias starts at tau * logit(gamma) so
-    the initial expected highlight fraction sits on budget.
+    Contexts come from :attr:`Instance.tokens`, so they stay with the
+    instances after the run.  Features are returned as a list aligned with
+    ``dataset`` (instance ids need not be unique).  Standardization
+    statistics come from the stacked training features; the bias starts at
+    tau * logit(gamma) so the initial expected highlight fraction sits on
+    budget.
     """
-    # not inst.tokens: training's contexts live only as long as the run
-    contexts = [tokenize(inst.context) for inst in dataset]
-    idf_table = build_idf_table(contexts)
+    idf_table = build_idf_table([inst.tokens for inst in dataset])
     feats = [
-        featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
-        for inst, ctx in zip(dataset, contexts)
+        featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
+        for inst in dataset
     ]
     stacked = np.vstack(feats)
     if stacked.shape[0] == 0:
         raise ConfigError("training split contains no tokens")
     params = policy.init_params(stacked, tau=cfg.tau, init_prob=cfg.gamma)
-    return params, idf_table, contexts, feats
+    return params, idf_table, feats
 
 
 def episode(
@@ -352,7 +353,6 @@ def episode(
 
 def rollout_group(
     inst: Instance,
-    ctx: TokenizedContext,
     probs: np.ndarray,
     solver,
     cfg: TrainConfig,
@@ -361,12 +361,13 @@ def rollout_group(
     step: int,
     pool: ThreadPoolExecutor,
 ) -> tuple[GroupSample, int]:
-    """Sample G masks, query the solver concurrently on ``pool``, and
-    assemble the group.
+    """Sample G masks over ``inst.tokens``, query the solver concurrently
+    on ``pool``, and assemble the group.
 
     Returns the group plus the number of transport failures (each one is a
     zero-reward, flagged episode).
     """
+    ctx = inst.tokens
     budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
     prelim_masks, proj_masks, spans, emphasized = [], [], [], []
     for j in range(cfg.group_size):
@@ -439,7 +440,7 @@ def train(
         raise ConfigError("training dataset is empty")
     reward_spec = reward_spec or RewardSpec((("em", 1.0),))
     fmt = get_format(cfg.marker_format)
-    params, idf_table, contexts, feats = init_from_dataset(dataset, cfg)
+    params, idf_table, feats = init_from_dataset(dataset, cfg)
     opt = OptimizerState.zeros(params.dim)
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -458,10 +459,11 @@ def train(
     try:
         for step in range(cfg.steps):
             i = step % len(dataset)
-            inst, ctx, f = dataset[i], contexts[i], feats[i]
-            fwd = policy.forward(f, params)
+            inst = dataset[i]
+            ctx = inst.tokens
+            fwd = policy.forward(feats[i], params)
             group, failures = rollout_group(
-                inst, ctx, fwd.p, solver, cfg, fmt, reward_spec, step, pool
+                inst, fwd.p, solver, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
             params, terms = grad_step(group, fwd, params, opt, cfg, ctx.omega)
@@ -560,9 +562,9 @@ def evaluate(
     sweeps.
 
     Contexts come from :attr:`Instance.tokens`, computed once per instance
-    per process: repeated passes over the same instances (ablation variants,
-    sweep grid points) tokenize nothing again, and the tokens stay alive with
-    the instances (about 80 bytes per token).
+    per process: training on the same instances and repeated passes over
+    them (ablation variants, sweep grid points) tokenize nothing again, and
+    the tokens stay alive with the instances (about 80 bytes per token).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")

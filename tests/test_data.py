@@ -56,12 +56,12 @@ def test_round_trip_preserves_unknown_fields(tmp_path):
 
 
 def test_tokens_are_computed_once_per_instance(monkeypatch):
+    from hilite import trainer
     from hilite.solver import OracleSolver, OracleSolverConfig
-    from hilite.trainer import VARIANTS, TrainConfig, evaluate, init_from_dataset
+    from hilite.trainer import VARIANTS, TrainConfig, evaluate, train
 
     data = gen_dataset(3, target_tokens=150, seed=4, n_clusters=2, cluster_size=3)
-    cfg = TrainConfig(steps=0, seed=0)
-    params, idf_table, _, _ = init_from_dataset(data, cfg)
+    cfg = TrainConfig(steps=3, seed=0)
     seen = []
     original = tokenization.tokenize
 
@@ -69,21 +69,24 @@ def test_tokens_are_computed_once_per_instance(monkeypatch):
         seen.append(text)
         return original(text)
 
-    monkeypatch.setattr(tokenization, "tokenize", counting)
+    for module in (tokenization, trainer):
+        monkeypatch.setattr(module, "tokenize", counting)
     solver = OracleSolver(OracleSolverConfig())
-    reports = [evaluate(data, params, solver, cfg, idf_table, variant=variant)
+    result = train(data, solver, cfg)
+    reports = [evaluate(data, result.params, solver, cfg, result.idf_table, variant=variant)
                for variant in VARIANTS]
     assert len(reports) == 4
     assert seen == [inst.context for inst in data]
 
 
-def test_tokens_follow_a_reassigned_context():
+def test_instance_fields_cannot_be_reassigned():
     inst = Instance(id="a", query="q", context="one two", gold="g")
     assert inst.tokens.texts == ["one", "two"]
     assert inst.tokens is inst.tokens
-    inst.context = "three, four"
-    assert inst.tokens.texts == ["three", ",", "four"]
-    assert inst.tokens == tokenize("three, four")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.context = "three, four"
+    assert inst.context == "one two"
+    assert inst.tokens == tokenize("one two")
 
 
 def test_replaced_instance_tokenizes_afresh():
@@ -134,13 +137,24 @@ def test_malformed_json_reports_line_number(tmp_path):
     ('[1, 2]', "JSON object"),
     ('{"id": "a", "query": "q", "context": 5, "gold": "g"}', "'context' is not a string"),
     ('{"id": "a", "query": null, "context": "c", "gold": "g"}', "'query' is not a string"),
+    ('{"id": null, "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
+    ('{"id": true, "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
+    ('{"id": [1], "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
+    ('{"id": {}, "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
 ], ids=["span-not-int", "span-of-three", "spans-not-list", "span-out-of-bounds",
-        "string-line", "array-line", "context-not-string", "query-null"])
+        "string-line", "array-line", "context-not-string", "query-null",
+        "id-null", "id-bool", "id-list", "id-object"])
 def test_malformed_line_is_a_data_error_with_its_number(tmp_path, line, reason):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "a", "query": "q", "context": "c", "gold": "g"}\n' + line + "\n")
     with pytest.raises(DataError, match=rf"bad\.jsonl:2: .*{reason}"):
         load_jsonl(p)
+
+
+def test_integer_id_loads_as_its_decimal_string(tmp_path):
+    p = tmp_path / "ids.jsonl"
+    p.write_text('{"id": 7, "query": "q", "context": "c", "gold": "g"}\n')
+    assert [inst.id for inst in load_jsonl(p)] == ["7"]
 
 
 def test_missing_file_rejected(tmp_path):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,8 @@ def _endpoint(url, retries=3):
 def test_call_http_echo(scripted_server):
     url, handler = scripted_server
     handler.script.append((200, {"text": "<answer>canned</answer>"}))
-    out = call_http("prompt", _endpoint(url))
+    with closing(ConnectionPool(url, 5.0)) as pool:
+        out = call_http("prompt", _endpoint(url), pool)
     assert out.raw_text == "<answer>canned</answer>"
     assert out.attempt_count == 1
     assert handler.requests_seen[0]["prompt"] == "prompt"
@@ -187,8 +189,8 @@ def test_call_http_echo(scripted_server):
 def test_call_http_malformed_payload_is_protocol_error(scripted_server):
     url, handler = scripted_server
     handler.script.append((200, {"no_text": 1}))
-    with pytest.raises(ProtocolError):
-        call_http("p", _endpoint(url))
+    with closing(ConnectionPool(url, 5.0)) as pool, pytest.raises(ProtocolError):
+        call_http("p", _endpoint(url), pool)
 
 
 def test_call_http_retries_then_succeeds(scripted_server):
@@ -198,7 +200,8 @@ def test_call_http_retries_then_succeeds(scripted_server):
         (500, {"err": "boom"}),
         (200, {"text": "fine"}),
     ])
-    out = call_http("p", _endpoint(url, retries=3))
+    with closing(ConnectionPool(url, 5.0)) as pool:
+        out = call_http("p", _endpoint(url, retries=3), pool)
     assert out.raw_text == "fine"
     assert out.attempt_count == 3
 
@@ -206,23 +209,24 @@ def test_call_http_retries_then_succeeds(scripted_server):
 def test_call_http_exhausted_retries(scripted_server):
     url, handler = scripted_server
     handler.script.extend([(500, {}), (500, {}), (500, {})])
-    with pytest.raises(SolverUnavailableError):
-        call_http("p", _endpoint(url, retries=3))
+    with closing(ConnectionPool(url, 5.0)) as pool, pytest.raises(SolverUnavailableError):
+        call_http("p", _endpoint(url, retries=3), pool)
     assert len(handler.requests_seen) == 3  # retry budget respected
 
 
 def test_call_http_does_not_retry_a_client_error(scripted_server):
     url, handler = scripted_server
     handler.script.extend([(401, {"err": "unauthorized"}), (200, {"text": "late"})])
-    with pytest.raises(ProtocolError):
-        call_http("p", _endpoint(url, retries=3))
+    with closing(ConnectionPool(url, 5.0)) as pool, pytest.raises(ProtocolError):
+        call_http("p", _endpoint(url, retries=3), pool)
     assert len(handler.requests_seen) == 1
 
 
 def test_call_http_retries_too_many_requests(scripted_server):
     url, handler = scripted_server
     handler.script.extend([(429, {"err": "slow down"}), (200, {"text": "fine"})])
-    out = call_http("p", _endpoint(url, retries=3))
+    with closing(ConnectionPool(url, 5.0)) as pool:
+        out = call_http("p", _endpoint(url, retries=3), pool)
     assert out.raw_text == "fine"
     assert out.attempt_count == 2
 
@@ -290,8 +294,8 @@ def test_idle_connection_closed_by_server_is_resent_without_backoff(keepalive_se
 def test_non_json_reply_is_protocol_error_after_one_request(keepalive_server):
     url, server = keepalive_server
     server.script.append((b"not json", 8))
-    with pytest.raises(ProtocolError):
-        call_http("p", _endpoint(url, retries=3))
+    with closing(ConnectionPool(url, 5.0)) as pool, pytest.raises(ProtocolError):
+        call_http("p", _endpoint(url, retries=3), pool)
     assert server.requests == 1
 
 

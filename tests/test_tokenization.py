@@ -41,6 +41,12 @@ def test_offsets_are_byte_offsets_for_multibyte_text():
     assert ctx.tokens[1].char_start == 6  # "bar" starts after the 5-byte word + space
 
 
+def test_source_bytes_are_encoded_once_and_kept():
+    ctx = tokenize("café bar")
+    assert ctx.source_bytes is ctx.source_bytes
+    assert ctx.source_bytes == "café bar".encode("utf-8")
+
+
 def test_omega_defaults_to_all_tokens():
     ctx = tokenize("one two three")
     assert tuple(ctx.omega) == (0, 1, 2)

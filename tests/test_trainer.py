@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -496,7 +497,7 @@ def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
     from hilite.markup import DEFAULT_FORMAT, strip
 
     first, second = oracle_dataset(n=2)
-    second.id = first.id
+    second = dataclasses.replace(second, id=first.id)
     data = [first, second]
     seen = []
     original = trainer.rollout_group
@@ -516,7 +517,7 @@ def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
 
 def test_source_holding_a_marker_is_a_flagged_episode_not_crash():
     inst = oracle_dataset(n=1)[0]
-    inst.context += " see <end_important> here"
+    inst = dataclasses.replace(inst, context=inst.context + " see <end_important> here")
     solver = OracleSolver(OracleSolverConfig())
     cfg = TrainConfig(steps=3, seed=0, solver_failure_budget=0)
     result = train([inst], solver, cfg)  # flagged episodes are not failures
