@@ -109,9 +109,18 @@ def _budget_index(omega, k: int) -> np.ndarray:
 
 
 def _topk_indices(keys: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
-    # stable: sort by key descending, ties by lowest token index
-    order = np.lexsort((idx, -keys))
-    return idx[order[:k]]
+    # The k tokens of idx with the largest keys, ties by lowest token index,
+    # in no particular order (callers only build masks from them): every
+    # token keyed above the k-th largest key, then the lowest-indexed tokens
+    # keyed at it.  np.partition finds that key without sorting all of idx.
+    if k == 0:
+        return idx[:0]
+    if k == idx.size:
+        return idx
+    kth = np.partition(keys, idx.size - k)[idx.size - k]
+    above = idx[keys > kth]
+    tied = np.sort(idx[keys == kth])
+    return np.concatenate((above, tied[: k - above.size]))
 
 
 def sample_bernoulli(probs: np.ndarray, omega, rng) -> Mask:

@@ -425,12 +425,16 @@ def _interval_array(pairs) -> np.ndarray:
 
 def evidence_coverage(
     emphasized_context: str,
-    original_context: str,
+    original_context: bytes,
     evidence_spans: list[tuple[int, int]],
     fmt: MarkerFormat,
 ) -> tuple[float, bool]:
     """Fraction of gold-evidence bytes enclosed by marker pairs, plus whether
     any non-evidence context byte is present in the input.
+
+    ``original_context`` is the UTF-8 encoding of the unmarked context,
+    which the caller keeps (``Instance.tokens.source_bytes``), so it is not
+    encoded again on every call.
 
     When stripping the markers reproduces the original context exactly, the
     enclosed regions map one-to-one onto original byte offsets and coverage
@@ -444,24 +448,22 @@ def evidence_coverage(
     altered the context (pruning, rewriting) cannot be localized, so their
     tagged regions count evidence only by exact substring containment.
     """
-    data = emphasized_context.encode("utf-8")
-    original = original_context.encode("utf-8")
-    stripped, regions = scan_markers(data, fmt)
+    stripped, regions = scan_markers(emphasized_context.encode("utf-8"), fmt)
     total = sum(end - start for start, end in evidence_spans)
     if total == 0:
         return 0.0, len(stripped) > 0
-    if stripped == original:
+    if stripped == original_context:
         ev, tagged = _interval_array(evidence_spans), _interval_array(regions)
         overlap = (np.minimum.outer(ev[:, 1], tagged[:, 1])
                    - np.maximum.outer(ev[:, 0], tagged[:, 0]))
         covered = int(np.maximum(overlap, 0).sum())
-        return covered / total, len(original) > total
+        return covered / total, len(original_context) > total
     # destructive input: credit evidence spans whose bytes survived verbatim
     # inside some enclosed region
     covered = 0
     found = 0
     for es, ee in evidence_spans:
-        chunk = original[es:ee]
+        chunk = original_context[es:ee]
         if any(chunk in stripped[ms:me] for ms, me in regions):
             covered += ee - es
         if chunk in stripped:
@@ -485,7 +487,8 @@ def oracle_solve(
     parses as a flagged zero-reward episode."""
     try:
         coverage, has_connective = evidence_coverage(
-            emphasized_context, instance.context, instance.evidence_spans or [], fmt
+            emphasized_context, instance.tokens.source_bytes,
+            instance.evidence_spans or [], fmt
         )
     except IntegrityError as exc:
         return SolverOutput(raw_text=f"unreadable emphasis markers: {exc}")

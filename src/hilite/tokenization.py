@@ -19,7 +19,15 @@ so splicing markers or pruning encodes each context once.
 The default rule splits on whitespace and keeps each punctuation character
 as its own token: a token is either a maximal run of word characters
 (Unicode letters, digits, underscore) or a single non-word, non-space
-character.  Any tokenizer producing the same (text, byte range) contract can
+character.  Word and space mean what ``re``'s ``\\w`` and ``\\s`` mean for
+``str`` patterns.  :func:`tokenize` applies the rule to arrays: it
+classifies every code point once, looking ASCII code points up in a
+128-entry table built at import from those two regex classes and the rest
+with ``np.char.isalnum``/``np.char.isspace`` (the same Unicode predicates
+``re`` uses), then finds token starts and ends with shifted boolean arrays.
+:func:`count_tokens` keeps the regex: it runs on single sentences while
+needles are generated, where numpy's fixed per-call cost would outweigh
+the scan.  Any tokenizer producing the same (text, byte range) contract can
 be substituted; this one is the reference used by the test suite.
 """
 
@@ -33,8 +41,17 @@ import numpy as np
 
 from .errors import RangeBoundsError
 
-# capturing, so that re.split returns alternating gap / token pieces
-_TOKEN_SPLIT_RE = re.compile(r"(\w+|[^\w\s])", re.UNICODE)
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def _ascii_table(pattern: str) -> np.ndarray:
+    """Whether each ASCII code point matches the one-character ``pattern``."""
+    rx = re.compile(pattern)
+    return np.array([rx.match(chr(c)) is not None for c in range(0x80)])
+
+
+_ASCII_WORD = _ascii_table(r"\w")
+_ASCII_SPACE = _ascii_table(r"\s")
 
 
 @dataclass(frozen=True)
@@ -99,38 +116,54 @@ class TokenizedContext:
         return self.source.encode("utf-8")
 
 
-def _utf8_offsets(text: str) -> np.ndarray:
-    """Byte offset of every character position 0..len(text): the cumulative
-    UTF-8 width of the code points."""
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    offsets = np.zeros(cp.size + 1, dtype=np.int64)
-    np.cumsum(1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000), out=offsets[1:])
-    return offsets
+def _char_classes(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(word, space) flags of the code points ``cp``: ASCII ones from the
+    tables, the rest from numpy's Unicode predicates (``\\w`` is
+    alphanumeric or underscore, and underscore is ASCII)."""
+    narrow = np.minimum(cp, 0x7F)
+    word, space = _ASCII_WORD[narrow], _ASCII_SPACE[narrow]
+    wide = np.flatnonzero(cp >= 0x80)
+    if wide.size:
+        chars = cp[wide].view("<U1")
+        word[wide] = np.char.isalnum(chars)
+        space[wide] = np.char.isspace(chars)
+    return word, space
 
 
 def tokenize(text: str) -> TokenizedContext:
     """Split ``text`` into offset-annotated tokens.
 
-    Pure and deterministic; empty input yields zero tokens.  Offsets are
-    byte offsets even though the regex runs over the decoded string, so the
-    invariant ``source_bytes[starts[i]:ends[i]].decode() == texts[i]`` holds
-    for arbitrary Unicode input.
+    Pure and deterministic; empty input yields zero tokens.  The code points
+    are classified once as word, space or other.  A token starts at every
+    non-space character that does not continue a run of word characters,
+    and ends at every non-space character that the next one does not
+    continue.  Character offsets become byte offsets through a cumulative
+    sum of the code points' UTF-8 widths, so the invariant
+    ``source_bytes[starts[i]:ends[i]].decode() == texts[i]`` holds for
+    arbitrary Unicode input.
     """
-    pieces = _TOKEN_SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
-    bounds = np.zeros(len(pieces) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces)),
-              out=bounds[1:])
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    word, space = _char_classes(cp)
+    joined = word[1:] & word[:-1]  # character i + 1 continues character i's word
+    is_start, is_end = ~space, ~space
+    is_start[1:] &= ~joined
+    is_end[:-1] &= ~joined
+    starts = np.flatnonzero(is_start)
+    ends = np.flatnonzero(is_end) + 1
+    texts = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
     if not text.isascii():
-        bounds = _utf8_offsets(text)[bounds]
-    return TokenizedContext(
-        source=text, texts=pieces[1::2], starts=bounds[1:-1:2], ends=bounds[2::2]
-    )
+        offsets = np.zeros(cp.size + 1, dtype=np.int64)
+        # uint8 widths: adding bools to uint8 counts them, in 1/8 of int64's memory
+        widths = 1 + (cp >= 0x80).view(np.uint8) + (cp >= 0x800) + (cp >= 0x10000)
+        np.cumsum(widths, dtype=np.int64, out=offsets[1:])
+        starts, ends = offsets[starts], offsets[ends]
+    return TokenizedContext(source=text, texts=texts, starts=starts, ends=ends)
 
 
 def count_tokens(text: str) -> int:
     """``len(tokenize(text))``, found with the same rule but without
     computing offsets or building a context."""
-    return len(_TOKEN_SPLIT_RE.findall(text))
+    return len(_TOKEN_RE.findall(text))
 
 
 def tokens_touching(ctx: TokenizedContext, byte_ranges) -> np.ndarray:

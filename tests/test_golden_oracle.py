@@ -101,7 +101,7 @@ def golden_oracle() -> dict:
                     stripped, regions = scan_markers(emphasized.encode("utf-8"), fmt)
                     scans.append([hashlib.sha256(stripped).hexdigest(), regions])
                     for given in (emphasized, pruned):
-                        coverages.append(list(evidence_coverage(given, text, evidence, fmt)))
+                        coverages.append(list(evidence_coverage(given, ctx.source_bytes, evidence, fmt)))
         out[name] = {
             "formats": [f.name for f in formats],
             "spans_per_mask": n_spans,

@@ -9,6 +9,7 @@ from hilite.selection import (
     GUMBEL_FLOOR,
     Budget,
     SamplerKind,
+    _topk_indices,
     project_k,
     random_mask,
     rng_stream,
@@ -140,6 +141,34 @@ def test_topk_tie_break():
     s = scores_of([0.2, 0.9, 0.9, 0.1])
     out = topk(s, range(4), 2)
     assert set(np.flatnonzero(out).tolist()) == {1, 2}
+
+
+def lexsort_topk(keys, idx, k):
+    """The full sort that _topk_indices replaced, kept as the reference:
+    key descending, ties by lowest token index."""
+    return idx[np.lexsort((idx, -keys))[:k]]
+
+
+@st.composite
+def topk_cases(draw):
+    """(keys, idx, k): keys from 3-5 shared values so that ties are heavy,
+    token indices unsorted, and k often at an edge (0, 1, n - 1, n)."""
+    n = draw(st.integers(0, 60))
+    levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=5, unique=True))
+    keys = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    idx = np.array(draw(st.lists(st.integers(0, 200), min_size=n, max_size=n, unique=True)),
+                   dtype=np.int64)
+    edges = [k for k in (0, 1, n - 1, n) if 0 <= k <= n]
+    k = draw(st.sampled_from(edges) | st.integers(0, n))
+    return keys, idx, k
+
+
+@given(topk_cases())
+@settings(max_examples=500, deadline=None)
+def test_topk_indices_match_the_lexsort_reference(case):
+    keys, idx, k = case
+    got = _topk_indices(keys, idx, k)
+    assert np.array_equal(np.sort(got), np.sort(lexsort_topk(keys, idx, k)))
 
 
 def test_topk_budget_error():

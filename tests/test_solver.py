@@ -461,7 +461,7 @@ def test_evidence_coverage_destructive_input():
     # tagged but pruned-down input: evidence text enclosed, context removed
     emphasized = "<start_important>e4 e5 e6<end_important>"
     coverage, connective = evidence_coverage(
-        emphasized, inst.context, inst.evidence_spans, DEFAULT_FORMAT
+        emphasized, inst.context.encode("utf-8"), inst.evidence_spans, DEFAULT_FORMAT
     )
     assert coverage == 1.0
     assert not connective
@@ -515,7 +515,7 @@ def test_evidence_coverage_matches_nested_loop(case):
         cursor = end
     emphasized = "".join(pieces) + context[cursor:]
     total = sum(end - start for start, end in evidence)
-    coverage, connective = evidence_coverage(emphasized, context, evidence, fmt)
+    coverage, connective = evidence_coverage(emphasized, context.encode("utf-8"), evidence, fmt)
     if total == 0:
         assert (coverage, connective) == (0.0, n_bytes > 0)
     else:

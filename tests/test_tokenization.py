@@ -1,11 +1,20 @@
 import dataclasses
+import re
+import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilite.errors import RangeBoundsError
-from hilite.tokenization import count_tokens, restrict_omega, tokenize, tokens_touching
+from hilite.tokenization import (
+    _char_classes,
+    count_tokens,
+    restrict_omega,
+    tokenize,
+    tokens_touching,
+)
 
 
 def test_empty_text_yields_zero_tokens():
@@ -79,6 +88,47 @@ def test_round_trip_and_monotonicity(text):
         cursor = tok.char_end
     pieces.append(raw[cursor:])
     assert b"".join(pieces) == raw
+
+
+def test_char_classes_equal_re_classes_on_every_code_point():
+    # every code point but the surrogates, which no str can encode
+    cp = np.concatenate((np.arange(0xD800), np.arange(0xE000, 0x110000))).astype("<u4")
+    text = cp.tobytes().decode("utf-32-le")
+    word, space = _char_classes(cp)
+    for got, pattern in ((word, r"\w"), (space, r"\s")):
+        want = np.zeros(cp.size, dtype=bool)
+        for m in re.finditer(pattern + "+", text):
+            want[m.start() : m.end()] = True
+        assert np.array_equal(got, want), pattern
+
+
+_SPLIT_RE = re.compile(r"(\w+|[^\w\s])")
+
+
+def reference_tokenize(text):
+    """The regex split that tokenize replaced, kept as the reference:
+    (texts, byte starts, byte ends)."""
+    pieces = _SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
+    bounds = np.cumsum([0] + [len(piece.encode("utf-8")) for piece in pieces])
+    return pieces[1::2], bounds[1:-1:2], bounds[2::2]
+
+
+# code points where Unicode's and ASCII's idea of word and space part ways
+EDGE_TEXTS = st.text(
+    alphabet="\x1c\x1d\x1e\x1f\x85\xa0\u200b\u3000_٠²Ⅻ𝔘\x00. "
+    + string.ascii_letters + string.digits,
+    max_size=80,
+)
+
+
+@given(EDGE_TEXTS | st.text(alphabet=string.printable, max_size=80) | TEXTS)
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_the_regex_split(text):
+    texts, starts, ends = reference_tokenize(text)
+    ctx = tokenize(text)
+    assert ctx.texts == texts
+    assert ctx.starts.tolist() == starts.tolist()
+    assert ctx.ends.tolist() == ends.tolist()
 
 
 @given(TEXTS)
