@@ -1,8 +1,10 @@
 """Operator surface: train | highlight | eval | sweep | gen-synth.
 
 Runs are driven by a flat JSON config file mirroring the run options;
-command-line flags override file values.  Exit codes: 0 success, 2 config
-error, 3 solver unavailable, 4 data error.
+command-line flags override file values.  A file may hold TrainConfig's
+fields and the keys of :data:`RUN_KEYS`, nothing else; train, eval and
+sweep accept the same keys.  Exit codes: 0 success, 2 config error, 3
+solver unavailable, 4 data error.
 
 Solver backends are selected by the ``solver`` key: "oracle" (the
 deterministic coverage fixture; needs gold evidence spans) or "http" (a
@@ -71,7 +73,37 @@ def handle_errors(fn):
     return wrapper
 
 
+def _exactly(kind: type):
+    """Converter that passes values of ``kind`` and rejects the rest."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+    return check
+
+
+# config keys read beyond TrainConfig's fields -> converter of the file value
+RUN_KEYS = {
+    "dataset": _exactly(str),
+    "output_dir": _exactly(str),
+    "solver": _exactly(str),
+    "coverage_threshold": float,
+    "require_connective": _exactly(bool),
+    "endpoint": _exactly(str),
+    "auth_token": _exactly(str),
+    "timeout": float,
+    "max_retries": int,
+    "max_tokens": int,
+    "temperature": float,
+    "template": _exactly(str),
+    "reward_terms": _exactly(str),
+    "reward_k": int,
+}
+
+
 def load_config(path: str | None) -> dict:
+    """The config file's options, run keys converted.  Any key that is
+    neither a TrainConfig field nor a run key is a ConfigError."""
     if path is None:
         return {}
     p = Path(path)
@@ -83,6 +115,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
+    for key, value in cfg.items():
+        if key in RUN_KEYS:
+            try:
+                cfg[key] = RUN_KEYS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"config key {key!r} in {path}: bad value {value!r} ({exc})"
+                ) from None
+        elif key not in TrainConfig.__dataclass_fields__:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
     return cfg
 
 
@@ -99,13 +141,17 @@ def build_train_config(options: dict) -> TrainConfig:
         raise ConfigError(f"invalid training configuration: {exc}") from exc
 
 
+def _given(options: dict, *keys: str) -> dict:
+    """The options among ``keys`` that are set; the rest keep their
+    dataclass defaults."""
+    return {key: options[key] for key in keys if key in options}
+
+
 def build_solver(options: dict, cfg: TrainConfig):
     kind = options.get("solver", "oracle")
     if kind == "oracle":
         oracle_cfg = OracleSolverConfig(
-            coverage_threshold=float(options.get("coverage_threshold", 0.8)),
-            require_connective=bool(options.get("require_connective", False)),
-        )
+            **_given(options, "coverage_threshold", "require_connective"))
         return OracleSolver(oracle_cfg, get_format(cfg.marker_format))
     if kind == "http":
         url = options.get("endpoint") or os.environ.get("HILITE_ENDPOINT", "")
@@ -115,10 +161,7 @@ def build_solver(options: dict, cfg: TrainConfig):
             url=url,
             auth_token=options.get("auth_token")
             or os.environ.get("HILITE_AUTH_TOKEN", ""),
-            timeout=float(options.get("timeout", 30.0)),
-            max_retries=int(options.get("max_retries", 3)),
-            max_tokens=int(options.get("max_tokens", 256)),
-            temperature=float(options.get("temperature", 0.0)),
+            **_given(options, "timeout", "max_retries", "max_tokens", "temperature"),
         )
         template_name = options.get("template", "qa")
         if template_name not in TEMPLATES:
@@ -128,9 +171,7 @@ def build_solver(options: dict, cfg: TrainConfig):
 
 
 def build_reward_spec(options: dict) -> RewardSpec:
-    text = options.get("reward_terms", "em:1.0")
-    k = int(options.get("reward_k", 10))
-    return RewardSpec.parse(text, k=k)
+    return RewardSpec.parse(options.get("reward_terms", "em:1.0"), k=options.get("reward_k", 10))
 
 
 @click.group()

@@ -3,7 +3,7 @@
 The JSONL instance schema is the single interchange format:
 
     {"id": str|int, "query": str, "context": str, "gold": str|int,
-     "evidence_spans": [[start, end], ...]?,            # byte offsets
+     "evidence_spans": [[start, end], ...]?,            # integer byte offsets
      "candidates": [{"id": int, "title": str, ...}]?}
 
 An integer id loads as its decimal string; any other non-string id is
@@ -103,12 +103,17 @@ class Instance:
     @classmethod
     def from_record(cls, record: dict) -> "Instance":
         spans = record.get("evidence_spans")
+        if spans is not None:
+            spans = [(start, end) for start, end in spans]
+            for pair in spans:
+                if not all(type(v) is int for v in pair):  # bool is no offset
+                    raise DataError(f"evidence_spans entry {list(pair)} is not two integers")
         return cls(
             id=str(record["id"]),
             query=record["query"],
             context=record["context"],
             gold=record["gold"],
-            evidence_spans=[(int(s), int(e)) for s, e in spans] if spans is not None else None,
+            evidence_spans=spans,
             candidates=record.get("candidates"),
             extra={k: v for k, v in record.items() if k not in _KNOWN_FIELDS},
         )
@@ -143,7 +148,7 @@ def load_jsonl(path: str | Path) -> list[Instance]:
                 instances.append(Instance.from_record(record))
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            except (TypeError, ValueError) as exc:  # only evidence_spans is converted
+            except (TypeError, ValueError) as exc:  # only evidence_spans is unpacked
                 raise DataError(f"{path}:{lineno}: malformed evidence_spans: {exc}") from exc
     return instances
 
@@ -184,23 +189,21 @@ _FILLERS = (
 _CONSONANTS = "b c d f g l m n p r s t v z br cl dr gr pl st tr".split()
 _VOWELS = "a e i o u ai ea io ou".split()
 
-DEFAULT_NEEDLE_TEMPLATE = "Dossier {clusters} holds access code {value}."
+NEEDLE_TEMPLATE = "Dossier {clusters} holds access code {value}."
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Knobs for one synthetic instance.
 
-    ``target_tokens`` is the total context length; ``n_distractors`` fixes
-    the distractor sentence count when set, otherwise the generator fills up
-    to the target.  The needle template frames the evidence sentence; the
+    ``target_tokens`` is the total context length: the generator adds
+    distractor sentences while they fit, then single filler words up to the
+    exact count.  :data:`NEEDLE_TEMPLATE` frames the evidence sentence; the
     cluster knobs control how many codeword groups it carries and how far
     apart they sit, which sets the evidence density.
     """
 
     target_tokens: int = 2000
-    n_distractors: int | None = None
-    needle_template: str = DEFAULT_NEEDLE_TEMPLATE
     seed: int = 0
     n_clusters: int = 6
     cluster_size: int = 5
@@ -255,7 +258,7 @@ def gen_needle(spec: SynthSpec) -> Instance:
             ]
             cluster_block_parts.append("beneath the " + " ".join(fill))
     cluster_block = " ".join(cluster_block_parts)
-    needle = spec.needle_template.format(clusters=cluster_block, value=value)
+    needle = NEEDLE_TEMPLATE.format(clusters=cluster_block, value=value)
     query = (
         "Report the access code for dossier "
         + " ".join(word for cluster in clusters for word in cluster)
@@ -269,26 +272,19 @@ def gen_needle(spec: SynthSpec) -> Instance:
         )
     sentences: list[str] = []
     count = needle_tokens
-    if spec.n_distractors is not None:
-        for _ in range(spec.n_distractors):
-            s = _distractor_sentence(rng)
-            sentences.append(s)
-            count += count_tokens(s)
-    else:
-        while True:
-            s = _distractor_sentence(rng)
-            c = count_tokens(s)
-            if count + c > spec.target_tokens:
-                break
-            sentences.append(s)
-            count += c
+    while True:
+        s = _distractor_sentence(rng)
+        c = count_tokens(s)
+        if count + c > spec.target_tokens:
+            break
+        sentences.append(s)
+        count += c
     position = int(rng.integers(0, len(sentences) + 1))
     sentences.insert(position, needle)
     # single-word padding lands the token count exactly on target
-    if spec.n_distractors is None:
-        while count < spec.target_tokens:
-            sentences.append(_FILLERS[rng.integers(len(_FILLERS))])
-            count += 1
+    while count < spec.target_tokens:
+        sentences.append(_FILLERS[rng.integers(len(_FILLERS))])
+        count += 1
     context = " ".join(sentences)
 
     context_bytes = context.encode("utf-8")
@@ -341,15 +337,6 @@ class CoVisGraph:
 
     def neighbors(self, item) -> list[tuple[object, int]]:
         return self.adjacency.get(item, [])
-
-    def count(self, a, b) -> int:
-        for neighbor, c in self.adjacency.get(a, []):
-            if neighbor == b:
-                return c
-        return 0
-
-    def total_weight(self) -> int:
-        return sum(c for pairs in self.adjacency.values() for _, c in pairs)
 
 
 def build_covis(histories: list[list], window: int) -> CoVisGraph:
@@ -428,13 +415,6 @@ def candidates(
 # ---------------------------------------------------------------------------
 # Evidence overlap
 # ---------------------------------------------------------------------------
-
-
-def gold_token_indices(
-    ctx: TokenizedContext, gold_spans: list[tuple[int, int]]
-) -> set[int]:
-    """Indices of tokens whose byte range intersects any gold span."""
-    return set(np.flatnonzero(tokens_touching(ctx, gold_spans)).tolist())
 
 
 def evidence_overlap(

@@ -102,15 +102,6 @@ def coalesce(mask: Mask, ctx: TokenizedContext, delta: int) -> Spans:
     return spans
 
 
-def spans_to_mask(spans: Spans, n_tokens: int) -> Mask:
-    """Indicator mask of every token covered by the spans (bridged tokens
-    included): +1 at each first token, -1 after each last, a running sum."""
-    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
-    edges = (np.bincount(spans[:, 0], minlength=n_tokens + 1)
-             - np.bincount(spans[:, 1] + 1, minlength=n_tokens + 1))
-    return (np.cumsum(edges[:n_tokens]) > 0).astype(np.uint8)
-
-
 def byte_ranges(ctx: TokenizedContext, spans: Spans) -> list[tuple[int, int]]:
     """Half-open byte range ``(starts[first], ends[last])`` of every span.
 

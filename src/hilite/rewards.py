@@ -148,7 +148,10 @@ class RewardSpec:
         terms = []
         for chunk in text.split(","):
             name, _, weight = chunk.strip().partition(":")
-            terms.append((name.strip(), float(weight) if weight else 1.0))
+            try:
+                terms.append((name.strip(), float(weight) if weight else 1.0))
+            except ValueError:
+                raise ConfigError(f"reward term {chunk.strip()!r}: weight is not a number") from None
         return cls(terms=tuple(terms), k=k)
 
 

@@ -401,6 +401,9 @@ class HTTPSolver:
 # Deterministic in-process solvers
 # ---------------------------------------------------------------------------
 
+# the oracle's reply when tagged coverage falls short
+ORACLE_WRONG_ANSWER = "unknown"
+
 
 @dataclass(frozen=True)
 class OracleSolverConfig:
@@ -408,11 +411,10 @@ class OracleSolverConfig:
 
     coverage_threshold: float = 0.8
     require_connective: bool = False
-    distractor_answer: str = "unknown"
 
     def __post_init__(self):
         if not 0.0 <= self.coverage_threshold <= 1.0:
-            raise ValueError("coverage_threshold must lie in [0, 1]")
+            raise ConfigError("coverage_threshold must lie in [0, 1]")
 
 
 def _interval_array(pairs) -> np.ndarray:
@@ -495,7 +497,7 @@ def oracle_solve(
     correct = coverage >= cfg.coverage_threshold
     if cfg.require_connective:
         correct = correct and has_connective
-    answer = str(instance.gold) if correct else cfg.distractor_answer
+    answer = str(instance.gold) if correct else ORACLE_WRONG_ANSWER
     return SolverOutput(raw_text=f"<answer>{answer}</answer>", parsed=None)
 
 

@@ -67,9 +67,27 @@ log = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 1
 
 
+# AdamW moment decay rates and the epsilon of its update's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# added to the group's reward standard deviation in :func:`advantages`
+ADVANTAGE_EPS = 1e-8
+# :func:`evaluate` counts a token as predicted evidence at p >= this
+EVIDENCE_THRESHOLD = 0.5
+# :func:`evaluate` joins the span texts of the "pruned" variant with this
+PRUNE_JOINER = " ... "
+
+
 @dataclass
 class TrainConfig:
-    """Hyperparameters for grouped policy-gradient training."""
+    """Hyperparameters for grouped policy-gradient training.
+
+    The paper's (G, gamma, delta, lambda_len, beta_ent, tau, and AdamW's
+    learning rate and weight decay) plus run settings; values that no run
+    varies are module constants.  :meth:`from_dict` ignores unknown keys, so
+    checkpoints that still carry retired fields load.
+    """
 
     group_size: int = 4
     gamma: float = 0.15
@@ -84,13 +102,7 @@ class TrainConfig:
     marker_format: str = "default"
     tau: float = 1.0
     idf_ceiling: float = 6.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    advantage_eps: float = 1e-8
     solver_failure_budget: int = 10
-    eval_threshold: float = 0.5
-    prune_joiner: str = " ... "
 
     def __post_init__(self):
         if self.group_size < 2:
@@ -181,7 +193,7 @@ class OptimizerState:
         )
 
 
-def advantages(rewards, epsilon: float = 1e-8) -> np.ndarray:
+def advantages(rewards) -> np.ndarray:
     """Group-normalized advantages with population standard deviation.
 
     All-equal rewards give exactly zero advantages (0 / (0 + eps)).
@@ -191,7 +203,7 @@ def advantages(rewards, epsilon: float = 1e-8) -> np.ndarray:
         raise ConfigError("advantage normalization needs a group of >= 2")
     if np.all(r == r[0]):  # exact zeros, not fp residue of mean subtraction
         return np.zeros_like(r)
-    return (r - r.mean()) / (r.std() + epsilon)
+    return (r - r.mean()) / (r.std() + ADVANTAGE_EPS)
 
 
 @dataclass
@@ -273,7 +285,7 @@ def grad_step(
     if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
         return params, terms
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.step += 1
     t = opt.step
     opt.m_w = b1 * opt.m_w + (1 - b1) * grad_w
@@ -385,7 +397,7 @@ def rollout_group(
     rewards = np.array(rewards, dtype=np.float64)
     failures = outputs.count(None)
 
-    adv = advantages(rewards, cfg.advantage_eps)
+    adv = advantages(rewards)
     log_probs = np.array(
         [policy.log_prob(m, probs, ctx.omega) for m in prelim_masks]
     )
@@ -552,7 +564,7 @@ def evaluate(
     |ω|), mean covered fraction (tokens inside the coalesced spans, bridged
     ones included, over all tokens) and span count, the solver's attempts
     (summed) and reply latency (p50/p99, ms), and (when gold spans exist)
-    evidence precision/recall/F1 at the configured threshold.
+    evidence precision/recall/F1 at ``EVIDENCE_THRESHOLD``.
 
     Variants: "hilite" injects markers around the top-k spans, "random"
     does the same for a seeded random mask of equal budget, "pruned" feeds
@@ -598,7 +610,7 @@ def evaluate(
             fractions.append(0.0)
             spans = spans[:0]  # the solver sees no span
         elif variant == "pruned":
-            emphasized = markup.prune(ctx, spans, cfg.prune_joiner)
+            emphasized = markup.prune(ctx, spans, PRUNE_JOINER)
             fractions.append(mask.sum() / max(1, len(ctx.omega)))
         else:
             emphasized = markup.inject(ctx, spans, fmt)
@@ -612,7 +624,7 @@ def evaluate(
 
         if inst.evidence_spans:
             overlaps.append(
-                evidence_overlap(probs, cfg.eval_threshold, inst.evidence_spans, ctx)
+                evidence_overlap(probs, EVIDENCE_THRESHOLD, inst.evidence_spans, ctx)
             )
 
     attempts, latencies_ms = solver_usage(outputs)

@@ -1,4 +1,5 @@
-"""Shared fixtures: scriptable local HTTP endpoints and tiny datasets."""
+"""Shared fixtures: scriptable local HTTP endpoints, tiny datasets, and
+reference helpers that several test modules check the program against."""
 
 from __future__ import annotations
 
@@ -6,9 +7,11 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from hilite.data import Instance
+from hilite.tokenization import tokens_touching
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -134,3 +137,17 @@ def make_instance(
         gold=gold,
         evidence_spans=evidence_spans,
     )
+
+
+def spans_to_mask(spans, n_tokens: int) -> np.ndarray:
+    """Indicator mask of every token covered by the inclusive token spans
+    (bridged tokens included)."""
+    mask = np.zeros(n_tokens, dtype=np.uint8)
+    for first, last in spans:
+        mask[first : last + 1] = 1
+    return mask
+
+
+def gold_token_indices(ctx, gold_spans) -> set[int]:
+    """Indices of tokens whose byte range intersects any gold span."""
+    return set(np.flatnonzero(tokens_touching(ctx, gold_spans)).tolist())

@@ -87,6 +87,64 @@ def test_train_bad_config_file_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("options", [
+    {"reward_terms": "em:x"},
+    {"reward_k": "ten"},
+    {"coverage_threshold": "abc"},
+    {"coverage_threshold": 2},
+    {"solver": "http", "endpoint": "http://127.0.0.1:9/", "timeout": "x"},
+    {"require_connective": "false"},
+], ids=["reward-weight", "reward-k", "threshold-text", "threshold-range", "http-timeout",
+        "connective-text"])
+def test_train_bad_config_value_exits_2(runner, oracle_run, options):
+    dataset, _, tmp_path = oracle_run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(dataset),
+                                  "--out", str(tmp_path / "bad"), "--steps", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.output.startswith("error: ")
+
+
+def command_args(command, dataset, checkpoint, tmp_path):
+    if command == "train":
+        return ["train", "--dataset", str(dataset), "--out", str(tmp_path / "run2")]
+    args = [command, "--checkpoint", str(checkpoint), "--dataset", str(dataset)]
+    if command == "sweep":
+        args += ["--axis", "budget", "--grid", "0.1", "--out", str(tmp_path / "s.csv")]
+    return args
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+@pytest.mark.parametrize("key", ["stpes", "adam_beta1"])
+def test_unknown_config_key_exits_2_and_names_it(runner, oracle_run, command, key):
+    dataset, checkpoint, tmp_path = oracle_run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 1, key: 1}))
+    result = runner.invoke(main, [*command_args(command, dataset, checkpoint, tmp_path),
+                                  "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"unknown config key {key!r}" in result.output
+    assert not (tmp_path / "run2").exists() and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_one_config_file_serves_train_eval_and_sweep(runner, oracle_run, command):
+    dataset, checkpoint, tmp_path = oracle_run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": str(dataset), "output_dir": str(tmp_path / "run2"), "steps": 2,
+        "seed": 4, "gamma": 0.2, "solver": "oracle", "coverage_threshold": 0.7,
+        "require_connective": False, "template": "qa", "reward_terms": "em:0.5,f1:0.5",
+        "reward_k": 5, "timeout": 1.0, "max_retries": 1, "max_tokens": 16,
+        "temperature": 0.0, "auth_token": "", "endpoint": "http://127.0.0.1:9/",
+    }))
+    result = runner.invoke(main, [*command_args(command, dataset, checkpoint, tmp_path),
+                                  "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+
+
 def test_unreachable_solver_exits_3(runner, tmp_path):
     data = gen_dataset(2, target_tokens=120, seed=0, n_clusters=2,
                        cluster_size=3, filler_gap=2)

@@ -24,8 +24,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gold_token_indices
 from hilite import trainer
-from hilite.data import SynthSpec, gen_dataset, gen_needle, gold_token_indices
+from hilite.data import SynthSpec, gen_dataset, gen_needle
 from hilite.markup import DEFAULT_FORMAT, coalesce, inject, prune
 from hilite.policy import ScorerParams, build_idf_table, featurize, init_params, score
 from hilite.selection import Budget, random_mask, topk

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spans_to_mask
 from hilite.data import SynthSpec, gen_needle
 from hilite.errors import BudgetError, IntegrityError, StructureError
 from hilite.markup import (
@@ -15,7 +16,6 @@ from hilite.markup import (
     inject,
     prune,
     scan_markers,
-    spans_to_mask,
     strip,
 )
 from hilite.selection import random_mask
@@ -103,32 +103,6 @@ def test_coalesce_properties(bits, delta):
     assert [tuple(s) for s in again.tolist()] == [
         tuple(s) for s in spans.tolist()
     ]
-
-
-def reference_spans_to_mask(spans, n_tokens):
-    mask = np.zeros(n_tokens, dtype=np.uint8)
-    for first, last in spans:
-        mask[first : last + 1] = 1
-    return mask
-
-
-@st.composite
-def spans_in_range(draw):
-    n_tokens = draw(st.integers(0, 30))
-    if n_tokens == 0:
-        return 0, []
-    ends = st.tuples(st.integers(0, n_tokens - 1), st.integers(0, n_tokens - 1))
-    return n_tokens, [tuple(sorted(pair)) for pair in draw(st.lists(ends, max_size=8))]
-
-
-@given(spans_in_range())
-@settings(max_examples=300, deadline=None)
-def test_spans_to_mask_matches_per_span_loop(case):
-    n_tokens, spans = case
-    got = spans_to_mask(np.asarray(spans, dtype=np.int64).reshape(-1, 2), n_tokens)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, reference_spans_to_mask(spans, n_tokens))
-    assert np.array_equal(spans_to_mask(spans, n_tokens), got)
 
 
 # ---------------------------------------------------------------------------

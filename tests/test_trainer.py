@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import gold_token_indices, make_instance, spans_to_mask
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
 from hilite.policy import Forward, ScorerParams, forward, score
@@ -92,7 +92,7 @@ def test_advantages_zero_variance_is_exactly_zero():
 
 
 def test_advantages_pair():
-    adv = advantages([1.0, 0.0], epsilon=1e-8)
+    adv = advantages([1.0, 0.0])
     assert adv[0] == pytest.approx(1.0, abs=1e-6)
     assert adv[1] == pytest.approx(-1.0, abs=1e-6)
 
@@ -396,7 +396,7 @@ def test_metrics_log_schema(tmp_path):
 
 def test_metrics_covered_fraction_and_spans_match_coalesced_masks(monkeypatch):
     from hilite import trainer
-    from hilite.markup import coalesce, spans_to_mask
+    from hilite.markup import coalesce
     from hilite.tokenization import tokenize
 
     data = oracle_dataset(n=3)
@@ -598,7 +598,7 @@ def test_evaluate_smoke_and_identity_cases(tmp_path):
 
 
 def test_evaluate_reports_covered_fraction_and_span_count():
-    from hilite.markup import coalesce, spans_to_mask
+    from hilite.markup import coalesce
     from hilite.policy import featurize
     from hilite.selection import Budget, topk
     from hilite.tokenization import tokenize
@@ -639,7 +639,7 @@ def test_evaluate_reports_covered_fraction_and_span_count():
 def test_evidence_report_identity():
     # scorer that puts all gold tokens above threshold and others below
     # yields evidence F1 = 1 through the evaluate path
-    from hilite.data import evidence_overlap, gold_token_indices
+    from hilite.data import evidence_overlap
     from hilite.tokenization import tokenize
 
     inst = oracle_dataset(n=1)[0]
@@ -652,7 +652,7 @@ def test_evidence_report_identity():
 
 
 def test_evidence_half_coverage_values():
-    from hilite.data import evidence_overlap, gold_token_indices
+    from hilite.data import evidence_overlap
     from hilite.tokenization import tokenize
 
     inst = oracle_dataset(n=1)[0]
@@ -746,6 +746,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert o2.step == 9
     assert idf == {"word": 1.5}
     assert config_hash(c2) == config_hash(cfg)
+
+
+# TrainConfig fields that became module constants, with the values they held
+RETIRED_CONFIG = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+                  "advantage_eps": 1e-8, "eval_threshold": 0.5, "prune_joiner": " ... "}
+
+
+def test_checkpoint_with_retired_config_keys_loads_unchanged(tmp_path):
+    result = train(oracle_dataset(n=2), OracleSolver(OracleSolverConfig()),
+                   TrainConfig(steps=3, seed=1), out_dir=tmp_path)
+    record = json.loads(result.checkpoint_path.read_text())
+    record["config"].update(RETIRED_CONFIG)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(record))
+    params, opt, cfg, idf = load_checkpoint(result.checkpoint_path)
+    old_params, old_opt, old_cfg, old_idf = load_checkpoint(old)
+    assert old_cfg == cfg
+    assert old_params.to_dict() == params.to_dict()
+    assert old_opt.to_dict() == opt.to_dict() == result.opt.to_dict()
+    assert old_idf == idf
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
