@@ -2,9 +2,12 @@
 
 Runs are driven by a flat JSON config file mirroring the run options;
 command-line flags override file values.  A file may hold TrainConfig's
-fields and the keys of :data:`RUN_KEYS`, nothing else; train, eval and
-sweep accept the same keys.  Exit codes: 0 success, 2 config error, 3
-solver unavailable, 4 data error.
+fields and the keys of :data:`RUN_KEYS`, nothing else, each with its JSON
+type (:data:`KEY_TYPES`), so a numeric string such as ``"timeout": "30"``
+is a config error.  train, eval and sweep check the same keys; eval and
+sweep take the training values from the checkpoint.  Each command closes
+its solver.  Exit codes: 0 success, 2 config error, 3 solver unavailable,
+4 data error.
 
 Solver backends are selected by the ``solver`` key: "oracle" (the
 deterministic coverage fixture; needs gold evidence spans) or "http" (a
@@ -14,6 +17,7 @@ and HILITE_AUTH_TOKEN environment variables).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -73,71 +77,64 @@ def handle_errors(fn):
     return wrapper
 
 
-def _exactly(kind: type):
-    """Converter that passes values of ``kind`` and rejects the rest."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
-        return value
-    return check
-
-
-# config keys read beyond TrainConfig's fields -> converter of the file value
+# config keys read beyond TrainConfig's fields -> the JSON type of the value
 RUN_KEYS = {
-    "dataset": _exactly(str),
-    "output_dir": _exactly(str),
-    "solver": _exactly(str),
-    "coverage_threshold": float,
-    "require_connective": _exactly(bool),
-    "endpoint": _exactly(str),
-    "auth_token": _exactly(str),
-    "timeout": float,
-    "max_retries": int,
-    "max_tokens": int,
-    "temperature": float,
-    "template": _exactly(str),
-    "reward_terms": _exactly(str),
-    "reward_k": int,
+    "dataset": str, "output_dir": str, "reward_terms": str, "reward_k": int,
+    "solver": str, "coverage_threshold": float, "require_connective": bool,
+    "endpoint": str, "auth_token": str, "template": str, "timeout": float,
+    "max_retries": int, "max_tokens": int, "temperature": float,
 }
 
+# every config key -> its JSON type; a TrainConfig field has its default's
+# type, except the sampler enum, which a file names by its string
+KEY_TYPES = {
+    **{field.name: type(field.default) for field in dataclasses.fields(TrainConfig)},
+    "sampler": str,
+    **RUN_KEYS,
+}
 
-def load_config(path: str | None) -> dict:
-    """The config file's options, run keys converted.  Any key that is
-    neither a TrainConfig field nor a run key is a ConfigError."""
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+                   str: "a string"}
+
+
+def _typed(key: str, value, path: str):
+    """``value`` if it has ``key``'s JSON type, a float key's number as a
+    float; ConfigError otherwise.  Neither ``true`` nor ``false`` is a
+    number, and a number must fit a float: NaN and Infinity do not."""
+    kind = KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r} in {path}")
+    fits = (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if kind is float else isinstance(value, kind))
+    if fits and isinstance(value, bool) == (kind is bool):
+        return float(value) if kind is float else value
+    raise ConfigError(f"config key {key!r} in {path} must be {JSON_TYPE_NAMES[kind]}, "
+                      f"not {json.dumps(value)}")
+
+
+def load_config(path: str | None, overrides: dict) -> tuple[dict, TrainConfig]:
+    """The run's options and the TrainConfig of their training fields.
+
+    The config file's values, each checked by :func:`_typed`, give way to
+    the ``overrides`` that are set.  Building the TrainConfig checks the
+    training values for every command, also those that take them from a
+    checkpoint."""
+    options = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            cfg = json.loads(p.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file {path} must hold a flat JSON object")
+        options = {key: _typed(key, value, path) for key, value in cfg.items()}
+    options.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a flat JSON object")
-    for key, value in cfg.items():
-        if key in RUN_KEYS:
-            try:
-                cfg[key] = RUN_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"config key {key!r} in {path}: bad value {value!r} ({exc})"
-                ) from None
-        elif key not in TrainConfig.__dataclass_fields__:
-            raise ConfigError(f"unknown config key {key!r} in {path}")
-    return cfg
-
-
-def merged_options(file_cfg: dict, overrides: dict) -> dict:
-    out = dict(file_cfg)
-    out.update({k: v for k, v in overrides.items() if v is not None})
-    return out
-
-
-def build_train_config(options: dict) -> TrainConfig:
-    try:
-        return TrainConfig.from_dict(options)
-    except (TypeError, ValueError) as exc:
+        return options, TrainConfig.from_dict(options)
+    except ValueError as exc:  # an unknown sampler name
         raise ConfigError(f"invalid training configuration: {exc}") from exc
 
 
@@ -194,7 +191,7 @@ def main():
 def cmd_train(config_path, dataset, out_dir, steps, seed, gamma, delta,
               group_size, sampler, marker_format):
     """Train the native scorer against the configured frozen solver."""
-    options = merged_options(load_config(config_path), {
+    options, cfg = load_config(config_path, {
         "dataset": dataset, "output_dir": out_dir, "steps": steps, "seed": seed,
         "gamma": gamma, "delta": delta, "group_size": group_size,
         "sampler": sampler, "marker_format": marker_format,
@@ -203,12 +200,11 @@ def cmd_train(config_path, dataset, out_dir, steps, seed, gamma, delta,
         raise ConfigError("missing required option 'dataset'")
     if not options.get("output_dir"):
         raise ConfigError("missing required option 'output_dir' (--out)")
-    cfg = build_train_config(options)
     data = load_jsonl(options["dataset"])
-    solver = build_solver(options, cfg)
     reward_spec = build_reward_spec(options)
-    result = train(data, solver, cfg, reward_spec=reward_spec,
-                   out_dir=options["output_dir"])
+    with contextlib.closing(build_solver(options, cfg)) as solver:
+        result = train(data, solver, cfg, reward_spec=reward_spec,
+                       out_dir=options["output_dir"])
     click.echo(f"checkpoint: {result.checkpoint_path}")
     click.echo(f"metrics:    {result.metrics_path}")
 
@@ -242,7 +238,7 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
     ctx = tokenize(text)
     feats = featurize(query, ctx, idf_table, cfg.idf_ceiling)
     probs = score(feats, params)
-    if gamma <= 0:
+    if gamma == 0:
         spans = []
     else:
         budget = Budget.for_omega(gamma, len(ctx.omega))
@@ -267,12 +263,9 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
 def cmd_eval(checkpoint_path, dataset, config_path, report_path,
              run_pruned, run_random, run_plain, bridging):
     """Evaluate a checkpoint; extra flags add the ablation variants."""
-    options = load_config(config_path)
-    if bridging:
-        options["require_connective"] = True
+    options, _ = load_config(config_path, {"require_connective": bridging or None})
     params, _, cfg, idf_table = load_checkpoint(checkpoint_path)
     data = load_jsonl(dataset)
-    solver = build_solver(options, cfg)
     reward_spec = build_reward_spec(options)
 
     variants = ["hilite"]
@@ -283,16 +276,17 @@ def cmd_eval(checkpoint_path, dataset, config_path, report_path,
     if run_plain:
         variants.append("no-highlight")
     report = {"dataset": str(dataset), "variants": {}}
-    for variant in variants:
-        report["variants"][variant] = evaluate(
-            data, params, solver, cfg, idf_table,
-            reward_spec=reward_spec, variant=variant,
-        )
-        row = report["variants"][variant]
-        click.echo(
-            f"{variant:13s} reward={row['mean_reward']:.4f} "
-            f"fraction={row['mean_highlight_fraction']:.4f}"
-        )
+    with contextlib.closing(build_solver(options, cfg)) as solver:
+        for variant in variants:
+            report["variants"][variant] = evaluate(
+                data, params, solver, cfg, idf_table,
+                reward_spec=reward_spec, variant=variant,
+            )
+            row = report["variants"][variant]
+            click.echo(
+                f"{variant:13s} reward={row['mean_reward']:.4f} "
+                f"fraction={row['mean_highlight_fraction']:.4f}"
+            )
     if report_path:
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
@@ -332,7 +326,7 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
     values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep grid")
-    options = load_config(config_path)
+    options, _ = load_config(config_path, {})
     params, _, cfg, idf_table = load_checkpoint(checkpoint_path)
     data = load_jsonl(dataset)
     reward_spec = build_reward_spec(options)
@@ -345,10 +339,10 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
 
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
-        solver = build_solver(options, run_cfg)
-        report = evaluate(data, params, solver, run_cfg, idf_table,
-                          reward_spec=reward_spec, variant="hilite",
-                          mask_sampler=run_cfg.sampler if axis == "sampler" else None)
+        with contextlib.closing(build_solver(options, run_cfg)) as solver:
+            report = evaluate(data, params, solver, run_cfg, idf_table,
+                              reward_spec=reward_spec, variant="hilite",
+                              mask_sampler=run_cfg.sampler if axis == "sampler" else None)
         rows.append({"axis_value": value, **{key: report[key] for key in SWEEP_COLUMNS}})
         click.echo(f"{axis}={value}: reward={report['mean_reward']:.4f}")
 

@@ -517,6 +517,9 @@ class OracleSolver:
             )
         return oracle_solve(query, emphasized_context, instance, self.cfg, self.fmt)
 
+    def close(self) -> None:
+        """Nothing to release; present so callers close any solver alike."""
+
 
 class ScriptedSolver:
     """Replays canned raw responses; can fail the first n calls.

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -87,24 +89,47 @@ def test_train_bad_config_file_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("options", [
-    {"reward_terms": "em:x"},
-    {"reward_k": "ten"},
-    {"coverage_threshold": "abc"},
-    {"coverage_threshold": 2},
-    {"solver": "http", "endpoint": "http://127.0.0.1:9/", "timeout": "x"},
-    {"require_connective": "false"},
-], ids=["reward-weight", "reward-k", "threshold-text", "threshold-range", "http-timeout",
-        "connective-text"])
-def test_train_bad_config_value_exits_2(runner, oracle_run, options):
-    dataset, _, tmp_path = oracle_run
+# case id -> (config file, what the error names: the key, or the bad term)
+BAD_CONFIG_VALUES = {
+    "reward-weight": ({"reward_terms": "em:x"}, "'em:x'"),
+    "reward-k": ({"reward_k": "ten"}, "reward_k"),
+    "threshold-text": ({"coverage_threshold": "abc"}, "coverage_threshold"),
+    "threshold-range": ({"coverage_threshold": 2}, "coverage_threshold"),
+    "http-timeout": ({"solver": "http", "endpoint": "http://127.0.0.1:9/", "timeout": "x"},
+                     "timeout"),
+    "connective-text": ({"require_connective": "false"}, "require_connective"),
+    "steps-fraction": ({"steps": 2.5}, "steps"),
+    "group-size-fraction": ({"group_size": 2.5}, "group_size"),
+    "seed-text": ({"seed": "x"}, "seed"),
+    "steps-bool": ({"steps": True}, "steps"),
+    "delta-fraction": ({"delta": 2.5}, "delta"),
+    "retries-fraction": ({"max_retries": 2.7}, "max_retries"),
+    "reward-k-fraction": ({"reward_k": 2.9}, "reward_k"),
+    "timeout-numeric-text": ({"timeout": "30"}, "timeout"),
+    "gamma-range": ({"gamma": 7}, "gamma"),
+    "gamma-too-large-for-a-float": ({"gamma": 10**400}, "gamma"),
+    "http-timeout-nan": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                          "timeout": float("nan")}, "timeout"),
+}
+
+
+# the train cases keep the bare case id
+@pytest.mark.parametrize("command,case", [
+    pytest.param(command, case, id=case if command == "train" else f"{case}-{command}")
+    for command in ("train", "eval", "sweep") for case in BAD_CONFIG_VALUES
+])
+def test_train_bad_config_value_exits_2(runner, oracle_run, command, case):
+    dataset, checkpoint, tmp_path = oracle_run
+    options, named = BAD_CONFIG_VALUES[case]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(options))
-    result = runner.invoke(main, ["train", "--config", str(cfg), "--dataset", str(dataset),
-                                  "--out", str(tmp_path / "bad"), "--steps", "1"])
+    result = runner.invoke(main, [*command_args(command, dataset, checkpoint, tmp_path),
+                                  "--config", str(cfg)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # reported, not a traceback
     assert result.output.startswith("error: ")
+    assert named in result.output
+    assert not (tmp_path / "run2").exists() and not (tmp_path / "s.csv").exists()
 
 
 def command_args(command, dataset, checkpoint, tmp_path):
@@ -145,6 +170,25 @@ def test_one_config_file_serves_train_eval_and_sweep(runner, oracle_run, command
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_http_solver_is_closed_when_the_command_returns(runner, oracle_run,
+                                                        keepalive_server, command):
+    dataset, checkpoint, tmp_path = oracle_run
+    url, server = keepalive_server
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "http", "endpoint": url, "steps": 2}))
+    args = command_args(command, dataset, checkpoint, tmp_path)
+    if command == "sweep":
+        args[args.index("--grid") + 1] = "0.1,0.2,0.3"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        gc.collect()
+    assert result.exit_code == 0, result.output
+    assert server.requests > 0
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_unreachable_solver_exits_3(runner, tmp_path):
     data = gen_dataset(2, target_tokens=120, seed=0, n_clusters=2,
                        cluster_size=3, filler_gap=2)
@@ -179,6 +223,17 @@ def test_highlight_gamma_zero_is_identity(runner, oracle_run):
     ])
     assert result.exit_code == 0, result.output
     assert result.output.rstrip("\n") == text
+
+
+@pytest.mark.parametrize("gamma", ["-1", "-0.5"])
+def test_highlight_negative_gamma_exits_2(runner, oracle_run, gamma):
+    _, checkpoint, _ = oracle_run
+    result = runner.invoke(main, [
+        "highlight", "--checkpoint", str(checkpoint), "--text", "alpha beta gamma",
+        "--gamma", gamma,
+    ])
+    assert result.exit_code == 2, result.output
+    assert "gamma must lie in (0, 1]" in result.output
 
 
 def test_highlight_html_b_format(runner, oracle_run):
@@ -290,7 +345,7 @@ def test_sweep_budget_grid_rows(runner, oracle_run, tmp_path):
         "--out", str(csv_path),
     ])
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert [r["axis_value"] for r in rows] == ["0.10", "0.15", "0.25", "0.30"]
     assert set(rows[0]) == {"axis_value", "mean_reward", "mean_highlight_fraction",
                             "mean_covered_fraction", "mean_spans"}
@@ -305,7 +360,7 @@ def test_sweep_marker_grid_all_builtins(runner, oracle_run, tmp_path):
         "--axis", "marker", "--grid", grid, "--out", str(csv_path),
     ])
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 7
     # identical spans per row: the highlight fraction never moves
     fractions = {r["mean_highlight_fraction"] for r in rows}
@@ -320,7 +375,7 @@ def test_sweep_width_grid(runner, oracle_run, tmp_path):
         "--axis", "width", "--grid", "4,6,8,10,12,14,16", "--out", str(csv_path),
     ])
     assert result.exit_code == 0, result.output
-    assert len(list(csv.DictReader(csv_path.open()))) == 7
+    assert len(list(csv.DictReader(csv_path.read_text().splitlines()))) == 7
 
 
 def test_sweep_sampler_grid(runner, oracle_run, tmp_path):
@@ -333,7 +388,7 @@ def test_sweep_sampler_grid(runner, oracle_run, tmp_path):
         "--out", str(csv_path),
     ])
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 4
     # exact-k samplers fill the budget; bernoulli may come in under it
     by_kind = {r["axis_value"]: float(r["mean_highlight_fraction"]) for r in rows}
