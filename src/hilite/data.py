@@ -15,8 +15,9 @@ sentence carrying per-instance codeword clusters and a numeric access code,
 embedded at a seeded position among templated distractor sentences drawn
 from a disjoint vocabulary.  Gold evidence spans delimit exactly the
 informative parts of the needle, the gold answer occurs nowhere else in the
-context, and the context length lands within +/-2% of the requested token
-count (exactly on it, in fact, via single-token padding).
+context, and single-token padding lands the context exactly on the requested
+token count.  Only the needle is tokenized; distractor and filler token
+counts come from construction.
 
 Also here: the co-visitation graph and recency-decayed candidate generation
 used for recommendation preprocessing, and token-level evidence overlap
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import tokenization
 from .errors import DataError
-from .tokenization import TokenizedContext, count_tokens, tokens_touching
+from .tokenization import TokenizedContext, tokenize, tokens_touching
 
 REQUIRED_FIELDS = ("id", "query", "context", "gold")
 _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
@@ -190,6 +191,8 @@ _CONSONANTS = "b c d f g l m n p r s t v z br cl dr gr pl st tr".split()
 _VOWELS = "a e i o u ai ea io ou".split()
 
 NEEDLE_TEMPLATE = "Dossier {clusters} holds access code {value}."
+# "The", adjective, noun, verb, "near", "the", place, ".": one token each
+DISTRACTOR_TOKENS = 8
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def gen_needle(spec: SynthSpec) -> Instance:
         + "."
     )
 
-    needle_tokens = count_tokens(needle)
+    needle_tokens = len(tokenize(needle))
     if spec.target_tokens < needle_tokens:
         raise DataError(
             f"target_tokens={spec.target_tokens} below needle length {needle_tokens}"
@@ -273,12 +276,11 @@ def gen_needle(spec: SynthSpec) -> Instance:
     sentences: list[str] = []
     count = needle_tokens
     while True:
-        s = _distractor_sentence(rng)
-        c = count_tokens(s)
-        if count + c > spec.target_tokens:
+        s = _distractor_sentence(rng)  # drawn even when it does not fit
+        if count + DISTRACTOR_TOKENS > spec.target_tokens:
             break
         sentences.append(s)
-        count += c
+        count += DISTRACTOR_TOKENS
     position = int(rng.integers(0, len(sentences) + 1))
     sentences.insert(position, needle)
     # single-word padding lands the token count exactly on target

@@ -24,11 +24,9 @@ character.  Word and space mean what ``re``'s ``\\w`` and ``\\s`` mean for
 classifies every code point once, looking ASCII code points up in a
 128-entry table built at import from those two regex classes and the rest
 with ``np.char.isalnum``/``np.char.isspace`` (the same Unicode predicates
-``re`` uses), then finds token starts and ends with shifted boolean arrays.
-:func:`count_tokens` keeps the regex: it runs on single sentences while
-needles are generated, where numpy's fixed per-call cost would outweigh
-the scan.  Any tokenizer producing the same (text, byte range) contract can
-be substituted; this one is the reference used by the test suite.
+``re`` uses), then finds token starts and ends with shifted boolean arrays.  Any
+tokenizer producing the same (text, byte range) contract can be
+substituted; this one is the reference used by the test suite.
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RangeBoundsError
-
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
 
 def _ascii_table(pattern: str) -> np.ndarray:
     """Whether each ASCII code point matches the one-character ``pattern``."""
@@ -158,12 +153,6 @@ def tokenize(text: str) -> TokenizedContext:
         np.cumsum(widths, dtype=np.int64, out=offsets[1:])
         starts, ends = offsets[starts], offsets[ends]
     return TokenizedContext(source=text, texts=texts, starts=starts, ends=ends)
-
-
-def count_tokens(text: str) -> int:
-    """``len(tokenize(text))``, found with the same rule but without
-    computing offsets or building a context."""
-    return len(_TOKEN_RE.findall(text))
 
 
 def tokens_touching(ctx: TokenizedContext, byte_ranges) -> np.ndarray:

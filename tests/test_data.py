@@ -3,15 +3,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import gold_token_indices
 from hilite.data import (
+    _ADJECTIVES,
+    _FILLERS,
+    _NOUNS,
+    _PLACES,
+    _VERBS,
+    DISTRACTOR_TOKENS,
     CoVisGraph,
     Instance,
     SynthSpec,
     build_covis,
     candidates,
     gen_dataset,
+    _distractor_sentence,
     gen_needle,
     load_jsonl,
     popularity_from_histories,
@@ -199,12 +208,33 @@ def test_gen_needle_deterministic():
     assert c.context != a.context
 
 
-def test_gen_needle_token_budget_exact():
-    for target in (200, 1000, 2000):
-        inst = gen_needle(SynthSpec(target_tokens=target, seed=3))
-        n = len(tokenize(inst.context).tokens)
-        assert abs(n - target) <= 0.02 * target
-        assert n == target  # generator pads to the exact count
+def test_needle_vocabulary_entries_are_one_token_each():
+    for word in (*_ADJECTIVES, *_NOUNS, *_VERBS, *_PLACES, *_FILLERS):
+        assert len(tokenize(word)) == 1, word
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_distractor_sentence_has_distractor_tokens(seed):
+    sentence = _distractor_sentence(np.random.default_rng(seed))
+    assert len(tokenize(sentence)) == DISTRACTOR_TOKENS
+
+
+@given(
+    target=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+    n_clusters=st.integers(1, 8), cluster_size=st.integers(1, 6),
+    filler_gap=st.integers(0, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_gen_needle_token_budget_exact(target, seed, n_clusters, cluster_size, filler_gap):
+    spec = SynthSpec(target_tokens=target, seed=seed, n_clusters=n_clusters,
+                     cluster_size=cluster_size, filler_gap=filler_gap)
+    try:
+        inst = gen_needle(spec)
+    except DataError as exc:
+        assume("below needle length" not in str(exc))  # the needle does not fit
+        raise
+    assert len(tokenize(inst.context)) == target  # the generator pads to the exact count
 
 
 def test_gen_needle_8k_length_audit():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hilite.errors import RangeBoundsError
 from hilite.tokenization import (
     _char_classes,
-    count_tokens,
     restrict_omega,
     tokenize,
     tokens_touching,
@@ -135,12 +134,6 @@ def test_tokenize_matches_the_regex_split(text):
 @settings(max_examples=100, deadline=None)
 def test_determinism(text):
     assert tokenize(text) == tokenize(text)
-
-
-@given(TEXTS)
-@settings(max_examples=300, deadline=None)
-def test_count_tokens_matches_tokenize(text):
-    assert count_tokens(text) == len(tokenize(text))
 
 
 def test_restrict_omega_no_ranges_is_identity():
