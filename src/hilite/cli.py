@@ -12,7 +12,8 @@ its solver.  Exit codes: 0 success, 2 config error, 3 solver unavailable,
 Solver backends are selected by the ``solver`` key: "oracle" (the
 deterministic coverage fixture; needs gold evidence spans) or "http" (a
 generation endpoint; URL and auth token fall back to the HILITE_ENDPOINT
-and HILITE_AUTH_TOKEN environment variables).
+and HILITE_AUTH_TOKEN environment variables).  Every solver key is checked
+whichever backend is selected.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .errors import (
 from .markup import get_format
 from .policy import featurize, score
 from .rewards import RewardSpec
-from .selection import Budget, SamplerKind, topk
+from .selection import Budget, topk
 from .solver import (
     EndpointConfig,
     HTTPSolver,
     OracleSolver,
     OracleSolverConfig,
     TEMPLATES,
+    split_endpoint,
 )
 from .tokenization import tokenize
 from .trainer import TrainConfig, evaluate, load_checkpoint, train
@@ -132,10 +134,7 @@ def load_config(path: str | None, overrides: dict) -> tuple[dict, TrainConfig]:
             raise ConfigError(f"config file {path} must hold a flat JSON object")
         options = {key: _typed(key, value, path) for key, value in cfg.items()}
     options.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return options, TrainConfig.from_dict(options)
-    except ValueError as exc:  # an unknown sampler name
-        raise ConfigError(f"invalid training configuration: {exc}") from exc
+    return options, TrainConfig.from_dict(options)
 
 
 def _given(options: dict, *keys: str) -> dict:
@@ -145,26 +144,29 @@ def _given(options: dict, *keys: str) -> dict:
 
 
 def build_solver(options: dict, cfg: TrainConfig):
+    """The selected solver, once every solver key is checked, whichever
+    solver is selected; only the http solver reads the environment."""
     kind = options.get("solver", "oracle")
+    if kind not in ("oracle", "http"):
+        raise ConfigError(f"unknown solver backend {kind!r} (expected oracle|http)")
+    oracle_cfg = OracleSolverConfig(
+        **_given(options, "coverage_threshold", "require_connective"))
+    endpoint = EndpointConfig(
+        url=options.get("endpoint", ""), auth_token=options.get("auth_token", ""),
+        **_given(options, "timeout", "max_retries", "max_tokens", "temperature"))
+    if endpoint.url:
+        split_endpoint(endpoint.url)
+    template_name = options.get("template", "qa")
+    if template_name not in TEMPLATES:
+        raise ConfigError(f"unknown prompt template {template_name!r}")
     if kind == "oracle":
-        oracle_cfg = OracleSolverConfig(
-            **_given(options, "coverage_threshold", "require_connective"))
         return OracleSolver(oracle_cfg, get_format(cfg.marker_format))
-    if kind == "http":
-        url = options.get("endpoint") or os.environ.get("HILITE_ENDPOINT", "")
-        if not url:
-            raise ConfigError("http solver needs 'endpoint' (or HILITE_ENDPOINT)")
-        endpoint = EndpointConfig(
-            url=url,
-            auth_token=options.get("auth_token")
-            or os.environ.get("HILITE_AUTH_TOKEN", ""),
-            **_given(options, "timeout", "max_retries", "max_tokens", "temperature"),
-        )
-        template_name = options.get("template", "qa")
-        if template_name not in TEMPLATES:
-            raise ConfigError(f"unknown prompt template {template_name!r}")
-        return HTTPSolver(endpoint, TEMPLATES[template_name])
-    raise ConfigError(f"unknown solver backend {kind!r} (expected oracle|http)")
+    url = endpoint.url or os.environ.get("HILITE_ENDPOINT", "")
+    if not url:
+        raise ConfigError("http solver needs 'endpoint' (or HILITE_ENDPOINT)")
+    auth_token = endpoint.auth_token or os.environ.get("HILITE_AUTH_TOKEN", "")
+    endpoint = dataclasses.replace(endpoint, url=url, auth_token=auth_token)
+    return HTTPSolver(endpoint, TEMPLATES[template_name])
 
 
 def build_reward_spec(options: dict) -> RewardSpec:
@@ -298,8 +300,8 @@ def cmd_eval(checkpoint_path, dataset, config_path, report_path,
 SWEEP_AXES = {
     "budget": ("gamma", float),
     "width": ("delta", int),
-    "marker": ("marker_format", lambda name: get_format(name).name),
-    "sampler": ("sampler", SamplerKind),
+    "marker": ("marker_format", str),
+    "sampler": ("sampler", str),
 }
 
 # evaluate() report keys written as sweep CSV columns, after axis_value

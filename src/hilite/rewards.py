@@ -123,6 +123,8 @@ METRICS = {
     "ndcg": lambda output, gold, k: ndcg_at_k(output, gold, k),
     "accuracy": lambda output, gold, k: accuracy([output], [gold]),
 }
+# the METRICS that score a ranking of ids; the rest score a string
+RANKING_METRICS = frozenset({"hr", "ndcg"})
 
 
 @dataclass(frozen=True)

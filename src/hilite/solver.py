@@ -254,6 +254,25 @@ class EndpointConfig:
     max_tokens: int = 256
     temperature: float = 0.0
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ConfigError("timeout must be > 0")
+        if self.max_retries < 1:
+            raise ConfigError("max_retries must be >= 1")
+
+
+def split_endpoint(url: str) -> urllib.parse.SplitResult:
+    """The parts of ``url``; ConfigError unless it is an ``http://`` or
+    ``https://`` URL with a host and, if it names a port, a number in range."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # ValueError unless a number in range
+        if parts.scheme in _CONNECTION_CLASSES and parts.hostname:
+            return parts
+    except ValueError:
+        pass
+    raise ConfigError(f"endpoint {url!r} is not an http:// or https:// URL")
+
 
 class ConnectionPool:
     """Keep-alive HTTP/1.1 connections to the host of one ``http://`` or
@@ -267,16 +286,9 @@ class ConnectionPool:
     """
 
     def __init__(self, url: str, timeout: float):
-        parts = urllib.parse.urlsplit(url)
-        try:
-            connection_class = _CONNECTION_CLASSES[parts.scheme]
-            port = parts.port  # ValueError unless a number in range
-            if not parts.hostname:
-                raise ValueError("no host")
-        except (KeyError, ValueError):
-            raise ConfigError(f"endpoint {url!r} is not an http:// or https:// URL") from None
+        parts = split_endpoint(url)
         self._connect = functools.partial(
-            connection_class, parts.hostname, port, timeout=timeout
+            _CONNECTION_CLASSES[parts.scheme], parts.hostname, parts.port, timeout=timeout
         )
         self.path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._idle: list[http.client.HTTPConnection] = []

@@ -54,11 +54,11 @@ from .errors import (
     SolverUnavailableError,
     StructureError,
 )
-from .markup import MarkerFormat, get_format
+from .markup import BUILTIN_FORMATS, MarkerFormat, get_format
 from .policy import ScorerParams, build_idf_table, featurize, score
-from .rewards import RewardSpec, composite
+from .rewards import RANKING_METRICS, RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
-from .solver import SolverOutput, parse_output
+from .solver import FINAL_JSON, FREE_TEXT, SolverOutput, parse_output
 # unused here, but perfbench/run.py's install_tracing wraps trainer.tokenize
 from .tokenization import tokenize  # noqa: F401
 
@@ -116,7 +116,20 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        self.sampler = SamplerKind(self.sampler)
+        try:
+            self.sampler = SamplerKind(self.sampler)
+        except ValueError:
+            raise ConfigError(f"unknown sampler {self.sampler!r} (expected one of "
+                              f"{', '.join(kind.value for kind in SamplerKind)})") from None
+        if self.marker_format not in BUILTIN_FORMATS:
+            raise ConfigError(f"unknown marker_format {self.marker_format!r} "
+                              f"(expected one of {', '.join(BUILTIN_FORMATS)})")
+        if not self.tau > 0:
+            raise ConfigError("tau must be > 0")
+        if self.idf_ceiling < 0:
+            raise ConfigError("idf_ceiling must be >= 0")
+        if self.solver_failure_budget < 0:
+            raise ConfigError("solver_failure_budget must be >= 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -342,6 +355,19 @@ def init_from_dataset(
     return params, idf_table, feats
 
 
+def solver_contract(solver, reward_spec: RewardSpec) -> str:
+    """``solver``'s output contract, once every term of ``reward_spec``
+    fits it: ``hr`` and ``ndcg`` score a ranking, which only the final-json
+    contract yields, and the string terms need any other contract."""
+    contract = getattr(solver, "output_contract", FREE_TEXT)
+    for name, _ in reward_spec.terms:
+        if (name in RANKING_METRICS) != (contract == FINAL_JSON):
+            raise ConfigError(f"reward term {name!r} does not fit the solver's {contract!r} "
+                              f"output contract: hr and ndcg need {FINAL_JSON!r}, the rest "
+                              f"any other")
+    return contract
+
+
 def episode(
     solver, inst: Instance, text: str, contract: str, reward_spec: RewardSpec
 ) -> tuple[SolverOutput | None, float]:
@@ -367,6 +393,7 @@ def rollout_group(
     inst: Instance,
     probs: np.ndarray,
     solver,
+    contract: str,
     cfg: TrainConfig,
     fmt: MarkerFormat,
     reward_spec: RewardSpec,
@@ -374,7 +401,8 @@ def rollout_group(
     pool: ThreadPoolExecutor,
 ) -> tuple[GroupSample, int]:
     """Sample G masks over ``inst.tokens``, query the solver concurrently
-    on ``pool``, and assemble the group.
+    on ``pool``, parse its replies under ``contract``, and assemble the
+    group.
 
     Returns the group plus the number of transport failures (each one is a
     zero-reward, flagged episode).
@@ -390,7 +418,6 @@ def rollout_group(
         spans.append(markup.coalesce(proj, ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
-    contract = getattr(solver, "output_contract", "free-text")
     outputs, rewards = zip(*pool.map(
         lambda text: episode(solver, inst, text, contract, reward_spec), emphasized
     ))
@@ -451,6 +478,7 @@ def train(
     if not dataset:
         raise ConfigError("training dataset is empty")
     reward_spec = reward_spec or RewardSpec((("em", 1.0),))
+    contract = solver_contract(solver, reward_spec)
     fmt = get_format(cfg.marker_format)
     params, idf_table, feats = init_from_dataset(dataset, cfg)
     opt = OptimizerState.zeros(params.dim)
@@ -475,7 +503,7 @@ def train(
             ctx = inst.tokens
             fwd = policy.forward(feats[i], params)
             group, failures = rollout_group(
-                inst, fwd.p, solver, cfg, fmt, reward_spec, step, pool
+                inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
             params, terms = grad_step(group, fwd, params, opt, cfg, ctx.omega)
@@ -582,7 +610,7 @@ def evaluate(
         raise ConfigError(f"unknown eval variant {variant!r}")
     reward_spec = reward_spec or RewardSpec((("em", 1.0),))
     fmt = get_format(cfg.marker_format)
-    contract = getattr(solver, "output_contract", "free-text")
+    contract = solver_contract(solver, reward_spec)
 
     rewards = []
     fractions = []

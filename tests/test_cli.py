@@ -110,6 +110,21 @@ BAD_CONFIG_VALUES = {
     "gamma-too-large-for-a-float": ({"gamma": 10**400}, "gamma"),
     "http-timeout-nan": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
                           "timeout": float("nan")}, "timeout"),
+    "tau-zero": ({"tau": 0.0}, "tau"),
+    "marker-format-unknown": ({"marker_format": "bogus"}, "marker_format"),
+    "idf-ceiling-negative": ({"idf_ceiling": -1.0}, "idf_ceiling"),
+    "failure-budget-negative": ({"solver_failure_budget": -1}, "solver_failure_budget"),
+    "template-unknown-under-oracle": ({"solver": "oracle", "template": "bogus"}, "template"),
+    "endpoint-not-a-url-under-oracle": ({"solver": "oracle", "endpoint": "nope"}, "endpoint"),
+    "threshold-range-under-http": ({"solver": "http", "endpoint": "http://127.0.0.1:9/x",
+                                    "coverage_threshold": 5}, "coverage_threshold"),
+    "http-timeout-negative": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                               "timeout": -1}, "timeout"),
+    "http-timeout-zero": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                           "timeout": 0}, "timeout"),
+    "http-retries-zero": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                           "max_retries": 0}, "max_retries"),
+    "reward-hr-under-oracle": ({"reward_terms": "hr:1"}, "'hr'"),
 }
 
 

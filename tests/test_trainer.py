@@ -492,6 +492,19 @@ def test_duplicate_ranking_ids_are_zero_reward_episodes():
     assert rewards_for(f"<FINAL_JSON>{dup}</FINAL_JSON>") == [[0.0] * 4] * 2
 
 
+def test_ranking_reward_on_an_answer_tag_solver_is_rejected_before_any_call():
+    data = [make_instance(gold="beta")]
+    spec = RewardSpec((("hr", 1.0),))
+    cfg = TrainConfig(steps=2, seed=0)
+    result = train(data, ScriptedSolver(["<answer>beta</answer>"]), dataclasses.replace(cfg, steps=0))
+    solver = ScriptedSolver(["<answer>beta</answer>"], output_contract=ANSWER_TAG)
+    with pytest.raises(ConfigError, match="'hr'.*'answer-tag'"):
+        train(data, solver, cfg, reward_spec=spec)
+    with pytest.raises(ConfigError, match="'hr'.*'answer-tag'"):
+        evaluate(data, result.params, solver, cfg, result.idf_table, reward_spec=spec)
+    assert solver.calls == 0
+
+
 def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
     from hilite import trainer
     from hilite.markup import DEFAULT_FORMAT, strip
