@@ -3,9 +3,9 @@
 Builds feature vectors for each context token, scores them through the
 logistic/temperature head, and shows the different ways of turning scores
 into a budget-feasible mask: Bernoulli sampling plus projection (training),
-deterministic top-k (inference), and the keyed exact-k sampler for
-ablations.  Every sampler is a top-k over per-token keys: p itself for
-top-k, log(u)/p with u ~ U(0, 1) for the keyed sampler, which
+deterministic top-k (inference, ``highlight``), and the keyed exact-k
+sampler for ablations.  Every sampler is a top-k over per-token keys: p
+itself for top-k, log(u)/p with u ~ U(0, 1) for the keyed sampler, which
 ``softmax_wor`` and ``gumbel_topk`` both name.
 """
 
@@ -15,11 +15,11 @@ from hilite import (
     Budget,
     SamplerKind,
     featurize,
+    highlight,
     init_params,
     sample_mask,
     score,
     tokenize,
-    topk,
 )
 from hilite.policy import FEATURE_NAMES
 
@@ -52,7 +52,8 @@ for i in ranked:
 budget = Budget.for_omega(gamma=0.25, omega_size=len(ctx.omega))
 print(f"\nbudget: gamma=0.25 over {len(ctx.omega)} tokens -> k={budget.k}")
 
-mask = topk(probs, ctx.omega, budget.k)
+# the inference rule: top-k on p under the budget, then coalesce (gap delta)
+mask, _ = highlight(probs, ctx, gamma=0.25, delta=0)
 chosen = [ctx.texts[i] for i in np.flatnonzero(mask)]
 print("top-k selection:", chosen)
 

@@ -5,14 +5,15 @@ native scorer at inference time: it reads
 ``{"op": "score", "query": ..., "tokens": [...]}`` per line and answers
 ``{"probs": [...]}`` with one probability per token.  Here the "external
 model" is a child Python process scoring tokens by query overlap; its
-probabilities drive the usual top-k selection and marker injection.
+probabilities go through :func:`hilite.highlight`, the selection rule the
+native scorer uses, and then marker injection.
 """
 
 import sys
 
 import numpy as np
 
-from hilite import Budget, SubprocessScorer, coalesce, inject, tokenize, topk
+from hilite import SubprocessScorer, highlight, inject, tokenize
 from hilite.markup import DEFAULT_FORMAT
 
 # A stand-in for a real scoring backend: score 0.9 for tokens that appear in
@@ -38,9 +39,7 @@ for text, p in zip(ctx.texts, probs):
     marker = "*" if p > 0.5 else " "
     print(f"  {marker} p={p:.1f}  {text!r}")
 
-budget = Budget.for_omega(gamma=0.3, omega_size=len(ctx.omega))
-mask = topk(probs, ctx.omega, budget.k)
-spans = coalesce(mask, ctx, delta=2)
+_, spans = highlight(probs, ctx, gamma=0.3, delta=2)
 print("\nemphasized with the external scorer's selections:")
 print(inject(ctx, spans, DEFAULT_FORMAT))
 

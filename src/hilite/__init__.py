@@ -100,6 +100,7 @@ from .trainer import (
     advantages,
     evaluate,
     grad_step,
+    highlight,
     load_checkpoint,
     objective,
     save_checkpoint,

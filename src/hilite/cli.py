@@ -41,7 +41,6 @@ from .errors import (
 from .markup import get_format
 from .policy import featurize, score
 from .rewards import RewardSpec
-from .selection import Budget, topk
 from .solver import (
     EndpointConfig,
     HTTPSolver,
@@ -51,7 +50,7 @@ from .solver import (
     split_endpoint,
 )
 from .tokenization import tokenize
-from .trainer import TrainConfig, evaluate, load_checkpoint, train
+from .trainer import TrainConfig, evaluate, highlight, load_checkpoint, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,7 +223,7 @@ def cmd_train(config_path, dataset, out_dir, steps, seed, gamma, delta,
 @handle_errors
 def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
                   format_name, print_spans):
-    """Apply a trained checkpoint: emphasize the top-k tokens of the input."""
+    """Apply a trained checkpoint: emphasize what :func:`trainer.highlight` selects."""
     if (input_path is None) == (text is None):
         raise ConfigError("provide exactly one of --input or --text")
     if input_path is not None:
@@ -238,14 +237,8 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
     fmt = get_format(format_name or cfg.marker_format)
 
     ctx = tokenize(text)
-    feats = featurize(query, ctx, idf_table, cfg.idf_ceiling)
-    probs = score(feats, params)
-    if gamma == 0:
-        spans = []
-    else:
-        budget = Budget.for_omega(gamma, len(ctx.omega))
-        mask = topk(probs, ctx.omega, budget.k)
-        spans = markup.coalesce(mask, ctx, delta)
+    probs = score(featurize(query, ctx, idf_table, cfg.idf_ceiling), params)
+    _, spans = highlight(probs, ctx, gamma, delta)
     click.echo(markup.inject(ctx, spans, fmt))
     if print_spans:
         click.echo(json.dumps({"spans": markup.byte_ranges(ctx, spans)}))

@@ -143,6 +143,8 @@ class RewardSpec:
                 raise ConfigError(f"unknown reward metric {name!r}")
             if weight < 0:
                 raise ConfigError(f"negative weight for reward term {name!r}")
+        if self.k < 1:
+            raise ConfigError("reward_k must be >= 1")
 
     @classmethod
     def parse(cls, text: str, k: int = 10) -> "RewardSpec":

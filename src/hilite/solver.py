@@ -259,6 +259,12 @@ class EndpointConfig:
             raise ConfigError("timeout must be > 0")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        if not self.temperature >= 0:
+            raise ConfigError("temperature must be >= 0")
+        if not self.backoff_base >= 0:
+            raise ConfigError("backoff_base must be >= 0")
 
 
 def split_endpoint(url: str) -> urllib.parse.SplitResult:

@@ -54,7 +54,7 @@ from .errors import (
     SolverUnavailableError,
     StructureError,
 )
-from .markup import BUILTIN_FORMATS, MarkerFormat, get_format
+from .markup import BUILTIN_FORMATS, MarkerFormat, Mask, Spans, get_format
 from .policy import ScorerParams, build_idf_table, featurize, score
 from .rewards import RANKING_METRICS, RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
@@ -571,10 +571,19 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Inference and evaluation
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("hilite", "random", "pruned", "no-highlight")
+
+
+def highlight(probs: np.ndarray, ctx, gamma: float, delta: int) -> tuple[Mask, Spans]:
+    """The inference rule, (mask, spans): the k = floor(gamma * |omega|)
+    tokens of omega with the largest ``probs``, from any scorer (k = 0 at
+    gamma = 0), coalesced with gap ``delta``."""
+    k = Budget.for_omega(gamma, len(ctx.omega)).k if gamma != 0 else 0
+    mask = topk(probs, ctx.omega, k)
+    return mask, markup.coalesce(mask, ctx, delta)
 
 
 def evaluate(
@@ -587,19 +596,21 @@ def evaluate(
     variant: str = "hilite",
     mask_sampler: SamplerKind | None = None,
 ) -> dict:
-    """Deterministic evaluation pass: top-k selection, one solver call per
-    instance, task reward, mean highlight fraction (selected tokens over
-    |ω|), mean covered fraction (tokens inside the coalesced spans, bridged
-    ones included, over all tokens) and span count, the solver's attempts
-    (summed) and reply latency (p50/p99, ms), and (when gold spans exist)
-    evidence precision/recall/F1 at ``EVIDENCE_THRESHOLD``.
+    """Deterministic evaluation pass: :func:`highlight` selects, one solver
+    call per instance, task reward, mean highlight fraction (selected tokens
+    over |ω|), mean covered fraction (tokens inside the coalesced spans,
+    bridged ones included, over all tokens) and span count, the solver's
+    attempts (summed) and reply latency (p50/p99, ms), and (when gold spans
+    exist) evidence precision/recall/F1 at ``EVIDENCE_THRESHOLD``.
 
     Variants: "hilite" injects markers around the top-k spans, "random"
     does the same for a seeded random mask of equal budget, "pruned" feeds
     only the selected span texts, "no-highlight" passes the context through
     untouched.  ``mask_sampler`` swaps the deterministic top-k rule for one
     of the sampler kinds (seeded per instance), for sampler-sensitivity
-    sweeps.
+    sweeps.  Like :func:`train`, the pass aborts with
+    SolverUnavailableError once transport failures exceed
+    ``cfg.solver_failure_budget``.
 
     Contexts come from :attr:`Instance.tokens`, computed once per instance
     per process: training on the same instances and repeated passes over
@@ -618,37 +629,38 @@ def evaluate(
     n_spans = []
     overlaps = []
     outputs = []
+    failures = 0
     for inst in dataset:
         ctx = inst.tokens
-        feats = featurize(inst.query, ctx, idf_table, cfg.idf_ceiling)
-        probs = score(feats, params)
-        budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
-        if variant == "random":
-            mask = random_mask(ctx, budget.k, rng_stream(cfg.seed, f"eval-random-{inst.id}"))
-        elif mask_sampler is not None:
-            _, mask = sample_mask(
-                probs, ctx.omega, budget.k, mask_sampler,
-                rng_stream(cfg.seed, f"eval-{inst.id}"),
-            )
+        probs = score(featurize(inst.query, ctx, idf_table, cfg.idf_ceiling), params)
+        if variant != "random" and mask_sampler is None:
+            mask, spans = highlight(probs, ctx, cfg.gamma, cfg.delta)
         else:
-            mask = topk(probs, ctx.omega, budget.k)
-        spans = markup.coalesce(mask, ctx, cfg.delta)
+            k = Budget.for_omega(cfg.gamma, len(ctx.omega)).k
+            if variant == "random":
+                mask = random_mask(ctx, k, rng_stream(cfg.seed, f"eval-random-{inst.id}"))
+            else:
+                _, mask = sample_mask(probs, ctx.omega, k, mask_sampler,
+                                      rng_stream(cfg.seed, f"eval-{inst.id}"))
+            spans = markup.coalesce(mask, ctx, cfg.delta)
+        fraction = mask.sum() / max(1, len(ctx.omega))
         if variant == "no-highlight":
-            emphasized = inst.context
-            fractions.append(0.0)
+            emphasized, fraction = inst.context, 0.0
             spans = spans[:0]  # the solver sees no span
         elif variant == "pruned":
             emphasized = markup.prune(ctx, spans, PRUNE_JOINER)
-            fractions.append(mask.sum() / max(1, len(ctx.omega)))
         else:
             emphasized = markup.inject(ctx, spans, fmt)
-            fractions.append(mask.sum() / max(1, len(ctx.omega)))
+        fractions.append(fraction)
         covered.append(covered_fraction(spans, len(ctx)))
         n_spans.append(len(spans))
 
         out, reward = episode(solver, inst, emphasized, contract, reward_spec)
         rewards.append(reward)
         outputs.append(out)
+        failures += out is None
+        if failures > cfg.solver_failure_budget:
+            raise SolverUnavailableError(f"evaluation aborted after {failures} solver failures")
 
         if inst.evidence_spans:
             overlaps.append(

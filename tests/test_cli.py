@@ -6,9 +6,12 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
+from conftest import make_instance
 from hilite.cli import main
 from hilite.data import gen_dataset, save_jsonl
 from hilite.markup import DEFAULT_FORMAT, scan_markers
+from hilite.solver import ANSWER_TAG, SolverOutput
+from hilite.trainer import evaluate, load_checkpoint
 
 
 @pytest.fixture
@@ -125,6 +128,12 @@ BAD_CONFIG_VALUES = {
     "http-retries-zero": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
                            "max_retries": 0}, "max_retries"),
     "reward-hr-under-oracle": ({"reward_terms": "hr:1"}, "'hr'"),
+    "reward-k-negative": ({"reward_k": -3}, "reward_k"),
+    "reward-k-zero": ({"reward_k": 0}, "reward_k"),
+    "http-max-tokens-zero": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                              "max_tokens": 0}, "max_tokens"),
+    "http-temperature-negative": ({"solver": "http", "endpoint": "http://127.0.0.1:9/",
+                                   "temperature": -2}, "temperature"),
 }
 
 
@@ -224,9 +233,87 @@ def test_unreachable_solver_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def failing_endpoint_config(tmp_path, scripted_server, n_requests):
+    """A config file whose http solver gets 503 on every request, one
+    attempt each."""
+    url, handler = scripted_server
+    handler.script.extend([(503, {"err": "unavailable"})] * n_requests)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "http", "endpoint": url, "max_retries": 1,
+                               "timeout": 5.0}))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_solver_failures_over_the_budget_exit_3(runner, oracle_run, scripted_server, command):
+    _, checkpoint, tmp_path = oracle_run
+    # more instances than the checkpoint's solver_failure_budget (10)
+    dataset = tmp_path / "many.jsonl"
+    save_jsonl(gen_dataset(12, target_tokens=150, seed=3, n_clusters=2, cluster_size=3,
+                           filler_gap=2), dataset)
+    cfg = failing_endpoint_config(tmp_path, scripted_server, 12)
+    report = tmp_path / "report.json"
+    args = command_args(command, dataset, checkpoint, tmp_path)
+    if command == "eval":
+        args += ["--out", str(report)]
+    result = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert "11 solver failures" in result.output
+    assert not report.exists() and not (tmp_path / "s.csv").exists()
+    assert len(scripted_server[1].requests_seen) == 11
+
+
+def test_eval_within_the_failure_budget_writes_the_flagged_report(runner, oracle_run,
+                                                                   scripted_server):
+    dataset, checkpoint, tmp_path = oracle_run
+    cfg = failing_endpoint_config(tmp_path, scripted_server, 4)
+    report_path = tmp_path / "report.json"
+    result = runner.invoke(main, [*command_args("eval", dataset, checkpoint, tmp_path),
+                                  "--config", str(cfg), "--out", str(report_path)])
+    assert result.exit_code == 0, result.output
+    row = json.loads(report_path.read_text())["variants"]["hilite"]
+    assert row["n"] == 4 and row["flagged"] == 4 and row["mean_reward"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # highlight
 # ---------------------------------------------------------------------------
+
+
+class RecordingSolver:
+    """Records every emphasized context it is sent."""
+
+    output_contract = ANSWER_TAG
+
+    def __init__(self):
+        self.sent = []
+
+    def solve(self, query, emphasized_context, instance=None):
+        self.sent.append(emphasized_context)
+        return SolverOutput("<answer>x</answer>")
+
+
+def test_evaluate_sends_the_text_hilite_highlight_prints(runner, oracle_run):
+    dataset_path, checkpoint, _ = oracle_run
+    source = json.loads(dataset_path.read_text().splitlines()[0])
+    text = "Straße ΣΑΣ 日本語. " + source["context"]  # byte and char offsets differ
+    params, _, cfg, idf_table = load_checkpoint(checkpoint)
+    solver = RecordingSolver()
+    evaluate([make_instance(context=text, query=source["query"])], params, solver, cfg,
+             idf_table, variant="hilite")
+    result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint),
+                                  "--text", text, "--query", source["query"]])
+    assert result.exit_code == 0, result.output
+    assert solver.sent == [result.output.removesuffix("\n")]
+    assert solver.sent[0] != text
+
+
+def test_highlight_gamma_zero_still_checks_delta(runner, oracle_run):
+    _, checkpoint, _ = oracle_run
+    result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint),
+                                  "--text", "alpha beta", "--gamma", "0", "--delta", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "delta must be >= 0" in result.output
 
 
 def test_highlight_gamma_zero_is_identity(runner, oracle_run):

@@ -137,6 +137,12 @@ def test_composite_linear_in_weights():
     assert composite("a", "a", spec2) == 2 * composite("a", "a", spec1)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_reward_spec_rejects_k_below_one(k):
+    with pytest.raises(ConfigError, match="reward_k"):
+        RewardSpec.parse("hr:1", k=k)
+
+
 def test_reward_spec_parse():
     spec = RewardSpec.parse("f1:0.5,em:0.5")
     assert spec.terms == (("f1", 0.5), ("em", 0.5))

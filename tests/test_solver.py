@@ -325,6 +325,15 @@ def test_http_scorer_reuses_its_connection(keepalive_server):
     assert server.connections == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("backoff_base", -0.5), ("backoff_base", float("nan")), ("max_tokens", 0),
+    ("temperature", -1.0), ("temperature", float("nan")),
+])
+def test_endpoint_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        EndpointConfig(url="http://127.0.0.1:9/", **{field: value})
+
+
 @pytest.mark.parametrize("url", ["ftp://host/", "localhost:8000", "http:///x", "http://h:port/"])
 def test_endpoint_must_be_an_http_url(url):
     with pytest.raises(ConfigError):

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gold_token_indices, make_instance, spans_to_mask
 from hilite.data import gen_dataset
@@ -32,6 +34,7 @@ from hilite.trainer import (
     config_hash,
     evaluate,
     grad_step,
+    highlight,
     load_checkpoint,
     objective,
     reward_regressed,
@@ -739,6 +742,56 @@ def test_evaluate_reports_solver_attempts(scripted_server):
                       result.idf_table)
     assert oracle["solver_attempts"] == 1
     assert oracle["solver_latency_ms"] == {"p50": 0.0, "p99": 0.0}
+
+
+def test_evaluate_aborts_once_solver_failures_exceed_the_budget():
+    data = oracle_dataset(n=4)
+    cfg = TrainConfig(steps=0, seed=0, solver_failure_budget=2)
+    result = train(data, OracleSolver(OracleSolverConfig()), cfg)
+    solver = ScriptedSolver(["<answer>x</answer>"], fail_first=10**6)
+    with pytest.raises(SolverUnavailableError, match="3 solver failures"):
+        evaluate(data, result.params, solver, cfg, result.idf_table)
+    assert solver.calls == 3  # the pass stops at the failure over budget
+
+
+def test_evaluate_within_the_failure_budget_flags_the_failed_episodes():
+    data = oracle_dataset(n=4)
+    cfg = TrainConfig(steps=0, seed=0, solver_failure_budget=2)
+    result = train(data, OracleSolver(OracleSolverConfig()), cfg)
+    solver = ScriptedSolver(["<answer>x</answer>"], fail_first=2)
+    report = evaluate(data, result.params, solver, cfg, result.idf_table)
+    assert report["n"] == 4 and report["flagged"] == 2
+    assert report["rewards"][:2] == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# inference rule
+# ---------------------------------------------------------------------------
+
+HIGHLIGHT_WORDS = ["alpha", "Straße", "ΣΑΣ", "42", ",", ".", "vault", "日本語", "key"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.sampled_from(HIGHLIGHT_WORDS), max_size=40),
+       gamma=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)),
+       delta=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_highlight_selects_the_budget_on_omega_and_coalesces_it(words, gamma, delta, seed):
+    from hilite.markup import coalesce
+    from hilite.tokenization import tokenize
+
+    rng = np.random.default_rng(seed)
+    ctx = tokenize(" ".join(words))
+    ctx = dataclasses.replace(ctx, omega=np.flatnonzero(rng.random(len(ctx)) < 0.7))
+    probs = rng.random(len(ctx))
+    mask, spans = highlight(probs, ctx, gamma, delta)
+    assert mask.sum() == (math.floor(gamma * len(ctx.omega)) if gamma else 0)
+    selected = np.flatnonzero(mask)
+    assert np.isin(selected, ctx.omega).all()
+    unselected = np.setdiff1d(ctx.omega, selected)
+    if selected.size and unselected.size:  # the largest p on omega
+        assert probs[selected].min() >= probs[unselected].max()
+    assert np.array_equal(spans, coalesce(mask, ctx, delta))
+    assert spans.dtype == np.int64 and spans.shape[1:] == (2,)
 
 
 # ---------------------------------------------------------------------------
