@@ -29,6 +29,7 @@ context = (
     "for the vault. The amber lantern faded near the crossing."
 )
 ctx = tokenize(context)
+texts = [ctx.vocab[i] for i in ctx.text_ids]  # token i's text
 feats = featurize(query, ctx, idf_table={}, idf_ceiling=6.0)
 
 print("feature names:", FEATURE_NAMES)
@@ -43,7 +44,7 @@ probs = score(feats, params)
 ranked = np.argsort(-probs)[:6]
 print("\nhighest-scoring tokens:")
 for i in ranked:
-    print(f"  p={probs[i]:.3f}  {ctx.texts[i]!r}")
+    print(f"  p={probs[i]:.3f}  {texts[i]!r}")
 
 # =============================================================================
 # Budgeted selection
@@ -54,7 +55,7 @@ print(f"\nbudget: gamma=0.25 over {len(ctx.omega)} tokens -> k={budget.k}")
 
 # the inference rule: top-k on p under the budget, then coalesce (gap delta)
 mask, _ = highlight(probs, ctx, gamma=0.25, delta=0)
-chosen = [ctx.texts[i] for i in np.flatnonzero(mask)]
+chosen = [texts[i] for i in np.flatnonzero(mask)]
 print("top-k selection:", chosen)
 
 for kind in SamplerKind:

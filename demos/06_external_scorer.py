@@ -30,12 +30,13 @@ for line in sys.stdin:
 query = "Where is the hidden vault key?"
 context = "The garden slept. The vault key waits beneath the old mill stone."
 ctx = tokenize(context)
+texts = [ctx.vocab[i] for i in ctx.text_ids]  # the protocol sends one string per token
 
 with SubprocessScorer([sys.executable, "-c", CHILD]) as scorer:
-    probs = scorer.score_tokens(query, ctx.texts)
+    probs = scorer.score_tokens(query, texts)
 
 print("token scores from the child process:")
-for text, p in zip(ctx.texts, probs):
+for text, p in zip(texts, probs):
     marker = "*" if p > 0.5 else " "
     print(f"  {marker} p={p:.1f}  {text!r}")
 

@@ -120,7 +120,7 @@ def build_idf_table(contexts: list[TokenizedContext]) -> dict[str, float]:
     n = len(contexts)
     df: dict[str, int] = {}
     for ctx in contexts:
-        for word in {text.casefold() for text in set(ctx.texts)}:
+        for word in {text.casefold() for text in ctx.vocab}:
             df[word] = df.get(word, 0) + 1
     return {w: math.log((1 + n) / (1 + c)) for w, c in sorted(df.items())}
 
@@ -137,23 +137,24 @@ def featurize(
     Features are independent of any mask or budget: query unigram/bigram
     overlap, idf, relative position i/L, capped token length, numeric flag,
     and sentence-initial flag.  Each lexical feature is computed once per
-    distinct token text (or casefolded word) of the context and gathered by
-    vocabulary id; query bigrams are matched as integer pair codes.
+    entry of the context's vocabulary (or casefolded word) and gathered by
+    ``ctx.text_ids``; query bigrams are matched as integer pair codes.
     """
     n = len(ctx)
     x = np.zeros((n, FEATURE_DIM), dtype=np.float64)
     if n == 0:
         return x
-    # distinct token text -> text id, and distinct casefolded word -> word id
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(ctx.texts))}
-    text_id = np.fromiter(map(vocab.__getitem__, ctx.texts), dtype=np.int64, count=n)
+    vocab = ctx.vocab
+    text_id = ctx.text_ids.astype(np.intp)  # gathers run faster on intp than int32 indices
+    # distinct casefolded word -> word id
     folded = [t.casefold() for t in vocab]
     words = {w: i for i, w in enumerate(dict.fromkeys(folded))}
     word_of_text = np.fromiter(map(words.__getitem__, folded), dtype=np.int64, count=len(vocab))
     word_id = word_of_text[text_id]
     n_words = len(words)
 
-    q_words = [t.casefold() for t in tokenize(query).texts]
+    q = tokenize(query)
+    q_words = [q.vocab[i].casefold() for i in q.text_ids.tolist()]
     q_unigrams = set(q_words)
     q_pairs = np.fromiter(
         {words[a] * n_words + words[b]

@@ -9,10 +9,12 @@ on code-point boundaries, so slicing the encoded source at token offsets can
 never cut a multi-byte character in half.
 
 A :class:`TokenizedContext` keeps the tokens as parallel arrays, not as one
-object per token: ``texts`` (a list of strings) and the int64 arrays
-``starts``, ``ends`` and ``omega``.  Every layer reads those arrays;
-:attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand for
-callers that want one record per token.  The encoded source,
+object per token.  Token texts are one vocabulary per context: ``vocab``
+holds each distinct text once, in first-seen order, and the int32 array
+``text_ids`` names each token's entry in it.  Byte ranges and the index set
+are the int64 arrays ``starts``, ``ends`` and ``omega``.  Every layer reads
+those arrays; :attr:`TokenizedContext.tokens` builds :class:`Token` objects
+on demand for callers that want one record per token.  The encoded source,
 :attr:`TokenizedContext.source_bytes`, is computed on first read and kept,
 so splicing markers or pruning encodes each context once.
 
@@ -62,47 +64,55 @@ class Token:
 class TokenizedContext:
     """Source text, its tokens as parallel arrays, and the index set omega.
 
-    ``texts[i]`` is token i's text and ``[starts[i], ends[i])`` its byte
-    range in the UTF-8 source.  omega (int64) holds the token indices
-    eligible for highlighting.  It defaults to every token (None at
-    construction); callers exclude query/instruction regions via
-    :func:`restrict_omega`.  An explicitly empty omega stays empty.
+    ``vocab`` is the tuple of distinct token texts in first-seen order and
+    ``text_ids`` (int32) holds one entry per token: ``vocab[text_ids[i]]``
+    is token i's text and ``[starts[i], ends[i])`` its byte range in the
+    UTF-8 source.  omega (int64) holds the token indices eligible for
+    highlighting.  It defaults to every token (None at construction);
+    callers exclude query/instruction regions via :func:`restrict_omega`.
+    An explicitly empty omega stays empty.
     """
 
     source: str
-    texts: list[str]
+    vocab: tuple[str, ...]
+    text_ids: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     omega: np.ndarray | None = None
 
     def __post_init__(self):
+        self.text_ids = np.asarray(self.text_ids, dtype=np.int32)
         self.starts = np.asarray(self.starts, dtype=np.int64)
         self.ends = np.asarray(self.ends, dtype=np.int64)
         if self.omega is None:
-            self.omega = np.arange(len(self.texts), dtype=np.int64)
+            self.omega = np.arange(len(self.text_ids), dtype=np.int64)
         else:
             self.omega = np.asarray(self.omega, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.texts)
+        return len(self.text_ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TokenizedContext):
             return NotImplemented
         return (
             self.source == other.source
-            and self.texts == other.texts
+            and self.vocab == other.vocab
+            and np.array_equal(self.text_ids, other.text_ids)
             and np.array_equal(self.starts, other.starts)
             and np.array_equal(self.ends, other.ends)
             and np.array_equal(self.omega, other.omega)
         )
 
+    # kept while perfbench/run.py and perfbench/test_checks.py read Token records
     @property
     def tokens(self) -> list[Token]:
         """One :class:`Token` per token, built on each access."""
         return [
-            Token(text, start, end)
-            for text, start, end in zip(self.texts, self.starts.tolist(), self.ends.tolist())
+            Token(self.vocab[i], start, end)
+            for i, start, end in zip(
+                self.text_ids.tolist(), self.starts.tolist(), self.ends.tolist()
+            )
         ]
 
     @cached_property
@@ -134,8 +144,9 @@ def tokenize(text: str) -> TokenizedContext:
     and ends at every non-space character that the next one does not
     continue.  Character offsets become byte offsets through a cumulative
     sum of the code points' UTF-8 widths, so the invariant
-    ``source_bytes[starts[i]:ends[i]].decode() == texts[i]`` holds for
-    arbitrary Unicode input.
+    ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
+    holds for arbitrary Unicode input.  The token texts are sliced once,
+    here, and kept only as the vocabulary of distinct texts.
     """
     cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
     word, space = _char_classes(cp)
@@ -146,13 +157,17 @@ def tokenize(text: str) -> TokenizedContext:
     starts = np.flatnonzero(is_start)
     ends = np.flatnonzero(is_end) + 1
     texts = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    index = {t: i for i, t in enumerate(dict.fromkeys(texts))}
+    text_ids = np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts))
     if not text.isascii():
         offsets = np.zeros(cp.size + 1, dtype=np.int64)
         # uint8 widths: adding bools to uint8 counts them, in 1/8 of int64's memory
         widths = 1 + (cp >= 0x80).view(np.uint8) + (cp >= 0x800) + (cp >= 0x10000)
         np.cumsum(widths, dtype=np.int64, out=offsets[1:])
         starts, ends = offsets[starts], offsets[ends]
-    return TokenizedContext(source=text, texts=texts, starts=starts, ends=ends)
+    return TokenizedContext(
+        source=text, vocab=tuple(index), text_ids=text_ids, starts=starts, ends=ends
+    )
 
 
 def tokens_touching(ctx: TokenizedContext, byte_ranges) -> np.ndarray:

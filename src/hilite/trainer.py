@@ -615,7 +615,8 @@ def evaluate(
     Contexts come from :attr:`Instance.tokens`, computed once per instance
     per process: training on the same instances and repeated passes over
     them (ablation variants, sweep grid points) tokenize nothing again, and
-    the tokens stay alive with the instances (about 80 bytes per token).
+    the tokens stay alive with the instances (about 32 bytes per token on
+    2K-token needles; see :attr:`Instance.tokens`).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")
@@ -744,4 +745,22 @@ def load_checkpoint(path: str | Path):
         idf_table = dict(record["featurizer"]["idf_table"])
     except (KeyError, TypeError, ValueError, HiliteError) as exc:
         raise IntegrityError(f"checkpoint {path} is corrupt: {exc}") from exc
+    for name in ("w", "norm_mean", "norm_var"):
+        values = getattr(params, name)
+        if values.shape != (policy.FEATURE_DIM,) or not np.all(np.isfinite(values)):
+            raise IntegrityError(
+                f"checkpoint {path} is corrupt: params.{name} must hold "
+                f"{policy.FEATURE_DIM} finite numbers"
+            )
+    if not (math.isfinite(params.b) and math.isfinite(params.tau)):
+        raise IntegrityError(
+            f"checkpoint {path} is corrupt: params.b and params.tau must be finite"
+        )
+    for word, value in idf_table.items():
+        if not (isinstance(word, str) and isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value)):
+            raise IntegrityError(
+                f"checkpoint {path} is corrupt: idf_table must map words to "
+                f"finite numbers, not {word!r} to {value!r}"
+            )
     return params, opt, cfg, idf_table

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from hilite.data import Instance
+from hilite.policy import FEATURE_DIM, ScorerParams
 from hilite.tokenization import tokens_touching
+from hilite.trainer import OptimizerState, TrainConfig, save_checkpoint
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -151,3 +153,36 @@ def spans_to_mask(spans, n_tokens: int) -> np.ndarray:
 def gold_token_indices(ctx, gold_spans) -> set[int]:
     """Indices of tokens whose byte range intersects any gold span."""
     return set(np.flatnonzero(tokens_touching(ctx, gold_spans)).tolist())
+
+
+# One field of a sound checkpoint altered: the keys that lead to it, and its
+# new value.  Each must make load_checkpoint raise IntegrityError.
+CORRUPT_CHECKPOINT_FIELDS = {
+    "idf-string": (("featurizer", "idf_table", "word"), "x"),
+    "idf-null": (("featurizer", "idf_table", "word"), None),
+    "idf-bool": (("featurizer", "idf_table", "word"), True),
+    "idf-infinite": (("featurizer", "idf_table", "word"), float("inf")),
+    "w-short": (("params", "w"), [0.5] * 3),
+    "w-nested": (("params", "w"), [[0.5] * FEATURE_DIM]),
+    "norm-mean-short": (("params", "norm_mean"), [0.0] * 3),
+    "norm-var-null": (("params", "norm_var"), [None] * FEATURE_DIM),
+    "b-nan": (("params", "b"), float("nan")),
+    "tau-infinite": (("params", "tau"), float("inf")),
+}
+
+
+def write_checkpoint(path, corrupt: str | None = None) -> None:
+    """Write a sound native-scorer checkpoint to ``path``, with the field
+    ``CORRUPT_CHECKPOINT_FIELDS[corrupt]`` altered when ``corrupt`` is given."""
+    params = ScorerParams(w=np.full(FEATURE_DIM, 0.5), b=0.0, tau=1.0,
+                          norm_mean=np.zeros(FEATURE_DIM), norm_var=np.ones(FEATURE_DIM))
+    save_checkpoint(path, params, OptimizerState.zeros(FEATURE_DIM), TrainConfig(),
+                    {"word": 1.5})
+    if corrupt is not None:
+        record = json.loads(path.read_text())
+        (*keys, last), value = CORRUPT_CHECKPOINT_FIELDS[corrupt]
+        field = record
+        for key in keys:
+            field = field[key]
+        field[last] = value
+        path.write_text(json.dumps(record))

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_instance
+from conftest import make_instance, write_checkpoint
 from hilite.cli import main
 from hilite.data import gen_dataset, save_jsonl
 from hilite.markup import DEFAULT_FORMAT, scan_markers
@@ -386,9 +386,13 @@ def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
     assert json.loads(spans_line) == {"spans": [list(r) for r in regions]}
 
 
-def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path):
+@pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short"])
+def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path, case):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
+    if case == "empty":
+        bad.write_text("{}")
+    else:
+        write_checkpoint(bad, corrupt=case)
     result = runner.invoke(main, [
         "highlight", "--checkpoint", str(bad), "--text", "x",
     ])

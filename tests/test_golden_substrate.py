@@ -189,7 +189,8 @@ def reference_tokenize(text: str) -> list[tuple[str, int, int]]:
 def test_tokenize_matches_per_character_reference(text):
     ctx = tokenize(text)
     assert ctx.starts.dtype == ctx.ends.dtype == ctx.omega.dtype == np.int64
-    got = list(zip(ctx.texts, ctx.starts.tolist(), ctx.ends.tolist()))
+    texts = [ctx.vocab[i] for i in ctx.text_ids]
+    got = list(zip(texts, ctx.starts.tolist(), ctx.ends.tolist()))
     assert got == reference_tokenize(text)
     assert ctx.omega.tolist() == list(range(len(got)))
 

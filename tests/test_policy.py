@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilite import policy
 from hilite.errors import ProtocolError, StructureError
@@ -87,6 +89,46 @@ def test_build_idf_table_counts_documents():
     table = build_idf_table(ctxs)
     assert table["a"] == pytest.approx(math.log(3 / 3))
     assert table["b"] == pytest.approx(math.log(3 / 2))
+
+
+def reference_featurize(query, ctx, idf_table, idf_ceiling):
+    """The seven features computed one token at a time from the token texts."""
+    texts = [t.text for t in ctx.tokens]
+    words = [t.casefold() for t in texts]
+    q_words = [t.text.casefold() for t in tokenize(query).tokens]
+    q_bigrams = set(zip(q_words, q_words[1:]))
+    n = len(texts)
+    rows = []
+    for i, text in enumerate(texts):
+        rows.append([
+            words[i] in q_words,
+            (i > 0 and (words[i - 1], words[i]) in q_bigrams)
+            or (i + 1 < n and (words[i], words[i + 1]) in q_bigrams),
+            idf_table.get(words[i], idf_ceiling),
+            i / n,
+            min(len(text), 20) / 20,
+            text.isdigit(),
+            i == 0 or texts[i - 1] in {".", "!", "?"},
+        ])
+    return np.array(rows, dtype=np.float64).reshape(n, FEATURE_DIM)
+
+
+# repeated words, casefold collisions (Straße/STRASSE, ǅ/Ǆ/ǆ, İ), digits of
+# two scripts and the sentence-final characters, glued or spaced
+FEATURE_TEXTS = st.lists(
+    st.sampled_from(["Straße", "STRASSE", "strasse", "İ", "i̇", "i", "ǅ", "Ǆ", "ǆ",
+                     "the", "The", "417", "٤١٧", "x9", ".", "!", "?", " ", " ", "\n"]),
+    max_size=40,
+).map("".join)
+
+
+@given(FEATURE_TEXTS, FEATURE_TEXTS, st.lists(FEATURE_TEXTS, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_featurize_matches_per_token_reference(context, query, documents):
+    ctx = tokenize(context)
+    idf_table = build_idf_table([tokenize(d) for d in documents])
+    got = featurize(query, ctx, idf_table, idf_ceiling=6.0)
+    assert np.array_equal(got, reference_featurize(query, ctx, idf_table, 6.0))
 
 
 # ---------------------------------------------------------------------------

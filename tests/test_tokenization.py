@@ -125,7 +125,9 @@ EDGE_TEXTS = st.text(
 def test_tokenize_matches_the_regex_split(text):
     texts, starts, ends = reference_tokenize(text)
     ctx = tokenize(text)
-    assert ctx.texts == texts
+    assert [ctx.vocab[i] for i in ctx.text_ids] == texts
+    assert ctx.vocab == tuple(dict.fromkeys(texts))
+    assert ctx.text_ids.dtype == np.int32
     assert ctx.starts.tolist() == starts.tolist()
     assert ctx.ends.tolist() == ends.tolist()
 

@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gold_token_indices, make_instance, spans_to_mask
+from conftest import (
+    CORRUPT_CHECKPOINT_FIELDS,
+    gold_token_indices,
+    make_instance,
+    spans_to_mask,
+    write_checkpoint,
+)
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
-from hilite.policy import Forward, ScorerParams, forward, score
+from hilite.policy import FEATURE_DIM, Forward, ScorerParams, forward, score
 from hilite.rewards import RewardSpec
 from hilite.solver import (
     ANSWER_TAG,
@@ -800,8 +806,8 @@ def test_highlight_selects_the_budget_on_omega_and_coalesces_it(words, gamma, de
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = identity_params([1.0, 2.0], b=-0.5)
-    opt = OptimizerState.zeros(2)
+    params = identity_params(np.arange(FEATURE_DIM, dtype=np.float64), b=-0.5)
+    opt = OptimizerState.zeros(FEATURE_DIM)
     opt.step = 9
     cfg = TrainConfig(steps=5)
     path = tmp_path / "ck.json"
@@ -844,3 +850,9 @@ def test_corrupt_checkpoint_rejected(tmp_path):
         load_checkpoint(path)
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "missing.json")
+    write_checkpoint(path)
+    load_checkpoint(path)
+    for case in CORRUPT_CHECKPOINT_FIELDS:
+        write_checkpoint(path, corrupt=case)
+        with pytest.raises(IntegrityError):
+            load_checkpoint(path)
