@@ -244,10 +244,15 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
         click.echo(json.dumps({"spans": markup.byte_ranges(ctx, spans)}))
 
 
+# the --config help of the commands that evaluate a checkpoint
+CHECKPOINT_CONFIG_HELP = ("Flat JSON config file.  Its training keys, solver_failure_budget "
+                          "included, are checked, but the checkpoint's values are used.")
+
+
 @main.command("eval")
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--dataset", type=str, required=True)
-@click.option("--config", "config_path", type=str, default=None)
+@click.option("--config", "config_path", type=str, default=None, help=CHECKPOINT_CONFIG_HELP)
 @click.option("--out", "report_path", type=str, default=None, help="Report JSON path.")
 @click.option("--pruned", "run_pruned", is_flag=True, default=False)
 @click.option("--random", "run_random", is_flag=True, default=False)
@@ -305,7 +310,7 @@ SWEEP_COLUMNS = ("mean_reward", "mean_highlight_fraction", "mean_covered_fractio
 @main.command("sweep")
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--dataset", type=str, required=True)
-@click.option("--config", "config_path", type=str, default=None)
+@click.option("--config", "config_path", type=str, default=None, help=CHECKPOINT_CONFIG_HELP)
 @click.option("--axis", type=click.Choice(list(SWEEP_AXES)),
               required=True)
 @click.option("--grid", type=str, required=True,

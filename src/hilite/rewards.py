@@ -141,8 +141,9 @@ class RewardSpec:
         for name, weight in self.terms:
             if name not in METRICS:
                 raise ConfigError(f"unknown reward metric {name!r}")
-            if weight < 0:
-                raise ConfigError(f"negative weight for reward term {name!r}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ConfigError(f"weight of reward term {name!r} must be a finite number "
+                                  f">= 0, not {weight!r}")
         if self.k < 1:
             raise ConfigError("reward_k must be >= 1")
 

@@ -255,16 +255,16 @@ class EndpointConfig:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not self.timeout > 0:
-            raise ConfigError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigError("timeout must be a finite number > 0")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if not self.temperature >= 0:
-            raise ConfigError("temperature must be >= 0")
-        if not self.backoff_base >= 0:
-            raise ConfigError("backoff_base must be >= 0")
+        for name in ("temperature", "backoff_base"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, not {value!r}")
 
 
 def split_endpoint(url: str) -> urllib.parse.SplitResult:

@@ -21,12 +21,14 @@ One training step on one instance:
    projected mask only shapes the emphasized text.
 
 Each step runs one forward pass of the scorer, used for both sampling and
-the update.  The solver is frozen: training mutates scorer parameters and
-optimizer state, nothing else.  One pool of G threads lives for the whole
-run; each step maps the solver over its G emphasized texts on it, and the
-parameter update is single-writer.  Every run is reproducible from
-(config, seed): sampling streams derive from (seed, instance id, group
-index, step).
+the update.  A :class:`GroupSample` holds the G masks as (G, n) stacks and
+caches no log-likelihood: :func:`objective` computes every term, value and
+gradient, from the mask stack, the advantages and that forward pass.  The
+solver is frozen: training mutates scorer parameters and optimizer state,
+nothing else.  One pool of G threads lives for the whole run; each step
+maps the solver over its G emphasized texts on it, and the parameter update
+is single-writer.  Every run is reproducible from (config, seed): sampling
+streams derive from (seed, instance id, group index, step).
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ class TrainConfig:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.delta < 0:
             raise ConfigError("delta must be >= 0")
-        for name in ("lambda_len", "beta_ent", "learning_rate", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for name in ("lambda_len", "beta_ent", "learning_rate", "weight_decay", "idf_ceiling"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, not {value!r}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         try:
@@ -124,10 +127,8 @@ class TrainConfig:
         if self.marker_format not in BUILTIN_FORMATS:
             raise ConfigError(f"unknown marker_format {self.marker_format!r} "
                               f"(expected one of {', '.join(BUILTIN_FORMATS)})")
-        if not self.tau > 0:
-            raise ConfigError("tau must be > 0")
-        if self.idf_ceiling < 0:
-            raise ConfigError("idf_ceiling must be >= 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be a finite number > 0, not {self.tau!r}")
         if self.solver_failure_budget < 0:
             raise ConfigError("solver_failure_budget must be >= 0")
 
@@ -150,26 +151,19 @@ def config_hash(cfg: TrainConfig) -> str:
 
 @dataclass
 class GroupSample:
-    """Everything produced by one instance's G rollouts; ``spans`` holds
-    each projected mask's coalesced spans."""
+    """Everything produced by one instance's G rollouts.  ``prelim_masks``
+    and ``proj_masks`` are (G, n) ``uint8`` stacks, row j for rollout j;
+    ``spans`` holds each projected mask's coalesced spans.  No
+    log-likelihood is kept: :func:`objective` evaluates them on the step's
+    forward pass."""
 
-    prelim_masks: list[np.ndarray]
-    proj_masks: list[np.ndarray]
+    prelim_masks: np.ndarray
+    proj_masks: np.ndarray
     emphasized: list[str]
     outputs: list[SolverOutput | None]
     rewards: np.ndarray
     advantages: np.ndarray
-    log_probs: np.ndarray
     spans: list[np.ndarray]
-
-    def __post_init__(self):
-        lengths = [
-            len(self.prelim_masks), len(self.proj_masks), len(self.emphasized),
-            len(self.outputs), len(self.rewards), len(self.advantages), len(self.log_probs),
-            len(self.spans),
-        ]
-        if len(set(lengths)) != 1:
-            raise StructureError(f"group holds per-episode lists of lengths {lengths}")
 
 
 @dataclass
@@ -243,21 +237,30 @@ def objective(
 ) -> LossTerms:
     """L = L_PG + lambda_len * L_LEN + beta_ent * L_ENT and its analytic
     gradient with respect to (w, b), from ``fwd``, the step's forward pass
-    over every row.
+    over every row: the G log-likelihoods log pi(prelim mask_j) are
+    evaluated here, on ``fwd.p``.  ``group.prelim_masks`` must be a
+    (G, n) stack with one row per advantage and one column per row of
+    ``fwd``; any other shape raises StructureError.
 
     The gradient holds masks and advantages fixed and matches central finite
     differences of ``total``; clamped tokens contribute zero everywhere,
     like the clamped forward pass they correspond to.  An empty omega adds
     no length penalty, entropy or gradient.
     """
+    g = group.advantages.size
+    if group.prelim_masks.shape != (g, fwd.p.size):
+        raise StructureError(f"group holds masks of shape {group.prelim_masks.shape} for "
+                             f"{g} advantages over {fwd.p.size} tokens")
     idx = policy.omega_index(omega)
     x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
     n, tau = idx.size, params.tau
-    masks = np.stack(group.prelim_masks)[:, idx]
-    g = len(masks)
+    masks = group.prelim_masks[:, idx]
 
-    # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau
-    l_pg = float(-(group.advantages * group.log_probs).mean())
+    # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau;
+    # one log_prob call per mask: a row-wise sum of the stack may differ in the last ulp
+    log_probs = np.array([policy.log_prob(m, fwd.p, idx) for m in group.prelim_masks])
+    with np.errstate(invalid="ignore"):  # +-inf advantages give NaN; grad_step skips the step
+        l_pg = float(-(group.advantages * log_probs).mean())
     dz_pg = -(group.advantages @ (masks - p)) / (g * tau)
 
     # length: L_LEN = (mean p - gamma)^2, dz = 2 (mean p - gamma) * dp/dz / (n tau)
@@ -409,36 +412,29 @@ def rollout_group(
     """
     ctx = inst.tokens
     budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
-    prelim_masks, proj_masks, spans, emphasized = [], [], [], []
+    prelim_masks = np.empty((cfg.group_size, probs.size), dtype=np.uint8)
+    proj_masks = np.empty_like(prelim_masks)
+    spans, emphasized = [], []
     for j in range(cfg.group_size):
         rng = rng_stream(cfg.seed, inst.id, j, step)
-        prelim, proj = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
-        prelim_masks.append(prelim)
-        proj_masks.append(proj)
-        spans.append(markup.coalesce(proj, ctx, cfg.delta))
+        prelim_masks[j], proj_masks[j] = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
+        spans.append(markup.coalesce(proj_masks[j], ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
     outputs, rewards = zip(*pool.map(
         lambda text: episode(solver, inst, text, contract, reward_spec), emphasized
     ))
     rewards = np.array(rewards, dtype=np.float64)
-    failures = outputs.count(None)
-
-    adv = advantages(rewards)
-    log_probs = np.array(
-        [policy.log_prob(m, probs, ctx.omega) for m in prelim_masks]
-    )
     group = GroupSample(
         prelim_masks=prelim_masks,
         proj_masks=proj_masks,
         emphasized=emphasized,
         outputs=list(outputs),
         rewards=rewards,
-        advantages=adv,
-        log_probs=log_probs,
+        advantages=advantages(rewards),
         spans=spans,
     )
-    return group, failures
+    return group, outputs.count(None)
 
 
 def covered_fraction(spans: np.ndarray, n_tokens: int) -> float:

@@ -168,6 +168,7 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "norm-var-null": (("params", "norm_var"), [None] * FEATURE_DIM),
     "b-nan": (("params", "b"), float("nan")),
     "tau-infinite": (("params", "tau"), float("inf")),
+    "idf-ceiling-nan": (("config", "idf_ceiling"), float("nan")),
 }
 
 

@@ -28,7 +28,7 @@ from hilite.markup import (
     inject,
     strip,
 )
-from hilite.policy import ScorerParams, forward, log_prob, score
+from hilite.policy import ScorerParams, forward, score
 from hilite.rewards import RewardSpec, composite, em, hr_at_k, macro_f1, ndcg_at_k, token_f1
 from hilite.selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
@@ -125,11 +125,10 @@ def test_criterion_3_gradient_correctness():
             norm_var=rng.uniform(0.5, 2.0, size=d),
         )
         g = int(rng.integers(2, 5))
-        masks = [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(g)]
+        masks = (rng.random((g, n)) < 0.5).astype(np.uint8)
         rewards = rng.random(g)
         omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
         cfg = TrainConfig(group_size=2, steps=0, gamma=0.3)
-        s = score(feats, params)
         group = GroupSample(
             prelim_masks=masks,
             proj_masks=masks,
@@ -137,21 +136,13 @@ def test_criterion_3_gradient_correctness():
             outputs=[None] * g,
             rewards=np.asarray(rewards),
             advantages=advantages(rewards),
-            log_probs=np.array([log_prob(m, s, omega) for m in masks]),
             spans=[np.empty((0, 2), dtype=np.int64)] * g,
         )
         terms = objective(group, forward(feats, params), params, omega, cfg)
         gw, gb = terms.grad_w, terms.grad_b
 
         def total_at(p2):
-            s2 = score(feats, p2)
-            lps = np.array([log_prob(m, s2, omega) for m in masks])
-            g2 = GroupSample(
-                prelim_masks=masks, proj_masks=masks, emphasized=[""] * g,
-                outputs=[None] * g, rewards=group.rewards,
-                advantages=group.advantages, log_probs=lps, spans=group.spans,
-            )
-            return objective(g2, forward(feats, p2), p2, omega, cfg).total
+            return objective(group, forward(feats, p2), p2, omega, cfg).total
 
         h = 1e-6
         fd = np.zeros(d + 1)

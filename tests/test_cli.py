@@ -95,6 +95,8 @@ def test_train_bad_config_file_exits_2(runner, tmp_path):
 # case id -> (config file, what the error names: the key, or the bad term)
 BAD_CONFIG_VALUES = {
     "reward-weight": ({"reward_terms": "em:x"}, "'em:x'"),
+    "reward-weight-nan": ({"reward_terms": "em:nan"}, "'em'"),
+    "reward-weight-inf": ({"reward_terms": "em:inf"}, "'em'"),
     "reward-k": ({"reward_k": "ten"}, "reward_k"),
     "threshold-text": ({"coverage_threshold": "abc"}, "coverage_threshold"),
     "threshold-range": ({"coverage_threshold": 2}, "coverage_threshold"),
@@ -163,6 +165,14 @@ def command_args(command, dataset, checkpoint, tmp_path):
     if command == "sweep":
         args += ["--axis", "budget", "--grid", "0.1", "--out", str(tmp_path / "s.csv")]
     return args
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_help_says_checkpoint_training_values_are_used(runner, command):
+    result = runner.invoke(main, [command, "--help"], terminal_width=200)
+    assert result.exit_code == 0
+    assert ("training keys, solver_failure_budget included, are checked, but the "
+            "checkpoint's values are used") in result.output
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
@@ -386,7 +396,7 @@ def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
     assert json.loads(spans_line) == {"spans": [list(r) for r in regions]}
 
 
-@pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short"])
+@pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short", "idf-ceiling-nan"])
 def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path, case):
     bad = tmp_path / "bad.json"
     if case == "empty":

@@ -236,9 +236,10 @@ def pg_term_grad(mask, feats, params, omega):
     """Gradient of log pi(mask) with respect to (w, b), read off the training
     objective: its L_PG term for one mask with advantage -1, no length or
     entropy term."""
+    masks = np.asarray(mask, dtype=np.uint8)[None]
     group = GroupSample(
-        prelim_masks=[mask], proj_masks=[mask], emphasized=[""], outputs=[None],
-        rewards=np.zeros(1), advantages=np.array([-1.0]), log_probs=np.zeros(1),
+        prelim_masks=masks, proj_masks=masks, emphasized=[""], outputs=[None],
+        rewards=np.zeros(1), advantages=np.array([-1.0]),
         spans=[np.empty((0, 2), dtype=np.int64)],
     )
     cfg = TrainConfig(steps=0, lambda_len=0.0, beta_ent=0.0)

@@ -137,6 +137,12 @@ def test_composite_linear_in_weights():
     assert composite("a", "a", spec2) == 2 * composite("a", "a", spec1)
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_reward_spec_rejects_non_finite_weight(weight):
+    with pytest.raises(ConfigError, match="'f1'"):
+        RewardSpec.parse(f"em:1,f1:{weight}")
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_reward_spec_rejects_k_below_one(k):
     with pytest.raises(ConfigError, match="reward_k"):

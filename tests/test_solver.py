@@ -328,6 +328,7 @@ def test_http_scorer_reuses_its_connection(keepalive_server):
 @pytest.mark.parametrize("field,value", [
     ("backoff_base", -0.5), ("backoff_base", float("nan")), ("max_tokens", 0),
     ("temperature", -1.0), ("temperature", float("nan")),
+    ("backoff_base", float("inf")), ("temperature", float("inf")), ("timeout", float("inf")),
 ])
 def test_endpoint_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -20,7 +20,7 @@ from conftest import (
 )
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
-from hilite.policy import FEATURE_DIM, Forward, ScorerParams, forward, score
+from hilite.policy import FEATURE_DIM, Forward, ScorerParams, forward, log_prob, score
 from hilite.rewards import RewardSpec
 from hilite.solver import (
     ANSWER_TAG,
@@ -63,18 +63,18 @@ def identity_params(w, b=0.0, tau=1.0):
     )
 
 
-def group_from(prelim_masks, rewards, log_probs, advform=None):
+def group_from(prelim_masks, rewards, advform=None):
     rewards = np.asarray(rewards, dtype=np.float64)
     adv = advform if advform is not None else advantages(rewards)
+    masks = np.asarray(prelim_masks, dtype=np.uint8)
     return GroupSample(
-        prelim_masks=[np.asarray(m, dtype=np.uint8) for m in prelim_masks],
-        proj_masks=[np.asarray(m, dtype=np.uint8) for m in prelim_masks],
-        emphasized=["" for _ in prelim_masks],
-        outputs=[None for _ in prelim_masks],
+        prelim_masks=masks,
+        proj_masks=masks,
+        emphasized=["" for _ in masks],
+        outputs=[None for _ in masks],
         rewards=rewards,
         advantages=np.asarray(adv, dtype=np.float64),
-        log_probs=np.asarray(log_probs, dtype=np.float64),
-        spans=[np.empty((0, 2), dtype=np.int64) for _ in prelim_masks],
+        spans=[np.empty((0, 2), dtype=np.int64) for _ in masks],
     )
 
 
@@ -135,18 +135,19 @@ def test_pg_loss_hand_evaluated():
     group = group_from(
         prelim_masks=[[1, 0], [0, 1]],
         rewards=[1.0, 0.0],
-        log_probs=[-2.0, -3.0],
         advform=[1.0, -1.0],
     )
-    scores = np.array([0.5, 0.5])
+    # log pi([1, 0]) = ln 0.8 + ln 0.6 and log pi([0, 1]) = ln 0.2 + ln 0.4, so
+    # L_PG = -(1/2) (ln 0.48 - ln 0.08) = -(1/2) ln 6
+    scores = np.array([0.8, 0.4])
     cfg = small_config(lambda_len=0.0, beta_ent=0.0)
     terms = terms_at(group, scores, [0, 1], cfg)
-    assert terms.l_pg == pytest.approx(-0.5)
-    assert terms.total == pytest.approx(-0.5)
+    assert terms.l_pg == pytest.approx(-0.5 * math.log(6))
+    assert terms.total == pytest.approx(-0.5 * math.log(6))
 
 
 def test_len_loss_zero_on_budget():
-    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
+    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config(gamma=0.25)
     scores = np.array([0.25, 0.25])
     terms = terms_at(group, scores, [0, 1], cfg)
@@ -154,7 +155,7 @@ def test_len_loss_zero_on_budget():
 
 
 def test_entropy_loss_at_half():
-    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], [0.0, 0.0], advform=[0.0, 0.0])
+    group = group_from([[0, 0], [0, 0]], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config()
     scores = np.array([0.5, 0.5])
     terms = terms_at(group, scores, [0, 1], cfg)
@@ -162,7 +163,7 @@ def test_entropy_loss_at_half():
 
 
 def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
-    group = group_from([[1, 0], [0, 1]], [1.0, 0.0], [0.0, 0.0])
+    group = group_from([[1, 0], [0, 1]], [1.0, 0.0])
     terms = terms_at(group, [0.9, 0.1], [], small_config(gamma=0.3))
     assert (terms.l_len, terms.l_ent, terms.mean_p, terms.grad_b) == (0.0, 0.0, 0.0, 0.0)
     assert terms.grad_w.tolist() == [0.0]
@@ -175,21 +176,7 @@ def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
 
 
 def total_loss_given(params, feats, group, omega, cfg):
-    s = score(feats, params)
-    from hilite.policy import log_prob
-
-    lps = np.array([log_prob(m, s, omega) for m in group.prelim_masks])
-    g2 = GroupSample(
-        prelim_masks=group.prelim_masks,
-        proj_masks=group.proj_masks,
-        emphasized=group.emphasized,
-        outputs=group.outputs,
-        rewards=group.rewards,
-        advantages=group.advantages,
-        log_probs=lps,
-        spans=group.spans,
-    )
-    return objective(g2, forward(feats, params), params, omega, cfg).total
+    return objective(group, forward(feats, params), params, omega, cfg).total
 
 
 def finite_diff_total(params, feats, group, omega, cfg, h=1e-6):
@@ -228,12 +215,7 @@ def test_total_gradient_matches_finite_differences(seed):
     rewards = rng.random(g)
     omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
     cfg = small_config(gamma=0.3, lambda_len=0.01, beta_ent=1.0)
-    s = score(feats, params)
-    from hilite.policy import log_prob
-
-    group = group_from(
-        masks, rewards, [log_prob(m, s, omega) for m in masks]
-    )
+    group = group_from(masks, rewards)
     terms = objective(group, forward(feats, params), params, omega, cfg)
     gw, gb = terms.grad_w, terms.grad_b
     fw, fb = finite_diff_total(params, feats, group, omega, cfg)
@@ -253,7 +235,7 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
     feats = rng.normal(size=(n, d))
     params = identity_params(rng.normal(scale=0.5, size=d), b=0.1, tau=0.8)
     masks = [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(g)]
-    group = group_from(masks, rng.random(g), [0.0] * g)
+    group = group_from(masks, rng.random(g))
     omega = sorted(rng.choice(n, size=8, replace=False).tolist())
     p = score(feats, params)
     assert np.all((p > 1e-3) & (p < 1 - 1e-3))  # no token near the clamp
@@ -270,6 +252,22 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
     assert gb == pytest.approx(ref_b, rel=1e-12, abs=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_pg_loss_equals_per_mask_log_prob_sum_exactly(g, n, seed):
+    # pinned with ==: L_PG sums each mask's log-likelihood with its own 1-D
+    # sum, which golden_metrics.json digests; a batched row sum may move the
+    # last ulp
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1e-6, 1 - 1e-6, size=n)
+    omega = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    masks = (rng.random((g, n)) < rng.random()).astype(np.uint8)
+    adv = rng.normal(size=g)
+    group = group_from(masks, np.zeros(g), advform=adv)
+    terms = terms_at(group, p, omega, small_config(group_size=g))
+    assert terms.l_pg == float(-(adv * np.array([log_prob(m, p, omega) for m in masks])).mean())
+
+
 def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
     # z = 1000 x: tokens 0, 1, 3, 4 are clamped (|z| >= 800), token 2 (z = 1) is not
     params = identity_params([1000.0])
@@ -281,9 +279,9 @@ def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens()
     cfg = small_config(group_size=3, gamma=0.3, lambda_len=0.5, beta_ent=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        terms_a = objective(group_from(masks_a, rewards, [0.0] * 3), forward(a, params),
+        terms_a = objective(group_from(masks_a, rewards), forward(a, params),
                             params, range(5), cfg)
-        terms_b = objective(group_from(masks_b, rewards, [0.0] * 3), forward(b, params),
+        terms_b = objective(group_from(masks_b, rewards), forward(b, params),
                             params, range(5), cfg)
     gw, gb, gw_b, gb_b = terms_a.grad_w, terms_a.grad_b, terms_b.grad_w, terms_b.grad_b
     assert np.all(np.isfinite(gw)) and math.isfinite(gb)
@@ -301,7 +299,7 @@ def test_zero_gradient_step_only_decays_weights():
     params = identity_params([0.5, -0.5, 1.0], b=0.3)
     opt = OptimizerState.zeros(d)
     feats = np.zeros((2, d))
-    group = group_from([[0, 0], [0, 0]], [0.5, 0.5], [0.0, 0.0])  # zero advantages
+    group = group_from([[0, 0], [0, 0]], [0.5, 0.5])  # zero advantages
     cfg = small_config(lambda_len=0.0, beta_ent=0.0, weight_decay=1e-2,
                        learning_rate=1e-4)
     w_before = params.w.copy()
@@ -320,10 +318,7 @@ def test_grad_step_deterministic():
     def run():
         params = identity_params([0.1, 0.2, 0.3], b=0.0)
         opt = OptimizerState.zeros(3)
-        s = score(feats, params)
-        from hilite.policy import log_prob
-
-        group = group_from(masks, rewards, [log_prob(m, s, range(5)) for m in masks])
+        group = group_from(masks, rewards)
         cfg = small_config(group_size=3)
         for _ in range(5):
             grad_step(group, forward(feats, params), params, opt, cfg, range(5))
@@ -336,7 +331,7 @@ def test_non_finite_gradient_skips_step(caplog):
     params = identity_params([0.1])
     opt = OptimizerState.zeros(1)
     feats = np.array([[1.0]])
-    group = group_from([[1], [0]], [1.0, 0.0], [np.nan, np.nan], advform=[np.inf, -np.inf])
+    group = group_from([[1], [0]], [1.0, 0.0], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
     grad_step(group, forward(feats, params), params, opt, cfg, [0])
@@ -344,11 +339,13 @@ def test_non_finite_gradient_skips_step(caplog):
     assert opt.step == 0
 
 
-def test_group_rejects_lists_of_different_lengths():
-    with pytest.raises(StructureError):
-        group_from([[1]], [1.0, 0.0], [0.0], advform=[1.0, -1.0])
-    with pytest.raises(StructureError):
-        group_from([[1], [0]], [1.0, 0.0], [0.0])
+def test_objective_rejects_masks_of_the_wrong_shape():
+    cfg = small_config()
+    terms_at(group_from([[1, 0], [0, 1]], [1.0, 0.0]), [0.5, 0.5], [0, 1], cfg)
+    with pytest.raises(StructureError):  # one mask for two advantages
+        terms_at(group_from([[1, 0]], [1.0, 0.0], advform=[1.0, -1.0]), [0.5, 0.5], [0, 1], cfg)
+    with pytest.raises(StructureError):  # masks over one token, forward pass over two
+        terms_at(group_from([[1], [0]], [1.0, 0.0]), [0.5, 0.5], [0], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +602,14 @@ def test_empty_dataset_rejected():
 def test_group_size_floor():
     with pytest.raises(ConfigError):
         TrainConfig(group_size=1)
+
+
+@pytest.mark.parametrize("name", ["lambda_len", "beta_ent", "learning_rate", "weight_decay",
+                                  "idf_ceiling", "tau"])
+def test_non_finite_config_value_rejected(name):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
 
 def test_evaluate_smoke_and_identity_cases(tmp_path):
