@@ -28,7 +28,7 @@ histories = [
     [105, 101],
 ]
 graph = build_covis(histories, window=2)
-print("neighbors of 103:", graph.neighbors(103))
+print("neighbors of 103:", graph[103])
 
 # =============================================================================
 # Recency-decayed candidate generation

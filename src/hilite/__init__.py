@@ -9,7 +9,6 @@ the solver's task reward alone.
 """
 
 from .data import (
-    CoVisGraph,
     Instance,
     SynthSpec,
     build_covis,
@@ -87,7 +86,6 @@ from .solver import (
     SolverOutput,
     TEMPLATES,
     call_http,
-    oracle_solve,
     parse_answer,
     parse_final_json,
     render_prompt,

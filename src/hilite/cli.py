@@ -40,7 +40,7 @@ from .errors import (
 )
 from .markup import get_format
 from .policy import featurize, score
-from .rewards import RewardSpec
+from .rewards import DEFAULT_REWARD_SPEC, RewardSpec
 from .solver import (
     EndpointConfig,
     HTTPSolver,
@@ -50,7 +50,15 @@ from .solver import (
     split_endpoint,
 )
 from .tokenization import tokenize
-from .trainer import TrainConfig, evaluate, highlight, load_checkpoint, train
+from .trainer import (
+    CONFIG_FIELD_TYPES,
+    TrainConfig,
+    evaluate,
+    highlight,
+    json_typed,
+    load_checkpoint,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,31 +94,16 @@ RUN_KEYS = {
     "max_retries": int, "max_tokens": int, "temperature": float,
 }
 
-# every config key -> its JSON type; a TrainConfig field has its default's
-# type, except the sampler enum, which a file names by its string
-KEY_TYPES = {
-    **{field.name: type(field.default) for field in dataclasses.fields(TrainConfig)},
-    "sampler": str,
-    **RUN_KEYS,
-}
-
-JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-                   str: "a string"}
+# every config key -> its JSON type
+KEY_TYPES = {**CONFIG_FIELD_TYPES, **RUN_KEYS}
 
 
 def _typed(key: str, value, path: str):
-    """``value`` if it has ``key``'s JSON type, a float key's number as a
-    float; ConfigError otherwise.  Neither ``true`` nor ``false`` is a
-    number, and a number must fit a float: NaN and Infinity do not."""
+    """``value`` under :func:`json_typed`'s rule for ``key``'s JSON type."""
     kind = KEY_TYPES.get(key)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r} in {path}")
-    fits = (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if kind is float else isinstance(value, kind))
-    if fits and isinstance(value, bool) == (kind is bool):
-        return float(value) if kind is float else value
-    raise ConfigError(f"config key {key!r} in {path} must be {JSON_TYPE_NAMES[kind]}, "
-                      f"not {json.dumps(value)}")
+    return json_typed(value, kind, f"config key {key!r} in {path}")
 
 
 def load_config(path: str | None, overrides: dict) -> tuple[dict, TrainConfig]:
@@ -169,7 +162,10 @@ def build_solver(options: dict, cfg: TrainConfig):
 
 
 def build_reward_spec(options: dict) -> RewardSpec:
-    return RewardSpec.parse(options.get("reward_terms", "em:1.0"), k=options.get("reward_k", 10))
+    k = options.get("reward_k", 10)
+    if "reward_terms" in options:
+        return RewardSpec.parse(options["reward_terms"], k=k)
+    return dataclasses.replace(DEFAULT_REWARD_SPEC, k=k)
 
 
 @click.group()

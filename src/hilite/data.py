@@ -328,23 +328,12 @@ def gen_dataset(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoVisGraph:
-    """Item-item co-occurrence counts within a sliding window.
+def build_covis(histories: list[list], window: int) -> dict:
+    """Item-item co-occurrence counts within a sliding window: accumulate
+    co[i_t][i_j] += 1 for every j in [t-w, t+w], j != t, over all users.
 
-    adjacency[a] lists (neighbor, count) sorted by descending count, ties by
-    ascending neighbor id.
-    """
-
-    adjacency: dict
-
-    def neighbors(self, item) -> list[tuple[object, int]]:
-        return self.adjacency.get(item, [])
-
-
-def build_covis(histories: list[list], window: int) -> CoVisGraph:
-    """Accumulate co[i_t][i_j] += 1 for every j in [t-w, t+w], j != t,
-    over all users."""
+    Returns the adjacency dict: graph[a] lists (neighbor, count) sorted by
+    descending count, ties by ascending neighbor id."""
     if window < 1:
         raise DataError("window must be >= 1")
     counts: dict = {}
@@ -359,11 +348,10 @@ def build_covis(histories: list[list], window: int) -> CoVisGraph:
                 a, b = history[t], history[j]
                 counts.setdefault(a, {})
                 counts[a][b] = counts[a].get(b, 0) + 1
-    adjacency = {
+    return {
         a: sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0]))
         for a, pairs in counts.items()
     }
-    return CoVisGraph(adjacency=adjacency)
 
 
 def popularity_from_histories(histories: list[list]) -> list:
@@ -377,7 +365,7 @@ def popularity_from_histories(histories: list[list]) -> list:
 
 def candidates(
     history: list,
-    graph: CoVisGraph,
+    graph: dict,
     alpha: float = 0.85,
     M: int = 10,
     K: int = 40,
@@ -397,7 +385,7 @@ def candidates(
     scores: dict = {}
     for rank, r in enumerate(recent):
         decay = alpha**rank
-        for neighbor, count in graph.neighbors(r):
+        for neighbor, count in graph.get(r, ()):
             if neighbor in seen:
                 continue
             scores[neighbor] = scores.get(neighbor, 0.0) + decay * count

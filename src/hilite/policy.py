@@ -81,15 +81,6 @@ class ScorerParams:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    def copy(self) -> "ScorerParams":
-        return ScorerParams(
-            w=self.w.copy(),
-            b=float(self.b),
-            tau=float(self.tau),
-            norm_mean=self.norm_mean.copy(),
-            norm_var=self.norm_var.copy(),
-        )
-
     def to_dict(self) -> dict:
         return {
             "w": self.w.tolist(),

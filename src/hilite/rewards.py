@@ -160,6 +160,10 @@ class RewardSpec:
         return cls(terms=tuple(terms), k=k)
 
 
+# the reward of a run that names none: exact match of the answer
+DEFAULT_REWARD_SPEC = RewardSpec((("em", 1.0),))
+
+
 def composite(output, gold, spec: RewardSpec) -> float:
     """Weighted sum of component metrics for one instance.
 

@@ -17,10 +17,11 @@ not followed.
 
 In-process solvers:
 
-* OracleSolver answers correctly iff the marker pairs in the emphasized
-  context enclose at least a configured fraction of the instance's gold
-  evidence bytes.  A "bridging" variant additionally demands that at least
-  one byte of non-evidence context survives in the input, which penalizes
+* OracleSolver is the coverage oracle: it answers correctly iff
+  the marker pairs (in its marker format) in the emphasized context
+  enclose at least a configured fraction of the instance's gold evidence
+  bytes.  A "bridging" variant additionally demands that at least one byte
+  of non-evidence context survives in the input, which penalizes
   deletion-based selection the way connective-context loss does.
 * ScriptedSolver replays canned responses (optionally failing first) for
   transport and parsing tests.
@@ -171,10 +172,9 @@ def render_prompt(query: str, emphasized_context: str, template: PromptTemplate)
 
 @dataclass
 class SolverOutput:
-    """Raw solver text plus parse result and transport bookkeeping."""
+    """Raw solver text plus transport bookkeeping."""
 
     raw_text: str
-    parsed: object | None = None
     latency: float = 0.0
     attempt_count: int = 1
     flagged: bool = False
@@ -491,36 +491,14 @@ def evidence_coverage(
     return covered / total, len(stripped) > found
 
 
-def oracle_solve(
-    query: str,
-    emphasized_context: str,
-    instance,
-    cfg: OracleSolverConfig,
-    fmt: MarkerFormat = DEFAULT_FORMAT,
-) -> SolverOutput:
-    """Answer correctly iff tagged coverage of the gold evidence reaches the
+class OracleSolver:
+    """Answers correctly iff tagged coverage of the gold evidence reaches the
     threshold (and, for the bridging variant, some connective context
     survives).  Fully deterministic; replies on the answer-tag contract.
 
     Emphasis whose markers do not pair up (for example because the source
     already contains a marker string) gets a reply without an answer, which
     parses as a flagged zero-reward episode."""
-    try:
-        coverage, has_connective = evidence_coverage(
-            emphasized_context, instance.tokens.source_bytes,
-            instance.evidence_spans or [], fmt
-        )
-    except IntegrityError as exc:
-        return SolverOutput(raw_text=f"unreadable emphasis markers: {exc}")
-    correct = coverage >= cfg.coverage_threshold
-    if cfg.require_connective:
-        correct = correct and has_connective
-    answer = str(instance.gold) if correct else ORACLE_WRONG_ANSWER
-    return SolverOutput(raw_text=f"<answer>{answer}</answer>", parsed=None)
-
-
-class OracleSolver:
-    """Trainer-facing wrapper around :func:`oracle_solve`."""
 
     output_contract = ANSWER_TAG
 
@@ -533,7 +511,18 @@ class OracleSolver:
             raise ConfigError(
                 "oracle solver requires instances with gold evidence spans"
             )
-        return oracle_solve(query, emphasized_context, instance, self.cfg, self.fmt)
+        try:
+            coverage, has_connective = evidence_coverage(
+                emphasized_context, instance.tokens.source_bytes,
+                instance.evidence_spans, self.fmt
+            )
+        except IntegrityError as exc:
+            return SolverOutput(raw_text=f"unreadable emphasis markers: {exc}")
+        correct = coverage >= self.cfg.coverage_threshold
+        if self.cfg.require_connective:
+            correct = correct and has_connective
+        answer = str(instance.gold) if correct else ORACLE_WRONG_ANSWER
+        return SolverOutput(raw_text=f"<answer>{answer}</answer>")
 
     def close(self) -> None:
         """Nothing to release; present so callers close any solver alike."""

@@ -38,9 +38,10 @@ import json
 import logging
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .markup import BUILTIN_FORMATS, MarkerFormat, Mask, Spans, get_format
 from .policy import ScorerParams, build_idf_table, featurize, score
-from .rewards import RANKING_METRICS, RewardSpec, composite
+from .rewards import DEFAULT_REWARD_SPEC, RANKING_METRICS, RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
 from .solver import FINAL_JSON, FREE_TEXT, SolverOutput, parse_output
 # unused here, but perfbench/run.py's install_tracing wraps trainer.tokenize
@@ -80,6 +81,22 @@ EVIDENCE_THRESHOLD = 0.5
 # :func:`evaluate` joins the span texts of the "pruned" variant with this
 PRUNE_JOINER = " ... "
 
+JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+                   str: "a string"}
+
+
+def json_typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``, a float kind's number as a
+    float; ConfigError naming ``what`` otherwise.  Neither ``true`` nor
+    ``false`` is a number, and a number must fit a float: NaN and Infinity
+    do not."""
+    fits = (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if kind is float else isinstance(value, kind))
+    if fits and isinstance(value, bool) == (kind is bool):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{what} must be {JSON_TYPE_NAMES[kind]}, "
+                      f"not {json.dumps(value, default=repr)}")
+
 
 @dataclass
 class TrainConfig:
@@ -87,8 +104,10 @@ class TrainConfig:
 
     The paper's (G, gamma, delta, lambda_len, beta_ent, tau, and AdamW's
     learning rate and weight decay) plus run settings; values that no run
-    varies are module constants.  :meth:`from_dict` ignores unknown keys, so
-    checkpoints that still carry retired fields load.
+    varies are module constants.  Every field must have the JSON type in
+    :data:`CONFIG_FIELD_TYPES`, whether it comes from Python, a config file
+    or a checkpoint.  :meth:`from_dict` ignores unknown keys, so checkpoints
+    that still carry retired fields load.
     """
 
     group_size: int = 4
@@ -107,6 +126,9 @@ class TrainConfig:
     solver_failure_budget: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name,
+                    json_typed(getattr(self, f.name), CONFIG_FIELD_TYPES[f.name], f.name))
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2 (advantages need variance)")
         if not 0.0 < self.gamma <= 1.0:
@@ -115,8 +137,8 @@ class TrainConfig:
             raise ConfigError("delta must be >= 0")
         for name in ("lambda_len", "beta_ent", "learning_rate", "weight_decay", "idf_ceiling"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite number >= 0, not {value!r}")
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, not {value!r}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         try:
@@ -127,8 +149,8 @@ class TrainConfig:
         if self.marker_format not in BUILTIN_FORMATS:
             raise ConfigError(f"unknown marker_format {self.marker_format!r} "
                               f"(expected one of {', '.join(BUILTIN_FORMATS)})")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be a finite number > 0, not {self.tau!r}")
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be > 0, not {self.tau!r}")
         if self.solver_failure_budget < 0:
             raise ConfigError("solver_failure_budget must be >= 0")
 
@@ -141,6 +163,11 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in d.items() if k in known})
+
+
+# every TrainConfig field -> the JSON type of its value: its default's type,
+# except the sampler enum, which config files and checkpoints name by string
+CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)} | {"sampler": str}
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -340,28 +367,35 @@ def init_from_dataset(
     """Featurize the training split and freeze initialization state.
 
     Contexts come from :attr:`Instance.tokens`, so they stay with the
-    instances after the run.  Features are returned as a list aligned with
-    ``dataset`` (instance ids need not be unique).  Standardization
-    statistics come from the stacked training features; the bias starts at
+    instances after the run.  The split's features fill one (Σn, 7) matrix,
+    instance after instance; they are returned as a list of its row blocks,
+    aligned with ``dataset`` (instance ids need not be unique).
+    Standardization statistics come from that matrix; the bias starts at
     tau * logit(gamma) so the initial expected highlight fraction sits on
     budget.
     """
     idf_table = build_idf_table([inst.tokens for inst in dataset])
-    feats = [
-        featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
-        for inst in dataset
-    ]
-    stacked = np.vstack(feats)
-    if stacked.shape[0] == 0:
+    ends = np.cumsum([len(inst.tokens) for inst in dataset], dtype=np.intp)
+    if not dataset or ends[-1] == 0:
         raise ConfigError("training split contains no tokens")
-    params = policy.init_params(stacked, tau=cfg.tau, init_prob=cfg.gamma)
+    matrix = np.empty((ends[-1], policy.FEATURE_DIM))
+    feats = np.split(matrix, ends[:-1])
+    for inst, rows in zip(dataset, feats):
+        rows[:] = featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
+    params = policy.init_params(matrix, tau=cfg.tau, init_prob=cfg.gamma)
     return params, idf_table, feats
 
 
-def solver_contract(solver, reward_spec: RewardSpec) -> str:
+def solver_contract(solver, reward_spec: RewardSpec, fmt: MarkerFormat) -> str:
     """``solver``'s output contract, once every term of ``reward_spec``
     fits it: ``hr`` and ``ndcg`` score a ranking, which only the final-json
-    contract yields, and the string terms need any other contract."""
+    contract yields, and the string terms need any other contract.  A
+    solver that reads markers (its ``fmt``, as the oracle has) must read
+    those of ``fmt``, the run's format."""
+    read = getattr(solver, "fmt", fmt)
+    if (read.open, read.close) != (fmt.open, fmt.close):
+        raise ConfigError(f"the solver reads the {read.name or 'custom'!r} marker format, "
+                          f"but marker_format is {fmt.name!r}")
     contract = getattr(solver, "output_contract", FREE_TEXT)
     for name, _ in reward_spec.terms:
         if (name in RANKING_METRICS) != (contract == FINAL_JSON):
@@ -385,11 +419,11 @@ def episode(
     except (SolverUnavailableError, ProtocolError):
         return None, 0.0
     try:
-        out.parsed = parse_output(out.raw_text, contract)
+        parsed = parse_output(out.raw_text, contract)
     except ParseError:
         out.flagged = True
         return out, 0.0
-    return out, composite(out.parsed, inst.gold, reward_spec)
+    return out, composite(parsed, inst.gold, reward_spec)
 
 
 def rollout_group(
@@ -464,7 +498,7 @@ def train(
     dataset: list[Instance],
     solver,
     cfg: TrainConfig,
-    reward_spec: RewardSpec | None = None,
+    reward_spec: RewardSpec = DEFAULT_REWARD_SPEC,
     out_dir: str | Path | None = None,
 ) -> TrainResult:
     """Algorithm: cycle the dataset with batch size 1, one grouped update
@@ -473,9 +507,8 @@ def train(
     exceed the failure budget."""
     if not dataset:
         raise ConfigError("training dataset is empty")
-    reward_spec = reward_spec or RewardSpec((("em", 1.0),))
-    contract = solver_contract(solver, reward_spec)
     fmt = get_format(cfg.marker_format)
+    contract = solver_contract(solver, reward_spec, fmt)
     params, idf_table, feats = init_from_dataset(dataset, cfg)
     opt = OptimizerState.zeros(params.dim)
 
@@ -588,7 +621,7 @@ def evaluate(
     solver,
     cfg: TrainConfig,
     idf_table: dict[str, float],
-    reward_spec: RewardSpec | None = None,
+    reward_spec: RewardSpec = DEFAULT_REWARD_SPEC,
     variant: str = "hilite",
     mask_sampler: SamplerKind | None = None,
 ) -> dict:
@@ -616,9 +649,8 @@ def evaluate(
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")
-    reward_spec = reward_spec or RewardSpec((("em", 1.0),))
     fmt = get_format(cfg.marker_format)
-    contract = solver_contract(solver, reward_spec)
+    contract = solver_contract(solver, reward_spec, fmt)
 
     rewards = []
     fractions = []

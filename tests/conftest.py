@@ -169,6 +169,9 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "b-nan": (("params", "b"), float("nan")),
     "tau-infinite": (("params", "tau"), float("inf")),
     "idf-ceiling-nan": (("config", "idf_ceiling"), float("nan")),
+    "gamma-true": (("config", "gamma"), True),
+    "delta-fraction": (("config", "delta"), 2.5),
+    "seed-text": (("config", "seed"), "x"),
 }
 
 

@@ -5,6 +5,7 @@ lines.  Criterion 5 trains the scorer end-to-end against the coverage
 oracle and takes a couple of minutes; everything else is fast.
 """
 
+import copy
 import json
 import math
 import time
@@ -15,7 +16,6 @@ from click.testing import CliRunner
 
 from hilite.cli import main as cli_main
 from hilite.data import (
-    CoVisGraph,
     build_covis,
     candidates,
     gen_dataset,
@@ -147,11 +147,11 @@ def test_criterion_3_gradient_correctness():
         h = 1e-6
         fd = np.zeros(d + 1)
         for i in range(d):
-            up = params.copy(); up.w[i] += h
-            dn = params.copy(); dn.w[i] -= h
+            up = copy.deepcopy(params); up.w[i] += h
+            dn = copy.deepcopy(params); dn.w[i] -= h
             fd[i] = (total_at(up) - total_at(dn)) / (2 * h)
-        up = params.copy(); up.b += h
-        dn = params.copy(); dn.b -= h
+        up = copy.deepcopy(params); up.b += h
+        dn = copy.deepcopy(params); dn.b -= h
         fd[d] = (total_at(up) - total_at(dn)) / (2 * h)
         got = np.concatenate([gw, [gb]])
         rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-8)
@@ -212,6 +212,8 @@ def test_criterion_5_oracle_convergence():
 
     assert trained["evidence"]["f1"] >= 0.90, trained["evidence"]
     assert trained["mean_reward"] >= 0.95, trained["mean_reward"]
+    # a sampling property of these seeds, not a guarantee: the random variant
+    # reads 0.26 at TrainConfig(seed=332) on its own held-out needles
     assert random_baseline["mean_reward"] <= 0.25, random_baseline["mean_reward"]
     assert elapsed <= 600.0
     report(
@@ -401,7 +403,7 @@ def test_criterion_8_covis_pipeline():
     graph = build_covis(FIVE_USERS, window=2)
     got = {
         (a, b): c
-        for a, pairs in graph.adjacency.items()
+        for a, pairs in graph.items()
         for b, c in pairs
     }
     assert got == HAND_COUNTS

@@ -396,7 +396,8 @@ def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
     assert json.loads(spans_line) == {"spans": [list(r) for r in regions]}
 
 
-@pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short", "idf-ceiling-nan"])
+@pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short", "idf-ceiling-nan",
+                                  "gamma-true"])
 def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path, case):
     bad = tmp_path / "bad.json"
     if case == "empty":

@@ -14,7 +14,6 @@ from hilite.data import (
     _PLACES,
     _VERBS,
     DISTRACTOR_TOKENS,
-    CoVisGraph,
     Instance,
     SynthSpec,
     build_covis,
@@ -283,11 +282,11 @@ def test_gen_dataset_distinct_ids():
 
 def covis_count(graph, a, b) -> int:
     """Co-occurrence count of (a, b), read from a's adjacency list."""
-    return dict(graph.neighbors(a)).get(b, 0)
+    return dict(graph.get(a, ())).get(b, 0)
 
 
 def total_weight(graph) -> int:
-    return sum(c for pairs in graph.adjacency.values() for _, c in pairs)
+    return sum(c for pairs in graph.values() for _, c in pairs)
 
 
 def test_single_pair_history():
@@ -297,7 +296,7 @@ def test_single_pair_history():
 
 
 def test_single_item_history_is_empty_graph():
-    assert build_covis([["A"]], window=1).adjacency == {}
+    assert build_covis([["A"]], window=1) == {}
 
 
 def test_duplicate_histories_double_counts():
@@ -329,7 +328,7 @@ def test_window_radius():
 
 def test_neighbor_lists_sorted_desc_count():
     g = build_covis([["A", "B", "A", "C", "A", "B"]], window=5)
-    neighbors = g.neighbors("A")
+    neighbors = g["A"]
     counts = [c for _, c in neighbors]
     assert counts == sorted(counts, reverse=True)
 
@@ -342,43 +341,43 @@ def test_neighbor_lists_sorted_desc_count():
 def test_recency_decayed_score():
     # recency [B, A] (B most recent), co[B][C]=2, co[A][C]=1, alpha=0.85
     # -> s(C) = 2 + 0.85 * 1 = 2.85
-    graph = CoVisGraph(adjacency={
+    graph = {
         "B": [("C", 2)],
         "A": [("C", 1)],
-    })
+    }
     out = candidates(["A", "B"], graph, alpha=0.85, M=10, K=5)
     assert out == ["C"]
     # verify the decayed sum through a second competitor
-    graph2 = CoVisGraph(adjacency={
+    graph2 = {
         "B": [("C", 2), ("D", 3)],
         "A": [("C", 1)],
-    })
+    }
     out2 = candidates(["A", "B"], graph2, alpha=0.85, M=10, K=5)
     assert out2 == ["D", "C"]  # s(D)=3 > s(C)=2.85
 
 
 def test_history_items_never_candidates():
-    graph = CoVisGraph(adjacency={"A": [("B", 5), ("C", 1)]})
+    graph = {"A": [("B", 5), ("C", 1)]}
     out = candidates(["A", "B"], graph, alpha=0.85, M=10, K=5)
     assert "B" not in out and "A" not in out
 
 
 def test_backfill_with_popularity():
-    graph = CoVisGraph(adjacency={"A": [("B", 1)]})
+    graph = {"A": [("B", 1)]}
     popularity = ["Z", "A", "Y", "B", "X"]
     out = candidates(["A"], graph, alpha=0.85, M=10, K=4, popularity=popularity)
     assert out == ["B", "Z", "Y", "X"]  # scored first, then popular backfill
 
 
 def test_candidate_count_capped_at_k():
-    graph = CoVisGraph(adjacency={"A": [(i, 10 - i) for i in range(10)]})
+    graph = {"A": [(i, 10 - i) for i in range(10)]}
     out = candidates(["A"], graph, alpha=0.85, M=10, K=3)
     assert len(out) == 3
 
 
 def test_alpha_bounds():
     with pytest.raises(DataError):
-        candidates([], CoVisGraph(adjacency={}), alpha=1.0)
+        candidates([], {}, alpha=1.0)
 
 
 def test_popularity_ordering():

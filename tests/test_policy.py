@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -281,19 +282,17 @@ def test_score_function_identity_expected_gradient_zero():
 def finite_diff_log_prob(mask, feats, params, omega, h=1e-6):
     gw = np.zeros_like(params.w)
     for i in range(params.dim):
-        up = params.copy()
-        up.w = up.w.copy()
+        up = copy.deepcopy(params)
         up.w[i] += h
-        down = params.copy()
-        down.w = down.w.copy()
+        down = copy.deepcopy(params)
         down.w[i] -= h
         gw[i] = (
             log_prob(mask, score(feats, up), omega)
             - log_prob(mask, score(feats, down), omega)
         ) / (2 * h)
-    up = params.copy()
+    up = copy.deepcopy(params)
     up.b += h
-    down = params.copy()
+    down = copy.deepcopy(params)
     down.b -= h
     gb = (
         log_prob(mask, score(feats, up), omega)

@@ -33,7 +33,6 @@ from hilite.solver import (
     TEMPLATES,
     call_http,
     evidence_coverage,
-    oracle_solve,
     parse_answer,
     parse_final_json,
     render_prompt,
@@ -397,20 +396,20 @@ def tagged_instance(select, fmt=DEFAULT_FORMAT, delta=0):
 
 def test_oracle_unpaired_markers_reply_without_answer():
     inst, emphasized = tagged_instance([4, 5, 6])
-    out = oracle_solve("q", emphasized + " <end_important>", inst, OracleSolverConfig())
+    out = OracleSolver(OracleSolverConfig()).solve("q", emphasized + " <end_important>", inst)
     with pytest.raises(ParseError):
         parse_answer(out.raw_text)
 
 
 def test_oracle_full_coverage_returns_gold():
     inst, emphasized = tagged_instance([4, 5, 6])
-    out = oracle_solve("q", emphasized, inst, OracleSolverConfig(coverage_threshold=0.8))
+    out = OracleSolver(OracleSolverConfig(coverage_threshold=0.8)).solve("q", emphasized, inst)
     assert out.raw_text == "<answer>7777</answer>"
 
 
 def test_oracle_no_tags_returns_distractor():
     inst, _ = tagged_instance([])
-    out = oracle_solve("q", inst.context, inst, OracleSolverConfig(coverage_threshold=0.8))
+    out = OracleSolver(OracleSolverConfig(coverage_threshold=0.8)).solve("q", inst.context, inst)
     assert out.raw_text == "<answer>unknown</answer>"
 
 
@@ -420,7 +419,7 @@ def test_oracle_half_coverage_at_threshold_is_correct():
     # tokens 4,5 -> 5/8 >= 0.5 (the >= comparison is what matters here)
     inst, emphasized = tagged_instance([4, 5])
     cfg = OracleSolverConfig(coverage_threshold=0.5)
-    out = oracle_solve("q", emphasized, inst, cfg)
+    out = OracleSolver(cfg).solve("q", emphasized, inst)
     assert out.raw_text == "<answer>7777</answer>"
 
 
@@ -432,7 +431,7 @@ def test_oracle_exact_threshold_boundary():
     mask = np.zeros(len(ctx), dtype=np.uint8)
     mask[0] = 1
     emphasized = inject(ctx, coalesce(mask, ctx, 0), DEFAULT_FORMAT)
-    out = oracle_solve("q", emphasized, inst, OracleSolverConfig(coverage_threshold=0.5))
+    out = OracleSolver(OracleSolverConfig(coverage_threshold=0.5)).solve("q", emphasized, inst)
     assert out.raw_text == "<answer>g</answer>"
 
 
@@ -441,7 +440,7 @@ def test_oracle_monotone_in_coverage():
     rewards = []
     for select in ([], [4], [4, 5], [4, 5, 6]):
         inst, emphasized = tagged_instance(select)
-        out = oracle_solve("q", emphasized, inst, cfg)
+        out = OracleSolver(cfg).solve("q", emphasized, inst)
         rewards.append(1.0 if out.raw_text == "<answer>7777</answer>" else 0.0)
     assert rewards == sorted(rewards)
 
@@ -449,7 +448,7 @@ def test_oracle_monotone_in_coverage():
 def test_oracle_marker_format_agnostic_given_format():
     fmt = BUILTIN_FORMATS["markdown-bold"]
     inst, emphasized = tagged_instance([4, 5, 6], fmt=fmt)
-    out = oracle_solve("q", emphasized, inst, OracleSolverConfig(0.8), fmt)
+    out = OracleSolver(OracleSolverConfig(0.8), fmt).solve("q", emphasized, inst)
     assert out.raw_text == "<answer>7777</answer>"
 
 
@@ -458,11 +457,11 @@ def test_bridging_oracle_rejects_pruned_input():
     inst, _ = tagged_instance([4, 5, 6])
     cfg = OracleSolverConfig(coverage_threshold=0.8, require_connective=True)
     pruned = "e4 e5 e6"
-    out = oracle_solve("q", pruned, inst, cfg)
+    out = OracleSolver(cfg).solve("q", pruned, inst)
     assert out.raw_text == "<answer>unknown</answer>"
     # full context with tags still passes
     _, emphasized = tagged_instance([4, 5, 6])
-    out = oracle_solve("q", emphasized, inst, cfg)
+    out = OracleSolver(cfg).solve("q", emphasized, inst)
     assert out.raw_text == "<answer>7777</answer>"
 
 

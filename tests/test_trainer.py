@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -20,7 +21,17 @@ from conftest import (
 )
 from hilite.data import gen_dataset
 from hilite.errors import ConfigError, IntegrityError, SolverUnavailableError, StructureError
-from hilite.policy import FEATURE_DIM, Forward, ScorerParams, forward, log_prob, score
+from hilite.markup import get_format
+from hilite.policy import (
+    FEATURE_DIM,
+    Forward,
+    ScorerParams,
+    featurize,
+    forward,
+    init_params,
+    log_prob,
+    score,
+)
 from hilite.rewards import RewardSpec
 from hilite.solver import (
     ANSWER_TAG,
@@ -41,6 +52,7 @@ from hilite.trainer import (
     evaluate,
     grad_step,
     highlight,
+    init_from_dataset,
     load_checkpoint,
     objective,
     reward_regressed,
@@ -182,14 +194,14 @@ def total_loss_given(params, feats, group, omega, cfg):
 def finite_diff_total(params, feats, group, omega, cfg, h=1e-6):
     gw = np.zeros_like(params.w)
     for i in range(params.dim):
-        up = params.copy(); up.w[i] += h
-        dn = params.copy(); dn.w[i] -= h
+        up = copy.deepcopy(params); up.w[i] += h
+        dn = copy.deepcopy(params); dn.w[i] -= h
         gw[i] = (
             total_loss_given(up, feats, group, omega, cfg)
             - total_loss_given(dn, feats, group, omega, cfg)
         ) / (2 * h)
-    up = params.copy(); up.b += h
-    dn = params.copy(); dn.b -= h
+    up = copy.deepcopy(params); up.b += h
+    dn = copy.deepcopy(params); dn.b -= h
     gb = (
         total_loss_given(up, feats, group, omega, cfg)
         - total_loss_given(dn, feats, group, omega, cfg)
@@ -610,6 +622,64 @@ def test_non_finite_config_value_rejected(name):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("gamma", True), ("delta", 2.5), ("seed", "x"), ("steps", 1.5), ("group_size", 2.5),
+    ("steps", False), ("sampler", 1), ("marker_format", None), ("gamma", 10**400),
+    ("seed", np.int64(3)),
+])
+def test_config_value_of_the_wrong_json_type_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig.from_dict({name: value})
+
+
+def test_config_float_field_takes_an_integer_as_a_float():
+    cfg = TrainConfig(gamma=1, beta_ent=0)
+    assert (type(cfg.gamma), type(cfg.beta_ent)) == (float, float)
+    assert config_hash(cfg) == config_hash(TrainConfig(gamma=1.0, beta_ent=0.0))
+
+
+def test_training_features_are_row_blocks_of_one_matrix():
+    data = oracle_dataset()
+    cfg = TrainConfig()
+    params, idf_table, feats = init_from_dataset(data, cfg)
+    base = feats[0].base
+    assert base is not None and base.shape == (sum(len(inst.tokens) for inst in data), FEATURE_DIM)
+    assert all(np.shares_memory(rows, base) for rows in feats)
+    for inst, rows in zip(data, feats):
+        assert np.array_equal(rows, featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling))
+    expected = init_params(np.vstack(feats), tau=cfg.tau, init_prob=cfg.gamma)
+    assert params.to_dict() == expected.to_dict()
+
+
+def test_training_split_without_tokens_rejected():
+    for data in ([], [make_instance(context="")]):
+        with pytest.raises(ConfigError, match="no tokens"):
+            init_from_dataset(data, TrainConfig())
+
+
+def test_oracle_reading_another_marker_format_rejected_before_any_call():
+    class CountingOracle(OracleSolver):
+        calls = 0
+
+        def solve(self, *args):
+            CountingOracle.calls += 1
+            return super().solve(*args)
+
+    data = oracle_dataset(n=2)
+    cfg = TrainConfig(steps=2, seed=0, marker_format="brace")
+    solver = CountingOracle(OracleSolverConfig())
+    with pytest.raises(ConfigError, match="'default'.*'brace'"):
+        train(data, solver, cfg)
+    assert CountingOracle.calls == 0
+    result = train(data, CountingOracle(OracleSolverConfig(), get_format("brace")), cfg)
+    CountingOracle.calls = 0
+    with pytest.raises(ConfigError, match="'default'.*'brace'"):
+        evaluate(data, result.params, solver, cfg, result.idf_table)
+    assert CountingOracle.calls == 0
 
 
 def test_evaluate_smoke_and_identity_cases(tmp_path):
