@@ -115,13 +115,12 @@ def load_config(path: str | None, overrides: dict) -> tuple[dict, TrainConfig]:
     checkpoint."""
     options = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            cfg = json.loads(p.read_text(encoding="utf-8"))
+            cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
         options = {key: _typed(key, value, path) for key, value in cfg.items()}
@@ -223,10 +222,10 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
     if (input_path is None) == (text is None):
         raise ConfigError("provide exactly one of --input or --text")
     if input_path is not None:
-        p = Path(input_path)
-        if not p.exists():
-            raise DataError(f"input file not found: {input_path}")
-        text = p.read_text(encoding="utf-8")
+        try:
+            text = Path(input_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read input file {input_path}: {exc}") from exc
     params, _, cfg, idf_table = load_checkpoint(checkpoint_path)
     gamma = cfg.gamma if gamma is None else gamma
     delta = cfg.delta if delta is None else delta

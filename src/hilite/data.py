@@ -124,35 +124,36 @@ class Instance:
 def load_jsonl(path: str | Path) -> list[Instance]:
     """Read one Instance per line; malformed lines fail with their number."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    instances = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            for fname in REQUIRED_FIELDS:
-                if fname not in record:
-                    raise DataError(f"{path}:{lineno}: missing field {fname!r}")
-            for fname in ("query", "context"):
-                if not isinstance(record[fname], str):
-                    raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
-            if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
-                raise DataError(f"{path}:{lineno}: field 'id' is not a string or an integer")
-            try:
-                instances.append(Instance.from_record(record))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            except (TypeError, ValueError) as exc:  # only evidence_spans is unpacked
-                raise DataError(f"{path}:{lineno}: malformed evidence_spans: {exc}") from exc
-    return instances
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = enumerate((line.strip() for line in fh), start=1)
+            return [_parse_line(path, lineno, line) for lineno, line in lines if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+
+
+def _parse_line(path: Path, lineno: int, line: str) -> Instance:
+    """The Instance on line ``lineno`` of ``path``, or DataError naming it."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise DataError(f"{path}:{lineno}: expected a JSON object")
+    for fname in REQUIRED_FIELDS:
+        if fname not in record:
+            raise DataError(f"{path}:{lineno}: missing field {fname!r}")
+    for fname in ("query", "context"):
+        if not isinstance(record[fname], str):
+            raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
+    if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
+        raise DataError(f"{path}:{lineno}: field 'id' is not a string or an integer")
+    try:
+        return Instance.from_record(record)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # only evidence_spans is unpacked
+        raise DataError(f"{path}:{lineno}: malformed evidence_spans: {exc}") from exc
 
 
 def save_jsonl(dataset: list[Instance], path: str | Path) -> None:

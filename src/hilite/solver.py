@@ -76,6 +76,8 @@ _CONNECTION_CLASSES = {
 _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # refused, reset, timed out, cut short or garbled: retried like 408/429/5xx
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+# seconds :func:`call_http` sleeps after its first failed attempt, doubling after each
+BACKOFF_BASE = 0.5
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,6 @@ class EndpointConfig:
     auth_token: str = ""
     timeout: float = 30.0
     max_retries: int = 3
-    backoff_base: float = 0.5
     max_tokens: int = 256
     temperature: float = 0.0
 
@@ -261,10 +262,9 @@ class EndpointConfig:
             raise ConfigError("max_retries must be >= 1")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        for name in ("temperature", "backoff_base"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite number >= 0, not {value!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be a finite number >= 0, "
+                              f"not {self.temperature!r}")
 
 
 def split_endpoint(url: str) -> urllib.parse.SplitResult:
@@ -378,7 +378,7 @@ def call_http(prompt: str, endpoint: EndpointConfig, pool: ConnectionPool) -> So
                     attempt_count=attempt,
                 )
         if attempt < endpoint.max_retries:
-            time.sleep(endpoint.backoff_base * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_BASE * (2 ** (attempt - 1)))
     raise SolverUnavailableError(
         f"{endpoint.url} failed after {endpoint.max_retries} attempts: {failure}"
     )

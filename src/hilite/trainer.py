@@ -21,14 +21,15 @@ One training step on one instance:
    projected mask only shapes the emphasized text.
 
 Each step runs one forward pass of the scorer, used for both sampling and
-the update.  A :class:`GroupSample` holds the G masks as (G, n) stacks and
-caches no log-likelihood: :func:`objective` computes every term, value and
-gradient, from the mask stack, the advantages and that forward pass.  The
-solver is frozen: training mutates scorer parameters and optimizer state,
-nothing else.  One pool of G threads lives for the whole run; each step
-maps the solver over its G emphasized texts on it, and the parameter update
-is single-writer.  Every run is reproducible from (config, seed): sampling
-streams derive from (seed, instance id, group index, step).
+the update.  :func:`objective` computes every term, value and gradient,
+from that forward pass, the (G, n) stack of pre-projection masks and the G
+advantages; a :class:`GroupSample` keeps no projected mask.  The solver is
+frozen: training mutates scorer parameters and optimizer state, nothing
+else.  One pool of min(G, :data:`MAX_ROLLOUT_WORKERS`) threads lives for
+the whole run; each step maps the solver over its G emphasized texts on it,
+and the parameter update is single-writer.  Every run is reproducible from
+(config, seed): sampling streams derive from (seed, instance id, group
+index, step).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,8 @@ ADVANTAGE_EPS = 1e-8
 EVIDENCE_THRESHOLD = 0.5
 # :func:`evaluate` joins the span texts of the "pruned" variant with this
 PRUNE_JOINER = " ... "
+# most threads :func:`train` runs rollouts on, ThreadPoolExecutor's default ceiling
+MAX_ROLLOUT_WORKERS = 32
 
 JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                    str: "a string"}
@@ -178,14 +181,13 @@ def config_hash(cfg: TrainConfig) -> str:
 
 @dataclass
 class GroupSample:
-    """Everything produced by one instance's G rollouts.  ``prelim_masks``
-    and ``proj_masks`` are (G, n) ``uint8`` stacks, row j for rollout j;
-    ``spans`` holds each projected mask's coalesced spans.  No
-    log-likelihood is kept: :func:`objective` evaluates them on the step's
-    forward pass."""
+    """What one instance's G rollouts leave for the update and the step
+    record.  ``prelim_masks`` is the (G, n) ``uint8`` stack of
+    pre-projection masks, row j for rollout j, that :func:`objective` reads
+    with ``advantages``; ``spans`` holds each projected mask's coalesced
+    spans, and the projected masks themselves are not kept."""
 
     prelim_masks: np.ndarray
-    proj_masks: np.ndarray
     emphasized: list[str]
     outputs: list[SolverOutput | None]
     rewards: np.ndarray
@@ -256,39 +258,39 @@ class LossTerms:
 
 
 def objective(
-    group: GroupSample,
+    masks: np.ndarray,
+    advantages: np.ndarray,
     fwd: policy.Forward,
     params: ScorerParams,
     omega,
     cfg: TrainConfig,
 ) -> LossTerms:
     """L = L_PG + lambda_len * L_LEN + beta_ent * L_ENT and its analytic
-    gradient with respect to (w, b), from ``fwd``, the step's forward pass
-    over every row: the G log-likelihoods log pi(prelim mask_j) are
-    evaluated here, on ``fwd.p``.  ``group.prelim_masks`` must be a
-    (G, n) stack with one row per advantage and one column per row of
-    ``fwd``; any other shape raises StructureError.
+    gradient with respect to (w, b), from the pre-projection ``masks``, the
+    ``advantages`` and ``fwd``, the step's forward pass over every row: the
+    G log-likelihoods log pi(mask_j) are evaluated here, on ``fwd.p``.
+    ``masks`` must be a (G, n) stack with one row per advantage and one
+    column per row of ``fwd``; any other shape raises StructureError.
 
     The gradient holds masks and advantages fixed and matches central finite
     differences of ``total``; clamped tokens contribute zero everywhere,
     like the clamped forward pass they correspond to.  An empty omega adds
     no length penalty, entropy or gradient.
     """
-    g = group.advantages.size
-    if group.prelim_masks.shape != (g, fwd.p.size):
-        raise StructureError(f"group holds masks of shape {group.prelim_masks.shape} for "
-                             f"{g} advantages over {fwd.p.size} tokens")
+    g = advantages.size
+    if masks.shape != (g, fwd.p.size):
+        raise StructureError(f"masks of shape {masks.shape} for {g} advantages "
+                             f"over {fwd.p.size} tokens")
     idx = policy.omega_index(omega)
     x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
     n, tau = idx.size, params.tau
-    masks = group.prelim_masks[:, idx]
 
     # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau;
     # one log_prob call per mask: a row-wise sum of the stack may differ in the last ulp
-    log_probs = np.array([policy.log_prob(m, fwd.p, idx) for m in group.prelim_masks])
+    log_probs = np.array([policy.log_prob(m, fwd.p, idx) for m in masks])
     with np.errstate(invalid="ignore"):  # +-inf advantages give NaN; grad_step skips the step
-        l_pg = float(-(group.advantages * log_probs).mean())
-    dz_pg = -(group.advantages @ (masks - p)) / (g * tau)
+        l_pg = float(-(advantages * log_probs).mean())
+    dz_pg = -(advantages @ (masks[:, idx] - p)) / (g * tau)
 
     # length: L_LEN = (mean p - gamma)^2, dz = 2 (mean p - gamma) * dp/dz / (n tau)
     mean_p = float(p.mean()) if n else 0.0
@@ -313,21 +315,22 @@ def objective(
 
 
 def grad_step(
-    group: GroupSample,
+    masks: np.ndarray,
+    advantages: np.ndarray,
     fwd: policy.Forward,
     params: ScorerParams,
     opt: OptimizerState,
     cfg: TrainConfig,
     omega,
-) -> tuple[ScorerParams, LossTerms]:
-    """Evaluate the objective on the step's forward pass and apply one AdamW
-    update on (w, b).  Decoupled weight decay applies to the weight vector
-    only.  Non-finite gradients skip the update (logged)."""
-    terms = objective(group, fwd, params, omega, cfg)
+) -> LossTerms:
+    """Evaluate :func:`objective` and apply one AdamW update on (w, b), in
+    place on ``params`` and ``opt``.  Decoupled weight decay applies to the
+    weight vector only.  Non-finite gradients skip the update (logged)."""
+    terms = objective(masks, advantages, fwd, params, omega, cfg)
     grad_w, grad_b = terms.grad_w, terms.grad_b
     if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
-        return params, terms
+        return terms
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.step += 1
     t = opt.step
@@ -342,7 +345,7 @@ def grad_step(
     lr = cfg.learning_rate
     params.w = params.w - lr * m_w_hat / (np.sqrt(v_w_hat) + eps) - lr * cfg.weight_decay * params.w
     params.b = float(params.b - lr * m_b_hat / (math.sqrt(v_b_hat) + eps))
-    return params, terms
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,6 @@ class TrainResult:
     history: list[dict]
     checkpoint_path: Path | None = None
     metrics_path: Path | None = None
-    reward_regressions: list[int] = field(default_factory=list)
 
 
 def init_from_dataset(
@@ -447,12 +449,11 @@ def rollout_group(
     ctx = inst.tokens
     budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
     prelim_masks = np.empty((cfg.group_size, probs.size), dtype=np.uint8)
-    proj_masks = np.empty_like(prelim_masks)
     spans, emphasized = [], []
     for j in range(cfg.group_size):
         rng = rng_stream(cfg.seed, inst.id, j, step)
-        prelim_masks[j], proj_masks[j] = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
-        spans.append(markup.coalesce(proj_masks[j], ctx, cfg.delta))
+        prelim_masks[j], proj = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
+        spans.append(markup.coalesce(proj, ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
     outputs, rewards = zip(*pool.map(
@@ -461,7 +462,6 @@ def rollout_group(
     rewards = np.array(rewards, dtype=np.float64)
     group = GroupSample(
         prelim_masks=prelim_masks,
-        proj_masks=proj_masks,
         emphasized=emphasized,
         outputs=list(outputs),
         rewards=rewards,
@@ -504,9 +504,12 @@ def train(
     """Algorithm: cycle the dataset with batch size 1, one grouped update
     per step.  Writes a metrics log and a final checkpoint when ``out_dir``
     is given; aborts with a partial checkpoint once transport failures
-    exceed the failure budget."""
+    exceed the failure budget.  Needs gamma < 1."""
     if not dataset:
         raise ConfigError("training dataset is empty")
+    if cfg.gamma == 1.0:
+        raise ConfigError("training needs gamma < 1: the initial bias tau * logit(gamma) "
+                          "is infinite at gamma = 1, where every token is selected")
     fmt = get_format(cfg.marker_format)
     contract = solver_contract(solver, reward_spec, fmt)
     params, idf_table, feats = init_from_dataset(dataset, cfg)
@@ -522,9 +525,8 @@ def train(
 
     history: list[dict] = []
     total_failures = 0
-    reward_regressions: list[int] = []
     prev_window: np.ndarray | None = None
-    pool = ThreadPoolExecutor(max_workers=cfg.group_size)
+    pool = ThreadPoolExecutor(max_workers=min(cfg.group_size, MAX_ROLLOUT_WORKERS))
     try:
         for step in range(cfg.steps):
             i = step % len(dataset)
@@ -535,7 +537,8 @@ def train(
                 inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
-            params, terms = grad_step(group, fwd, params, opt, cfg, ctx.omega)
+            terms = grad_step(group.prelim_masks, group.advantages, fwd, params, opt, cfg,
+                              ctx.omega)
             attempts, latencies_ms = solver_usage(group.outputs)
             # means over the G rollouts, from their spans stacked in one array
             spans = np.concatenate(group.spans)
@@ -561,7 +564,6 @@ def train(
                 regressed = prev_window is not None and reward_regressed(prev_window, window)
                 record["reward_regressed"] = regressed
                 if regressed:
-                    reward_regressions.append(step)
                     log.warning(
                         "smoothed reward regressed at step %d (%.4f < %.4f)",
                         step, window.mean(), prev_window.mean(),
@@ -595,7 +597,6 @@ def train(
         history=history,
         checkpoint_path=checkpoint_path,
         metrics_path=metrics_path,
-        reward_regressions=reward_regressions,
     )
 
 
@@ -760,10 +761,8 @@ def load_checkpoint(path: str | Path):
     try:
         with path.open("r", encoding="utf-8") as fh:
             record = json.load(fh)
-    except FileNotFoundError:
-        raise IntegrityError(f"checkpoint not found: {path}") from None
-    except (json.JSONDecodeError, OSError) as exc:
-        raise IntegrityError(f"checkpoint unreadable: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        raise IntegrityError(f"checkpoint {path} unreadable: {exc}") from exc
     if not isinstance(record, dict) or record.get("version") != CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version in {path}")
     try:

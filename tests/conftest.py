@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from hilite import solver
 from hilite.data import Instance
 from hilite.policy import FEATURE_DIM, ScorerParams
 from hilite.tokenization import tokens_touching
@@ -42,6 +43,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Failed HTTP attempts back off 0.01 s, doubling, instead of 0.5 s."""
+    monkeypatch.setattr(solver, "BACKOFF_BASE", 0.01)
 
 
 @pytest.fixture

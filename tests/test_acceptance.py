@@ -34,7 +34,6 @@ from hilite.selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
 from hilite.tokenization import tokenize
 from hilite.trainer import (
-    GroupSample,
     TrainConfig,
     advantages,
     evaluate,
@@ -129,20 +128,12 @@ def test_criterion_3_gradient_correctness():
         rewards = rng.random(g)
         omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
         cfg = TrainConfig(group_size=2, steps=0, gamma=0.3)
-        group = GroupSample(
-            prelim_masks=masks,
-            proj_masks=masks,
-            emphasized=[""] * g,
-            outputs=[None] * g,
-            rewards=np.asarray(rewards),
-            advantages=advantages(rewards),
-            spans=[np.empty((0, 2), dtype=np.int64)] * g,
-        )
-        terms = objective(group, forward(feats, params), params, omega, cfg)
+        adv = advantages(rewards)
+        terms = objective(masks, adv, forward(feats, params), params, omega, cfg)
         gw, gb = terms.grad_w, terms.grad_b
 
         def total_at(p2):
-            return objective(group, forward(feats, p2), p2, omega, cfg).total
+            return objective(masks, adv, forward(feats, p2), p2, omega, cfg).total
 
         h = 1e-6
         fd = np.zeros(d + 1)

@@ -410,6 +410,42 @@ def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path, case):
     assert result.exit_code == 4
 
 
+# reader -> (the command line that reads the file at {bad}, its exit code)
+FILE_READERS = {
+    "dataset": (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{bad}"], 4),
+    "config": (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{dataset}",
+                "--config", "{bad}"], 2),
+    "input": (["highlight", "--checkpoint", "{checkpoint}", "--input", "{bad}"], 4),
+    "checkpoint": (["highlight", "--checkpoint", "{bad}", "--text", "alpha beta"], 4),
+}
+
+
+# no directory case for the checkpoint: load_checkpoint already maps OSError
+@pytest.mark.parametrize("reader,fault", [
+    *((reader, fault) for reader in ("dataset", "config", "input")
+      for fault in ("directory", "non-utf8")),
+    ("checkpoint", "non-utf8"),
+])
+def test_unreadable_file_exits_with_the_readers_error_naming_it(runner, tmp_path, reader,
+                                                                fault):
+    sound = {name: tmp_path / f"{name}.txt" for name in FILE_READERS}
+    write_checkpoint(sound["checkpoint"])
+    save_jsonl([make_instance()], sound["dataset"])
+    sound["config"].write_text('{"seed": 1}')
+    sound["input"].write_text("alpha beta")
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    else:  # the sound file with one byte 0xff, never valid UTF-8, appended
+        bad.write_bytes(sound[reader].read_bytes() + b"\xff")
+    argv, code = FILE_READERS[reader]
+    result = runner.invoke(main, [arg.format(bad=bad, **sound) for arg in argv])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.output.startswith("error: ")
+    assert str(bad) in result.output
+
+
 def test_highlight_requires_one_input(runner, oracle_run):
     _, checkpoint, _ = oracle_run
     result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint)])

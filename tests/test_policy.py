@@ -27,7 +27,7 @@ from hilite.policy import (
     score,
 )
 from hilite.tokenization import tokenize
-from hilite.trainer import GroupSample, TrainConfig, objective
+from hilite.trainer import TrainConfig, objective
 
 
 def identity_params(w, b=0.0, tau=1.0):
@@ -238,13 +238,8 @@ def pg_term_grad(mask, feats, params, omega):
     objective: its L_PG term for one mask with advantage -1, no length or
     entropy term."""
     masks = np.asarray(mask, dtype=np.uint8)[None]
-    group = GroupSample(
-        prelim_masks=masks, proj_masks=masks, emphasized=[""], outputs=[None],
-        rewards=np.zeros(1), advantages=np.array([-1.0]),
-        spans=[np.empty((0, 2), dtype=np.int64)],
-    )
     cfg = TrainConfig(steps=0, lambda_len=0.0, beta_ent=0.0)
-    terms = objective(group, policy.forward(feats, params), params, omega, cfg)
+    terms = objective(masks, np.array([-1.0]), policy.forward(feats, params), params, omega, cfg)
     return terms.grad_w, terms.grad_b
 
 

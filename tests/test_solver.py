@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
+from hilite import solver as solver_module
 from hilite.errors import (
     ConfigError,
     ParseError,
@@ -38,6 +39,8 @@ from hilite.solver import (
     render_prompt,
 )
 from hilite.tokenization import tokenize
+
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,7 @@ def test_parsing_total_on_adversarial_text():
 
 
 def _endpoint(url, retries=3):
-    return EndpointConfig(url=url, max_retries=retries, backoff_base=0.01, timeout=5.0)
+    return EndpointConfig(url=url, max_retries=retries, timeout=5.0)
 
 
 def test_call_http_echo(scripted_server):
@@ -274,10 +277,12 @@ def test_concurrent_calls_share_few_connections(keepalive_server):
     assert server.connections <= 4
 
 
-def test_idle_connection_closed_by_server_is_resent_without_backoff(keepalive_server):
+def test_idle_connection_closed_by_server_is_resent_without_backoff(keepalive_server,
+                                                                      monkeypatch):
     url, server = keepalive_server
     server.drop_after_reply = True  # closes without a Connection: close header
-    endpoint = EndpointConfig(url=url, max_retries=3, backoff_base=5.0, timeout=5.0)
+    monkeypatch.setattr(solver_module, "BACKOFF_BASE", 5.0)
+    endpoint = EndpointConfig(url=url, max_retries=3, timeout=5.0)
     pool = ConnectionPool(url, endpoint.timeout)
     start = time.monotonic()
     try:
@@ -325,9 +330,8 @@ def test_http_scorer_reuses_its_connection(keepalive_server):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("backoff_base", -0.5), ("backoff_base", float("nan")), ("max_tokens", 0),
-    ("temperature", -1.0), ("temperature", float("nan")),
-    ("backoff_base", float("inf")), ("temperature", float("inf")), ("timeout", float("inf")),
+    ("max_tokens", 0), ("temperature", -1.0), ("temperature", float("nan")),
+    ("temperature", float("inf")), ("timeout", float("inf")),
 ])
 def test_endpoint_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -44,7 +44,6 @@ from hilite.solver import (
     SolverOutput,
 )
 from hilite.trainer import (
-    GroupSample,
     OptimizerState,
     TrainConfig,
     advantages,
@@ -76,18 +75,10 @@ def identity_params(w, b=0.0, tau=1.0):
 
 
 def group_from(prelim_masks, rewards, advform=None):
-    rewards = np.asarray(rewards, dtype=np.float64)
-    adv = advform if advform is not None else advantages(rewards)
-    masks = np.asarray(prelim_masks, dtype=np.uint8)
-    return GroupSample(
-        prelim_masks=masks,
-        proj_masks=masks,
-        emphasized=["" for _ in masks],
-        outputs=[None for _ in masks],
-        rewards=rewards,
-        advantages=np.asarray(adv, dtype=np.float64),
-        spans=[np.empty((0, 2), dtype=np.int64) for _ in masks],
-    )
+    """The (mask stack, advantages) that :func:`objective` reads: the
+    advantages of ``rewards``, or ``advform`` when given."""
+    adv = advantages(rewards) if advform is None else advform
+    return np.asarray(prelim_masks, dtype=np.uint8), np.asarray(adv, dtype=np.float64)
 
 
 def terms_at(group, probs, omega, cfg):
@@ -95,7 +86,7 @@ def terms_at(group, probs, omega, cfg):
     (every token interior, one all-zero feature column)."""
     probs = np.asarray(probs, dtype=np.float64)
     fwd = Forward(x=np.zeros((probs.size, 1)), p=probs, interior=np.ones(probs.size, bool))
-    return objective(group, fwd, identity_params([0.0]), omega, cfg)
+    return objective(*group, fwd, identity_params([0.0]), omega, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +179,7 @@ def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
 
 
 def total_loss_given(params, feats, group, omega, cfg):
-    return objective(group, forward(feats, params), params, omega, cfg).total
+    return objective(*group, forward(feats, params), params, omega, cfg).total
 
 
 def finite_diff_total(params, feats, group, omega, cfg, h=1e-6):
@@ -228,7 +219,7 @@ def test_total_gradient_matches_finite_differences(seed):
     omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
     cfg = small_config(gamma=0.3, lambda_len=0.01, beta_ent=1.0)
     group = group_from(masks, rewards)
-    terms = objective(group, forward(feats, params), params, omega, cfg)
+    terms = objective(*group, forward(feats, params), params, omega, cfg)
     gw, gb = terms.grad_w, terms.grad_b
     fw, fb = finite_diff_total(params, feats, group, omega, cfg)
     ref = np.concatenate([fw, [fb]])
@@ -247,18 +238,18 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
     feats = rng.normal(size=(n, d))
     params = identity_params(rng.normal(scale=0.5, size=d), b=0.1, tau=0.8)
     masks = [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(g)]
-    group = group_from(masks, rng.random(g))
+    stack, adv = group_from(masks, rng.random(g))
     omega = sorted(rng.choice(n, size=8, replace=False).tolist())
     p = score(feats, params)
     assert np.all((p > 1e-3) & (p < 1 - 1e-3))  # no token near the clamp
     x = standardize(feats, params)
     ref_w, ref_b = np.zeros(d), 0.0
-    for a, m in zip(group.advantages, masks):
+    for a, m in zip(adv, masks):
         for i in omega:
             ref_w -= a * (m[i] - p[i]) * x[i] / (g * params.tau)
             ref_b -= a * (m[i] - p[i]) / (g * params.tau)
     cfg = small_config(group_size=g, lambda_len=0.0, beta_ent=0.0)
-    terms = objective(group, forward(feats, params), params, omega, cfg)
+    terms = objective(stack, adv, forward(feats, params), params, omega, cfg)
     gw, gb = terms.grad_w, terms.grad_b
     assert np.allclose(gw, ref_w, rtol=1e-12, atol=1e-14)
     assert gb == pytest.approx(ref_b, rel=1e-12, abs=1e-14)
@@ -291,9 +282,9 @@ def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens()
     cfg = small_config(group_size=3, gamma=0.3, lambda_len=0.5, beta_ent=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        terms_a = objective(group_from(masks_a, rewards), forward(a, params),
+        terms_a = objective(*group_from(masks_a, rewards), forward(a, params),
                             params, range(5), cfg)
-        terms_b = objective(group_from(masks_b, rewards), forward(b, params),
+        terms_b = objective(*group_from(masks_b, rewards), forward(b, params),
                             params, range(5), cfg)
     gw, gb, gw_b, gb_b = terms_a.grad_w, terms_a.grad_b, terms_b.grad_w, terms_b.grad_b
     assert np.all(np.isfinite(gw)) and math.isfinite(gb)
@@ -316,7 +307,7 @@ def test_zero_gradient_step_only_decays_weights():
                        learning_rate=1e-4)
     w_before = params.w.copy()
     b_before = params.b
-    grad_step(group, forward(feats, params), params, opt, cfg, [0, 1])
+    grad_step(*group, forward(feats, params), params, opt, cfg, [0, 1])
     assert np.allclose(params.w, w_before * (1 - 1e-4 * 1e-2))
     assert params.b == b_before  # decay is decoupled and applies to w only
 
@@ -333,7 +324,7 @@ def test_grad_step_deterministic():
         group = group_from(masks, rewards)
         cfg = small_config(group_size=3)
         for _ in range(5):
-            grad_step(group, forward(feats, params), params, opt, cfg, range(5))
+            grad_step(*group, forward(feats, params), params, opt, cfg, range(5))
         return params.w.tobytes(), params.b
 
     assert run() == run()
@@ -346,7 +337,7 @@ def test_non_finite_gradient_skips_step(caplog):
     group = group_from([[1], [0]], [1.0, 0.0], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
-    grad_step(group, forward(feats, params), params, opt, cfg, [0])
+    grad_step(*group, forward(feats, params), params, opt, cfg, [0])
     assert np.array_equal(params.w, w_before)
     assert opt.step == 0
 
@@ -414,7 +405,6 @@ def test_metrics_log_schema(tmp_path):
 
 def test_metrics_covered_fraction_and_spans_match_coalesced_masks(monkeypatch):
     from hilite import trainer
-    from hilite.markup import coalesce
     from hilite.tokenization import tokenize
 
     data = oracle_dataset(n=3)
@@ -432,7 +422,7 @@ def test_metrics_covered_fraction_and_spans_match_coalesced_masks(monkeypatch):
     assert len(groups) == len(result.history) == 5
     for step, (group, record) in enumerate(zip(groups, result.history)):
         ctx = tokenize(data[step % len(data)].context)
-        spans = [coalesce(m, ctx, cfg.delta) for m in group.proj_masks]
+        spans = group.spans
         covered = [spans_to_mask(s, len(ctx)).sum() / len(ctx) for s in spans]
         assert record["covered_fraction"] == pytest.approx(np.mean(covered))
         assert record["spans"] == pytest.approx(np.mean([len(s) for s in spans]))
@@ -493,6 +483,40 @@ def test_train_builds_one_thread_pool_per_call(monkeypatch):
     train(oracle_dataset(n=3), OracleSolver(OracleSolverConfig()),
           TrainConfig(steps=6, seed=0))
     assert built == [4]
+
+
+def test_rollout_pool_threads_are_capped(monkeypatch):
+    from hilite import trainer
+
+    built = []
+
+    class RecordingPool(trainer.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(trainer, "ThreadPoolExecutor", RecordingPool)
+    train(oracle_dataset(n=1), OracleSolver(OracleSolverConfig()),
+          TrainConfig(steps=1, seed=0, group_size=40))
+    assert built == [32]
+
+
+def test_train_at_gamma_one_is_rejected_before_any_featurizing_or_call(monkeypatch):
+    from hilite import trainer
+
+    data = oracle_dataset(n=2)
+    result = train(data, OracleSolver(OracleSolverConfig()), TrainConfig(steps=0, seed=0))
+    cfg = TrainConfig(steps=2, seed=0, gamma=1.0)
+    featurized = []
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "featurize", lambda *args: featurized.append(args))
+        solver = ScriptedSolver(["<answer>x</answer>"])
+        with pytest.raises(ConfigError, match="gamma"):
+            train(data, solver, cfg)
+    assert solver.calls == 0 and featurized == []
+    report = evaluate(data, result.params, OracleSolver(OracleSolverConfig()), cfg,
+                      result.idf_table)
+    assert report["mean_highlight_fraction"] == 1.0
 
 
 def test_duplicate_ranking_ids_are_zero_reward_episodes():
@@ -583,7 +607,6 @@ def test_reward_collapse_raises_the_regression_flag(tmp_path):
     solver = HashedRateSolver([0.8, 0.8, 0.1], calls_per_rate=200)
     result = train(oracle_dataset(), solver, TrainConfig(steps=150, seed=0),
                    out_dir=tmp_path)
-    assert result.reward_regressions == [149]
     records = [json.loads(line) for line in result.metrics_path.read_text().splitlines()]
     flags = {r["step"]: r["reward_regressed"] for r in records if "reward_regressed" in r}
     assert flags == {49: False, 99: False, 149: True}
@@ -596,7 +619,7 @@ def test_reward_noise_does_not_raise_the_regression_flag():
     result = train(oracle_dataset(), solver, TrainConfig(steps=1000, seed=1))
     means = [np.mean(r["rewards"]) for r in result.history]
     assert np.mean(means[600:650]) < np.mean(means[550:600]) - 0.1
-    assert result.reward_regressions == []
+    assert not any(r.get("reward_regressed") for r in result.history)
 
 
 def test_regression_flag_on_windows_without_spread():
@@ -808,13 +831,13 @@ def test_metrics_record_solver_attempts_and_latency(tmp_path):
     assert [r["solver_latency_ms"] for r in records] == pytest.approx([4.0, 8.0])
 
 
-def test_evaluate_reports_solver_attempts(scripted_server):
+def test_evaluate_reports_solver_attempts(scripted_server, fast_backoff):
     url, handler = scripted_server
     inst = oracle_dataset(n=1)[0]
     cfg = TrainConfig(steps=0, seed=0)
     result = train([inst], OracleSolver(OracleSolverConfig()), cfg)
     handler.script.extend([(429, {"err": "slow down"}), (200, {"text": "<answer>x</answer>"})])
-    solver = HTTPSolver(EndpointConfig(url=url, backoff_base=0.01, timeout=5.0), TEMPLATES["qa"])
+    solver = HTTPSolver(EndpointConfig(url=url, timeout=5.0), TEMPLATES["qa"])
     report = evaluate([inst], result.params, solver, cfg, result.idf_table)
     assert report["solver_attempts"] == 2
     latency = report["solver_latency_ms"]
