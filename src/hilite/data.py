@@ -17,7 +17,12 @@ from a disjoint vocabulary.  Gold evidence spans delimit exactly the
 informative parts of the needle, the gold answer occurs nowhere else in the
 context, and single-token padding lands the context exactly on the requested
 token count.  Only the needle is tokenized; distractor and filler token
-counts come from construction.
+counts come from construction.  A needle's distractor indices come from one
+block of raw 32-bit draws and its padding-word indices from one more, each
+mapped by numpy's own rule for ``Generator.integers(n)``, so a seed gives
+the needle that one scalar call per index gives.  A block holding a draw
+that numpy would reject and redraw is discarded and drawn by scalar calls
+instead (see :func:`gen_needle`).
 
 Also here: the co-visitation graph and recency-decayed candidate generation
 used for recommendation preprocessing, and token-level evidence overlap
@@ -230,13 +235,39 @@ def _pseudo_word(rng: np.random.Generator) -> str:
     return "".join(parts) + _CONSONANTS[rng.integers(len(_CONSONANTS))]
 
 
-def _distractor_sentence(rng: np.random.Generator) -> str:
-    return (
-        f"The {_ADJECTIVES[rng.integers(len(_ADJECTIVES))]} "
-        f"{_NOUNS[rng.integers(len(_NOUNS))]} "
-        f"{_VERBS[rng.integers(len(_VERBS))]} near the "
-        f"{_PLACES[rng.integers(len(_PLACES))]}."
-    )
+# one index per slot of a distractor sentence: adjective, noun, verb, place
+_SENTENCE_SIZES = np.array(
+    [len(_ADJECTIVES), len(_NOUNS), len(_VERBS), len(_PLACES)], dtype=np.uint64
+)
+
+
+def _draw_indices(rng: np.random.Generator, sizes: np.ndarray) -> list[int]:
+    """``[int(rng.integers(n)) for n in sizes]``: the same values, and the
+    same generator state after, from one block of raw 32-bit draws.
+
+    For n < 2**32, ``Generator.integers(n)`` maps one ``next_uint32`` draw x
+    to ``(x * n) >> 32`` (Lemire's rule) and draws again only when
+    ``(x * n) mod 2**32 < (2**32 - n) mod n``.  So one ``uint32`` block,
+    mapped by each n, gives the scalar calls' values unless some draw falls
+    in its rejection zone; then the state is restored and the scalar calls
+    run, since a rejected draw shifts every later one.
+    """
+    state = rng.bit_generator.state
+    x = rng.integers(0, 2**32 - 1, size=sizes.size, dtype=np.uint32, endpoint=True)
+    m = x.astype(np.uint64) * sizes
+    if np.any((m & np.uint64(0xFFFFFFFF)) < (np.uint64(2**32) - sizes) % sizes):
+        rng.bit_generator.state = state
+        return [int(rng.integers(int(n))) for n in sizes]
+    return (m >> np.uint64(32)).tolist()
+
+
+def _distractor_sentences(rng: np.random.Generator, count: int) -> list[str]:
+    """``count`` templated distractor sentences, DISTRACTOR_TOKENS each."""
+    idx = _draw_indices(rng, np.tile(_SENTENCE_SIZES, count))
+    return [
+        f"The {_ADJECTIVES[a]} {_NOUNS[b]} {_VERBS[c]} near the {_PLACES[d]}."
+        for a, b, c, d in zip(idx[0::4], idx[1::4], idx[2::4], idx[3::4])
+    ]
 
 
 def gen_needle(spec: SynthSpec) -> Instance:
@@ -245,6 +276,15 @@ def gen_needle(spec: SynthSpec) -> Instance:
     The gold answer (the numeric access code) appears exactly once in the
     context, inside the final evidence span; distractor sentences contain no
     digits, so no collision is possible.
+
+    Draw order: the access code, the codeword clusters and the fillers
+    between them (scalar draws, since a pseudo-word's length is itself
+    drawn), then every distractor index as one block, the needle's position,
+    and every padding-word index as one block.  The blocks equal one scalar
+    ``rng.integers(n)`` call per index (see :func:`_draw_indices`); numpy
+    redraws a value that falls in its rejection zone, which a block cannot
+    do, so such a block (about one needle in 500,000 at 2K tokens) is
+    discarded and drawn again by scalar calls from the same state.
     """
     rng = np.random.default_rng(spec.seed)
     value = str(rng.integers(10**7, 10**8))
@@ -275,20 +315,15 @@ def gen_needle(spec: SynthSpec) -> Instance:
         raise DataError(
             f"target_tokens={spec.target_tokens} below needle length {needle_tokens}"
         )
-    sentences: list[str] = []
-    count = needle_tokens
-    while True:
-        s = _distractor_sentence(rng)  # drawn even when it does not fit
-        if count + DISTRACTOR_TOKENS > spec.target_tokens:
-            break
-        sentences.append(s)
-        count += DISTRACTOR_TOKENS
-    position = int(rng.integers(0, len(sentences) + 1))
+    n_fit = (spec.target_tokens - needle_tokens) // DISTRACTOR_TOKENS
+    # one sentence more than fits is drawn, and dropped
+    sentences = _distractor_sentences(rng, n_fit + 1)[:n_fit]
+    position = int(rng.integers(0, n_fit + 1))
     sentences.insert(position, needle)
     # single-word padding lands the token count exactly on target
-    while count < spec.target_tokens:
-        sentences.append(_FILLERS[rng.integers(len(_FILLERS))])
-        count += 1
+    n_pad = spec.target_tokens - needle_tokens - n_fit * DISTRACTOR_TOKENS
+    filler_sizes = np.full(n_pad, len(_FILLERS), dtype=np.uint64)
+    sentences += [_FILLERS[i] for i in _draw_indices(rng, filler_sizes)]
     context = " ".join(sentences)
 
     context_bytes = context.encode("utf-8")

@@ -185,10 +185,9 @@ class GroupSample:
     record.  ``prelim_masks`` is the (G, n) ``uint8`` stack of
     pre-projection masks, row j for rollout j, that :func:`objective` reads
     with ``advantages``; ``spans`` holds each projected mask's coalesced
-    spans, and the projected masks themselves are not kept."""
+    spans.  The projected masks and the G emphasized texts are not kept."""
 
     prelim_masks: np.ndarray
-    emphasized: list[str]
     outputs: list[SolverOutput | None]
     rewards: np.ndarray
     advantages: np.ndarray
@@ -462,7 +461,6 @@ def rollout_group(
     rewards = np.array(rewards, dtype=np.float64)
     group = GroupSample(
         prelim_masks=prelim_masks,
-        emphasized=emphasized,
         outputs=list(outputs),
         rewards=rewards,
         advantages=advantages(rewards),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -19,7 +20,8 @@ from hilite.data import (
     build_covis,
     candidates,
     gen_dataset,
-    _distractor_sentence,
+    _distractor_sentences,
+    _draw_indices,
     gen_needle,
     load_jsonl,
     popularity_from_histories,
@@ -215,8 +217,57 @@ def test_needle_vocabulary_entries_are_one_token_each():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_distractor_sentence_has_distractor_tokens(seed):
-    sentence = _distractor_sentence(np.random.default_rng(seed))
-    assert len(tokenize(sentence)) == DISTRACTOR_TOKENS
+    for sentence in _distractor_sentences(np.random.default_rng(seed), 3):
+        assert len(tokenize(sentence)) == DISTRACTOR_TOKENS
+
+
+def _raw_uint32(rng, count):
+    return rng.integers(0, 2**32 - 1, size=count, dtype=np.uint32, endpoint=True)
+
+
+@pytest.mark.parametrize("sizes", [
+    [10] * 300, [15] * 300, [20] * 300, [20, 20, 15, 15] * 75, [], [2**31 + 1] * 64,
+], ids=["10", "15", "20", "sentence", "empty", "half-rejected"])
+@pytest.mark.parametrize("odd_start", [False, True], ids=["even", "odd"])
+def test_draw_indices_match_scalar_integers(sizes, odd_start):
+    # PCG64 hands out 32-bit draws as halves of a 64-bit word and keeps the
+    # other half; an odd number of earlier draws leaves that half buffered
+    sizes = np.array(sizes, dtype=np.uint64)
+    block, scalar = np.random.default_rng(2024), np.random.default_rng(2024)
+    if odd_start:
+        _raw_uint32(block, 3), _raw_uint32(scalar, 3)
+    expected = [int(scalar.integers(int(n))) for n in sizes]
+    assert _draw_indices(block, sizes) == expected
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+def test_draw_indices_fall_back_when_a_draw_is_rejected():
+    # about half the draws at n = 2**31 + 1 are rejected, so mapping the
+    # block alone would give other values than the scalar calls
+    n = 2**31 + 1
+    sizes = np.full(64, n, dtype=np.uint64)
+    raw = _raw_uint32(np.random.default_rng(5), sizes.size).astype(np.uint64)
+    naive = ((raw * np.uint64(n)) >> np.uint64(32)).tolist()
+    scalar = np.random.default_rng(5)
+    expected = [int(scalar.integers(n)) for _ in range(sizes.size)]
+    assert naive != expected
+    assert _draw_indices(np.random.default_rng(5), sizes) == expected
+
+
+# SHA-256 over the JSON records of NEEDLE_DIGEST_SPECS, recorded from the
+# scalar-draw generator that preceded block draws
+NEEDLE_DIGEST_SPECS = [
+    SynthSpec(target_tokens=t, seed=s) for t in (120, 600, 2000) for s in range(300)
+] + [SynthSpec(target_tokens=14000, seed=s) for s in range(20)]
+NEEDLE_RECORDS_SHA256 = "6dcd68ff9db60ab238af364b1fee5d8da9f4e959d2610a6b8575f32ca9ca3a4c"
+
+
+def test_gen_needle_records_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for spec in NEEDLE_DIGEST_SPECS:
+        record = json.dumps(gen_needle(spec).to_record(), ensure_ascii=False, sort_keys=True)
+        digest.update(record.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == NEEDLE_RECORDS_SHA256
 
 
 @given(

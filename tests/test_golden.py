@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hilite import trainer
+from hilite import markup, trainer
 from hilite.data import gen_dataset
 from hilite.solver import OracleSolver, OracleSolverConfig
 from hilite.trainer import TrainConfig
@@ -32,24 +32,27 @@ def _sha256(obj) -> str:
 
 def golden_run() -> dict:
     """Train on the fixed set-up and digest what it produced.  Emphasized
-    texts are taken from each step's group, in group order."""
+    texts are recorded as ``markup.inject`` returns them, which
+    ``rollout_group`` calls once per rollout in group order, and split into
+    one list per step."""
     data = gen_dataset(20, target_tokens=400, seed=77, n_clusters=3,
                        cluster_size=4, filler_gap=3)
     cfg = TrainConfig(steps=200, seed=3)
     solver = OracleSolver(OracleSolverConfig(coverage_threshold=0.8))
-    texts: list[list[str]] = []
-    original = trainer.rollout_group
+    injected: list[str] = []
+    original = markup.inject
 
     def recording(*args, **kwargs):
-        group, failures = original(*args, **kwargs)
-        texts.append(list(group.emphasized))
-        return group, failures
+        injected.append(original(*args, **kwargs))
+        return injected[-1]
 
-    trainer.rollout_group = recording
+    markup.inject = recording
     try:
         result = trainer.train(data, solver, cfg)
     finally:
-        trainer.rollout_group = original
+        markup.inject = original
+    g = cfg.group_size
+    texts = [injected[i:i + g] for i in range(0, len(injected), g)]
     return {
         "steps": len(result.history),
         "rewards_sha256": _sha256([r["rewards"] for r in result.history]),

@@ -548,26 +548,25 @@ def test_ranking_reward_on_an_answer_tag_solver_is_rejected_before_any_call():
 
 
 def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
-    from hilite import trainer
+    from hilite import markup
     from hilite.markup import DEFAULT_FORMAT, strip
 
     first, second = oracle_dataset(n=2)
     second = dataclasses.replace(second, id=first.id)
     data = [first, second]
-    seen = []
-    original = trainer.rollout_group
+    injected = []
+    original = markup.inject
 
     def recording(*args, **kwargs):
-        group, failures = original(*args, **kwargs)
-        seen.append(group.emphasized)
-        return group, failures
+        injected.append(original(*args, **kwargs))
+        return injected[-1]
 
-    monkeypatch.setattr(trainer, "rollout_group", recording)
-    train(data, OracleSolver(OracleSolverConfig()), TrainConfig(steps=6, seed=0))
-    assert len(seen) == 6
-    for step, emphasized in enumerate(seen):
-        for text in emphasized:
-            assert strip(text, DEFAULT_FORMAT) == data[step % 2].context
+    monkeypatch.setattr(markup, "inject", recording)
+    cfg = TrainConfig(steps=6, seed=0)
+    train(data, OracleSolver(OracleSolverConfig()), cfg)
+    assert len(injected) == 6 * cfg.group_size
+    for i, text in enumerate(injected):  # rollout_group injects in step order
+        assert strip(text, DEFAULT_FORMAT) == data[i // cfg.group_size % 2].context
 
 
 def test_source_holding_a_marker_is_a_flagged_episode_not_crash():
