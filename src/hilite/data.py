@@ -17,12 +17,9 @@ from a disjoint vocabulary.  Gold evidence spans delimit exactly the
 informative parts of the needle, the gold answer occurs nowhere else in the
 context, and single-token padding lands the context exactly on the requested
 token count.  Only the needle is tokenized; distractor and filler token
-counts come from construction.  A needle's distractor indices come from one
-block of raw 32-bit draws and its padding-word indices from one more, each
-mapped by numpy's own rule for ``Generator.integers(n)``, so a seed gives
-the needle that one scalar call per index gives.  A block holding a draw
-that numpy would reject and redraw is discarded and drawn by scalar calls
-instead (see :func:`gen_needle`).
+counts come from construction.  A needle's distractor indices and its
+padding-word indices are each drawn by one array-valued
+``Generator.integers`` call, which equals one scalar call per index.
 
 Also here: the co-visitation graph and recency-decayed candidate generation
 used for recommendation preprocessing, and token-level evidence overlap
@@ -236,37 +233,14 @@ def _pseudo_word(rng: np.random.Generator) -> str:
 
 
 # one index per slot of a distractor sentence: adjective, noun, verb, place
-_SENTENCE_SIZES = np.array(
-    [len(_ADJECTIVES), len(_NOUNS), len(_VERBS), len(_PLACES)], dtype=np.uint64
-)
-
-
-def _draw_indices(rng: np.random.Generator, sizes: np.ndarray) -> list[int]:
-    """``[int(rng.integers(n)) for n in sizes]``: the same values, and the
-    same generator state after, from one block of raw 32-bit draws.
-
-    For n < 2**32, ``Generator.integers(n)`` maps one ``next_uint32`` draw x
-    to ``(x * n) >> 32`` (Lemire's rule) and draws again only when
-    ``(x * n) mod 2**32 < (2**32 - n) mod n``.  So one ``uint32`` block,
-    mapped by each n, gives the scalar calls' values unless some draw falls
-    in its rejection zone; then the state is restored and the scalar calls
-    run, since a rejected draw shifts every later one.
-    """
-    state = rng.bit_generator.state
-    x = rng.integers(0, 2**32 - 1, size=sizes.size, dtype=np.uint32, endpoint=True)
-    m = x.astype(np.uint64) * sizes
-    if np.any((m & np.uint64(0xFFFFFFFF)) < (np.uint64(2**32) - sizes) % sizes):
-        rng.bit_generator.state = state
-        return [int(rng.integers(int(n))) for n in sizes]
-    return (m >> np.uint64(32)).tolist()
+_SENTENCE_SIZES = np.array([len(_ADJECTIVES), len(_NOUNS), len(_VERBS), len(_PLACES)])
 
 
 def _distractor_sentences(rng: np.random.Generator, count: int) -> list[str]:
     """``count`` templated distractor sentences, DISTRACTOR_TOKENS each."""
-    idx = _draw_indices(rng, np.tile(_SENTENCE_SIZES, count))
     return [
         f"The {_ADJECTIVES[a]} {_NOUNS[b]} {_VERBS[c]} near the {_PLACES[d]}."
-        for a, b, c, d in zip(idx[0::4], idx[1::4], idx[2::4], idx[3::4])
+        for a, b, c, d in rng.integers(_SENTENCE_SIZES, size=(count, 4)).tolist()
     ]
 
 
@@ -279,12 +253,9 @@ def gen_needle(spec: SynthSpec) -> Instance:
 
     Draw order: the access code, the codeword clusters and the fillers
     between them (scalar draws, since a pseudo-word's length is itself
-    drawn), then every distractor index as one block, the needle's position,
-    and every padding-word index as one block.  The blocks equal one scalar
-    ``rng.integers(n)`` call per index (see :func:`_draw_indices`); numpy
-    redraws a value that falls in its rejection zone, which a block cannot
-    do, so such a block (about one needle in 500,000 at 2K tokens) is
-    discarded and drawn again by scalar calls from the same state.
+    drawn), then every distractor index in one array-valued
+    ``rng.integers`` call, the needle's position, and every padding-word
+    index in one more; each such call equals one scalar call per index.
     """
     rng = np.random.default_rng(spec.seed)
     value = str(rng.integers(10**7, 10**8))
@@ -322,8 +293,7 @@ def gen_needle(spec: SynthSpec) -> Instance:
     sentences.insert(position, needle)
     # single-word padding lands the token count exactly on target
     n_pad = spec.target_tokens - needle_tokens - n_fit * DISTRACTOR_TOKENS
-    filler_sizes = np.full(n_pad, len(_FILLERS), dtype=np.uint64)
-    sentences += [_FILLERS[i] for i in _draw_indices(rng, filler_sizes)]
+    sentences += [_FILLERS[i] for i in rng.integers(len(_FILLERS), size=n_pad).tolist()]
     context = " ".join(sentences)
 
     context_bytes = context.encode("utf-8")

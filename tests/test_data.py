@@ -21,7 +21,6 @@ from hilite.data import (
     candidates,
     gen_dataset,
     _distractor_sentences,
-    _draw_indices,
     gen_needle,
     load_jsonl,
     popularity_from_histories,
@@ -221,41 +220,32 @@ def test_distractor_sentence_has_distractor_tokens(seed):
         assert len(tokenize(sentence)) == DISTRACTOR_TOKENS
 
 
-def _raw_uint32(rng, count):
-    return rng.integers(0, 2**32 - 1, size=count, dtype=np.uint32, endpoint=True)
-
-
 @pytest.mark.parametrize("sizes", [
     [10] * 300, [15] * 300, [20] * 300, [20, 20, 15, 15] * 75, [], [2**31 + 1] * 64,
-], ids=["10", "15", "20", "sentence", "empty", "half-rejected"])
+    [1, 5, 2**32, 2**32 + 5] * 8,
+], ids=["10", "15", "20", "sentence", "empty", "half-rejected", "edges"])
 @pytest.mark.parametrize("odd_start", [False, True], ids=["even", "odd"])
-def test_draw_indices_match_scalar_integers(sizes, odd_start):
-    # PCG64 hands out 32-bit draws as halves of a 64-bit word and keeps the
-    # other half; an odd number of earlier draws leaves that half buffered
-    sizes = np.array(sizes, dtype=np.uint64)
-    block, scalar = np.random.default_rng(2024), np.random.default_rng(2024)
+def test_array_integers_match_scalar_integers(sizes, odd_start):
+    # gen_needle draws its indices with array-valued calls (an array of bounds,
+    # or one bound and a size) and stays byte-identical only if each equals one
+    # scalar call per index: the same values, and the same generator state
+    # after, rejected draws included (about half at n = 2**31 + 1).  PCG64
+    # hands out 32-bit draws as halves of a 64-bit word and keeps the other
+    # half; an odd number of earlier draws leaves that half buffered.
+    scalar, bounds, sized = (np.random.default_rng(2024) for _ in range(3))
     if odd_start:
-        _raw_uint32(block, 3), _raw_uint32(scalar, 3)
-    expected = [int(scalar.integers(int(n))) for n in sizes]
-    assert _draw_indices(block, sizes) == expected
-    assert block.bit_generator.state == scalar.bit_generator.state
-
-
-def test_draw_indices_fall_back_when_a_draw_is_rejected():
-    # about half the draws at n = 2**31 + 1 are rejected, so mapping the
-    # block alone would give other values than the scalar calls
-    n = 2**31 + 1
-    sizes = np.full(64, n, dtype=np.uint64)
-    raw = _raw_uint32(np.random.default_rng(5), sizes.size).astype(np.uint64)
-    naive = ((raw * np.uint64(n)) >> np.uint64(32)).tolist()
-    scalar = np.random.default_rng(5)
-    expected = [int(scalar.integers(n)) for _ in range(sizes.size)]
-    assert naive != expected
-    assert _draw_indices(np.random.default_rng(5), sizes) == expected
+        for rng in (scalar, bounds, sized):
+            rng.integers(0, 2**32 - 1, size=3, dtype=np.uint32, endpoint=True)
+    expected = [int(scalar.integers(n)) for n in sizes]
+    assert bounds.integers(np.array(sizes, dtype=np.int64)).tolist() == expected
+    assert bounds.bit_generator.state == scalar.bit_generator.state
+    if len(set(sizes)) == 1:
+        assert sized.integers(sizes[0], size=len(sizes)).tolist() == expected
+        assert sized.bit_generator.state == scalar.bit_generator.state
 
 
 # SHA-256 over the JSON records of NEEDLE_DIGEST_SPECS, recorded from the
-# scalar-draw generator that preceded block draws
+# scalar-draw generator that preceded array-bound draws
 NEEDLE_DIGEST_SPECS = [
     SynthSpec(target_tokens=t, seed=s) for t in (120, 600, 2000) for s in range(300)
 ] + [SynthSpec(target_tokens=14000, seed=s) for s in range(20)]
