@@ -148,6 +148,11 @@ def _parse_line(path: Path, lineno: int, line: str) -> Instance:
     for fname in ("query", "context"):
         if not isinstance(record[fname], str):
             raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
+        try:  # a JSON escape such as "\ud800" decodes to a lone surrogate
+            record[fname].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{path}:{lineno}: field {fname!r} is not valid Unicode: "
+                            f"{exc.reason} at character {exc.start}") from exc
     if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
         raise DataError(f"{path}:{lineno}: field 'id' is not a string or an integer")
     try:

@@ -26,8 +26,14 @@ character.  Word and space mean what ``re``'s ``\\w`` and ``\\s`` mean for
 classifies every code point once, looking ASCII code points up in a
 128-entry table built at import from those two regex classes and the rest
 with ``np.char.isalnum``/``np.char.isspace`` (the same Unicode predicates
-``re`` uses), then finds token starts and ends with shifted boolean arrays.  Any
-tokenizer producing the same (text, byte range) contract can be
+``re`` uses), then finds token starts and ends with shifted boolean arrays.
+The rest runs no Python code per token.  Token texts come from one
+``str.split()`` of the text with a space inserted before every token start:
+``str.split()`` breaks on ``Py_UNICODE_ISSPACE``, the very class ``\\s``
+matches, and no token holds such a character.  One ``dict.setdefault`` pass
+gives each token its text's first position, which ranks into the vocabulary
+ids.  Byte offsets are the positions of the code points' UTF-8 lead bytes.
+Any tokenizer producing the same (text, byte range) contract can be
 substituted; this one is the reference used by the test suite.
 """
 
@@ -39,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RangeBoundsError
+from .errors import DataError, RangeBoundsError
 
 def _ascii_table(pattern: str) -> np.ndarray:
     """Whether each ASCII code point matches the one-character ``pattern``."""
@@ -125,7 +131,7 @@ def _char_classes(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(word, space) flags of the code points ``cp``: ASCII ones from the
     tables, the rest from numpy's Unicode predicates (``\\w`` is
     alphanumeric or underscore, and underscore is ASCII)."""
-    narrow = np.minimum(cp, 0x7F)
+    narrow = np.minimum(cp, 0x7F, dtype=np.intp)
     word, space = _ASCII_WORD[narrow], _ASCII_SPACE[narrow]
     wide = np.flatnonzero(cp >= 0x80)
     if wide.size:
@@ -142,13 +148,30 @@ def tokenize(text: str) -> TokenizedContext:
     are classified once as word, space or other.  A token starts at every
     non-space character that does not continue a run of word characters,
     and ends at every non-space character that the next one does not
-    continue.  Character offsets become byte offsets through a cumulative
-    sum of the code points' UTF-8 widths, so the invariant
-    ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
-    holds for arbitrary Unicode input.  The token texts are sliced once,
-    here, and kept only as the vocabulary of distinct texts.
+    continue.  No Python code runs per token:
+
+    - texts: a space is inserted before every token start and the result
+      split once by ``str.split()``, which breaks on exactly the characters
+      ``\\s`` matches (both use ``Py_UNICODE_ISSPACE``); no token holds one,
+      so the pieces are the token texts in order;
+    - ids: one ``dict.setdefault`` pass maps each token to the position of
+      its text's first occurrence, and ranking those first occurrences gives
+      the vocabulary ids in first-seen order;
+    - offsets: in non-ASCII text, a character offset becomes a byte offset
+      by looking up where that code point's lead byte sits in the UTF-8
+      encoding; ASCII text needs no conversion.
+
+    So ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
+    holds for arbitrary Unicode input.  Text that holds a lone surrogate
+    has no UTF-8 encoding and raises :class:`DataError`.
     """
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    try:
+        cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    except UnicodeEncodeError as exc:
+        raise DataError(
+            f"text is not valid Unicode: {exc.reason} at character {exc.start} "
+            f"(U+{ord(text[exc.start]):04X})"
+        ) from exc
     word, space = _char_classes(cp)
     joined = word[1:] & word[:-1]  # character i + 1 continues character i's word
     is_start, is_end = ~space, ~space
@@ -156,14 +179,17 @@ def tokenize(text: str) -> TokenizedContext:
     is_end[:-1] &= ~joined
     starts = np.flatnonzero(is_start)
     ends = np.flatnonzero(is_end) + 1
-    texts = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-    index = {t: i for i, t in enumerate(dict.fromkeys(texts))}
-    text_ids = np.fromiter(map(index.__getitem__, texts), dtype=np.int32, count=len(texts))
+    texts = np.insert(cp, starts, 0x20).tobytes().decode("utf-32-le").split()
+    n = len(texts)
+    index: dict[str, int] = {}
+    first = np.fromiter(map(index.setdefault, texts, range(n)), np.intp, n)
+    # token i is its text's first occurrence where first[i] == i
+    text_ids = (np.cumsum(first == np.arange(n), dtype=np.int32) - 1)[first]
     if not text.isascii():
-        offsets = np.zeros(cp.size + 1, dtype=np.int64)
-        # uint8 widths: adding bools to uint8 counts them, in 1/8 of int64's memory
-        widths = 1 + (cp >= 0x80).view(np.uint8) + (cp >= 0x800) + (cp >= 0x10000)
-        np.cumsum(widths, dtype=np.int64, out=offsets[1:])
+        # a code point's byte offset is that of its UTF-8 lead byte, and lead
+        # bytes are the ones not of the form 0b10xxxxxx (as int8: >= -64)
+        lead = np.frombuffer(text.encode("utf-8"), np.int8) >= -64
+        offsets = np.flatnonzero(np.append(lead, True))
         starts, ends = offsets[starts], offsets[ends]
     return TokenizedContext(
         source=text, vocab=tuple(index), text_ids=text_ids, starts=starts, ends=ends

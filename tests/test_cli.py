@@ -446,6 +446,26 @@ def test_unreadable_file_exits_with_the_readers_error_naming_it(runner, tmp_path
     assert str(bad) in result.output
 
 
+# "\udcff" is what Python's surrogateescape makes of the argv byte 0xff
+@pytest.mark.parametrize("argv, where", [
+    (["highlight", "--text", "abc \udcff def"], "character 4"),
+    (["highlight", "--text", "abc def", "--query", "q\udcff"], "character 1"),
+    (["eval", "--dataset", "{dataset}"], "bad.jsonl:2: field 'context'"),
+], ids=["highlight-text", "highlight-query", "eval-dataset"])
+def test_lone_surrogate_input_exits_4(runner, tmp_path, argv, where):
+    checkpoint, dataset = tmp_path / "checkpoint.json", tmp_path / "bad.jsonl"
+    write_checkpoint(checkpoint)
+    save_jsonl([make_instance()], dataset)
+    with dataset.open("a") as fh:
+        fh.write('{"id": "b", "query": "q", "context": "ab\\ud800c", "gold": "g"}\n')
+    result = runner.invoke(main, [argv[0], "--checkpoint", str(checkpoint),
+                                  *(arg.format(dataset=dataset) for arg in argv[1:])])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.output.startswith("error: ")
+    assert "not valid Unicode" in result.output and where in result.output
+
+
 def test_highlight_requires_one_input(runner, oracle_run):
     _, checkpoint, _ = oracle_run
     result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint)])

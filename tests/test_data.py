@@ -170,6 +170,19 @@ def test_malformed_line_is_a_data_error_with_its_number(tmp_path, line, reason):
         load_jsonl(p)
 
 
+@pytest.mark.parametrize("line, field", [
+    ('{"id": "a", "query": "q", "context": "ab\\ud800c", "gold": "g"}', "context"),
+    ('{"id": "a", "query": "q", "context": "ab\\udcffc", "gold": "g", '
+     '"evidence_spans": [[0, 2]]}', "context"),
+    ('{"id": "a", "query": "q\\ud800", "context": "abc", "gold": "g"}', "query"),
+], ids=["context", "context-with-spans", "query"])
+def test_lone_surrogate_is_a_data_error_naming_line_and_field(tmp_path, line, field):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "a", "query": "q", "context": "c", "gold": "g"}\n' + line + "\n")
+    with pytest.raises(DataError, match=rf"bad\.jsonl:2: field '{field}' is not valid Unicode"):
+        load_jsonl(p)
+
+
 def test_integer_id_loads_as_its_decimal_string(tmp_path):
     p = tmp_path / "ids.jsonl"
     p.write_text('{"id": 7, "query": "q", "context": "c", "gold": "g"}\n')

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilite import policy
@@ -155,6 +155,26 @@ def test_logistic_spot_value():
     f = feats_of([[1.0, 0.0]])
     params = identity_params([2.0, 0.0])
     assert score(f, params)[0] == pytest.approx(0.8807970779778823, abs=1e-6)
+
+
+def two_branch_sigmoid(z):
+    """The sigmoid as two masked branches, kept as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(st.lists(st.floats(width=64), max_size=40))
+@settings(max_examples=300, deadline=None)
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, 709.0, -709.0, 745.0, -745.0])
+def test_sigmoid_equals_the_two_branch_formula(values):
+    z = np.array(values, dtype=np.float64)
+    got = policy._sigmoid(z)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, two_branch_sigmoid(z), equal_nan=True)
 
 
 def test_score_dim_mismatch_rejected():

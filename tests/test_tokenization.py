@@ -4,10 +4,10 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilite.errors import RangeBoundsError
+from hilite.errors import DataError, RangeBoundsError
 from hilite.tokenization import (
     _char_classes,
     restrict_omega,
@@ -47,6 +47,11 @@ def test_offsets_are_byte_offsets_for_multibyte_text():
     for tok in ctx.tokens:
         assert raw[tok.char_start : tok.char_end].decode("utf-8") == tok.text
     assert ctx.tokens[1].char_start == 6  # "bar" starts after the 5-byte word + space
+
+
+def test_lone_surrogate_is_a_data_error_naming_its_position():
+    with pytest.raises(DataError, match=r"not valid Unicode: .* at character 4 \(U\+DCFF\)"):
+        tokenize("abc \udcff def")
 
 
 def test_source_bytes_are_encoded_once_and_kept():
@@ -101,6 +106,15 @@ def test_char_classes_equal_re_classes_on_every_code_point():
         assert np.array_equal(got, want), pattern
 
 
+def test_str_split_breaks_on_exactly_the_space_class():
+    # tokenize takes its token texts from str.split(), which must break on
+    # exactly the code points \s matches
+    cp = np.concatenate((np.arange(0xD800), np.arange(0xE000, 0x110000))).astype("<u4")
+    text = cp.tobytes().decode("utf-32-le")
+    kept = set("".join("x".join(text).split()))
+    assert set(text) - kept == set(re.findall(r"\s", text))
+
+
 _SPLIT_RE = re.compile(r"(\w+|[^\w\s])")
 
 
@@ -122,6 +136,12 @@ EDGE_TEXTS = st.text(
 
 @given(EDGE_TEXTS | st.text(alphabet=string.printable, max_size=80) | TEXTS)
 @settings(max_examples=500, deadline=None)
+@example("x" * 100_000)  # one word
+@example("." * 50_000)  # one token per character
+@example("\x1c\u3000\n")  # whitespace only
+@example("😀𝔘ab𝔘😀 .😀𝔘\u3000𝔘.\n😀")  # a 4-byte word or symbol at every token edge
+@example("\x00\x00 a\x00b \x00")  # NUL is neither word nor space
+@example(" ".join(map(str, range(20_000))))  # every token distinct
 def test_tokenize_matches_the_regex_split(text):
     texts, starts, ends = reference_tokenize(text)
     ctx = tokenize(text)
