@@ -64,7 +64,11 @@ class Instance:
 
     def __post_init__(self):
         if self.evidence_spans is not None:
-            n = len(self.context.encode("utf-8"))
+            try:  # a lone surrogate has no UTF-8 encoding, so no byte offsets
+                n = len(self.context.encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                raise DataError(f"instance {self.id}: context is not valid Unicode: "
+                                f"{exc.reason} at character {exc.start}") from exc
             prev_end = -1
             for start, end in self.evidence_spans:
                 if not (0 <= start < end <= n):

@@ -5,20 +5,23 @@ linear layer and a temperature-controlled sigmoid:
 
     p_i = sigmoid((w . standardize(x_i) + b) / tau)
 
-which defines a Bernoulli-factorized selection policy over the
-policy-controlled index set omega.  Probabilities are clamped away from 0/1
-so log-likelihood and entropy stay finite.  :func:`forward` is the one place
-that evaluates this map; scoring and the training objective read its result.
-The training loss and its gradient with respect to (w, b) live in one place,
-:func:`hilite.trainer.objective`.
+which defines a Bernoulli-factorized selection policy over the context's
+tokens (the paper's index set omega, with no token excluded).
+Probabilities are clamped away from 0/1 so log-likelihood and entropy stay
+finite.  :func:`forward` is the one place that evaluates this map, on rows
+that are already standardized; :func:`score` standardizes raw features and
+calls it, and the training objective reads its result.  The training loss
+and its gradient with respect to (w, b) live in one place,
+:func:`hilite.trainer.objective`, and run over every row they are given.
 
 Values pass between layers as plain arrays: :func:`featurize` returns the
 (n_tokens, 7) float64 feature matrix, and :func:`score` (like both external
 scorers) returns the vector of clamped per-token probabilities.
 
 Feature standardization statistics live inside ScorerParams and are frozen
-at initialization (computed once from the training split), keeping the
-policy stationary during optimization.
+at initialization (computed once from the training split, which
+:func:`init_params` leaves standardized), keeping the policy stationary
+during optimization.
 
 An external scorer can replace the native one at inference time, speaking a
 small line-delimited JSON protocol over a child process's standard streams
@@ -180,7 +183,14 @@ def init_params(
     init_prob: float | None = None,
 ) -> ScorerParams:
     """Fresh scorer parameters with standardization statistics frozen from
-    ``feature_matrix`` (stack of training-split features).
+    ``feature_matrix`` (stack of training-split features), which is left
+    standardized by them, in place: the rows :func:`forward` reads.
+
+    The statistics are each column's mean and population variance.  The
+    matrix is centred in place after the mean is taken, the variance is the
+    column sum of the squared centred rows over n, and the centred rows are
+    then scaled in place; the statistics and rows equal numpy's ``mean`` and
+    ``var`` and :func:`standardize` bit for bit.
 
     w starts at zero.  When ``init_prob`` is given, the bias starts at
     tau * logit(init_prob) so the initial policy selects at that rate;
@@ -193,12 +203,16 @@ def init_params(
         if not 0.0 < init_prob < 1.0:
             raise StructureError("init_prob must lie in (0, 1)")
         b = tau * math.log(init_prob / (1.0 - init_prob))
+    norm_mean = feature_matrix.mean(axis=0)
+    feature_matrix -= norm_mean
+    norm_var = np.square(feature_matrix).sum(axis=0) / feature_matrix.shape[0]
+    feature_matrix /= np.sqrt(norm_var + NORM_EPS)
     return ScorerParams(
         w=np.zeros(d, dtype=np.float64),
         b=b,
         tau=tau,
-        norm_mean=feature_matrix.mean(axis=0),
-        norm_var=feature_matrix.var(axis=0),
+        norm_mean=norm_mean,
+        norm_var=norm_var,
     )
 
 
@@ -218,11 +232,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def omega_index(omega) -> np.ndarray:
-    """omega as an int64 index array (no copy when it already is one)."""
-    return np.asarray(omega, dtype=np.int64)
-
-
 @dataclass
 class Forward:
     """Standardized rows ``x``, clamped probabilities ``p``, and ``interior``:
@@ -233,9 +242,9 @@ class Forward:
     interior: np.ndarray
 
 
-def forward(feats: np.ndarray, params: ScorerParams) -> Forward:
-    """Evaluate p_i = sigmoid((w . x~_i + b) / tau), clamped, on every row."""
-    x = standardize(feats, params)
+def forward(x: np.ndarray, params: ScorerParams) -> Forward:
+    """Evaluate p_i = sigmoid((w . x_i + b) / tau), clamped, on every row of
+    the standardized rows ``x`` (see :func:`standardize`)."""
     p_raw = _sigmoid((x @ params.w + params.b) / params.tau)
     return Forward(
         x=x,
@@ -245,29 +254,31 @@ def forward(feats: np.ndarray, params: ScorerParams) -> Forward:
 
 
 def score(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
-    """Clamped selection probabilities for every token (meaningful only on
-    omega)."""
-    return forward(feats, params).p
+    """Clamped selection probabilities for every token, from raw features."""
+    return forward(standardize(feats, params), params).p
 
 
-def log_prob(mask: np.ndarray, probs: np.ndarray, omega) -> float:
-    """Bernoulli log-likelihood of ``mask`` restricted to omega.
+def log_prob(masks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Bernoulli log-likelihood of each row of the (G, n) mask stack
+    ``masks`` under ``probs``, as a length-G array.
 
-    Always finite (probabilities are clamped) and <= 0.
+    log p and log(1 - p) are evaluated once for all G rows; each row is
+    then summed with its own 1-D sum, so row j equals the log-likelihood of
+    ``masks[j]`` alone bit for bit.  Always finite (probabilities are
+    clamped) and <= 0.
     """
-    idx = omega_index(omega)
-    p = probs[idx]
-    m = np.asarray(mask, dtype=np.float64)[idx]
-    return float(np.sum(m * np.log(p) + (1.0 - m) * np.log1p(-p)))
+    log_p, log_q = np.log(probs), np.log1p(-probs)
+    m = np.asarray(masks, dtype=np.float64)
+    terms = m * log_p + (1.0 - m) * log_q
+    return np.array([np.sum(row) for row in terms])
 
 
-def entropy(probs: np.ndarray, omega) -> float:
-    """Token-wise Bernoulli entropy averaged over omega, in [0, ln 2]."""
-    idx = omega_index(omega)
-    if idx.size == 0:
+def entropy(probs: np.ndarray) -> float:
+    """Token-wise Bernoulli entropy averaged over every token, in [0, ln 2]
+    (0.0 when there are none)."""
+    if probs.size == 0:
         return 0.0
-    p = probs[idx]
-    h = -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
+    h = -(probs * np.log(probs) + (1.0 - probs) * np.log1p(-probs))
     return float(h.mean())
 
 

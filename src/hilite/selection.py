@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import BudgetError, StructureError
 from .markup import Mask
-from .policy import omega_index
 from .tokenization import TokenizedContext
 
 GUMBEL_FLOOR = 1e-12
@@ -94,6 +93,11 @@ def _as_rng(rng) -> np.random.Generator:
     return rng
 
 
+def _omega_index(omega) -> np.ndarray:
+    """omega as an int64 index array (no copy when it already is one)."""
+    return np.asarray(omega, dtype=np.int64)
+
+
 def _mask_from_indices(n: int, indices: np.ndarray) -> Mask:
     mask = np.zeros(n, dtype=np.uint8)
     mask[indices] = 1
@@ -102,7 +106,7 @@ def _mask_from_indices(n: int, indices: np.ndarray) -> Mask:
 
 def _budget_index(omega, k: int) -> np.ndarray:
     """omega as an index array, once k is known to fit in it."""
-    idx = omega_index(omega)
+    idx = _omega_index(omega)
     if k > idx.size:
         raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
     return idx
@@ -126,7 +130,7 @@ def _topk_indices(keys: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
 def sample_bernoulli(probs: np.ndarray, omega, rng) -> Mask:
     """Preliminary mask: m_i ~ Bernoulli(p_i) on omega, zero elsewhere."""
     rng = _as_rng(rng)
-    idx = omega_index(omega)
+    idx = _omega_index(omega)
     mask = np.zeros(len(probs), dtype=np.uint8)
     if idx.size:
         draws = rng.random(idx.size)

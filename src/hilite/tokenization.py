@@ -150,10 +150,12 @@ def tokenize(text: str) -> TokenizedContext:
     and ends at every non-space character that the next one does not
     continue.  No Python code runs per token:
 
-    - texts: a space is inserted before every token start and the result
-      split once by ``str.split()``, which breaks on exactly the characters
-      ``\\s`` matches (both use ``Py_UNICODE_ISSPACE``); no token holds one,
-      so the pieces are the token texts in order;
+    - texts: a space is inserted before every token start (the code points
+      are copied through a boolean keep-mask into an array of spaces, with
+      no sort) and the result split once by ``str.split()``, which breaks on
+      exactly the characters ``\\s`` matches (both use
+      ``Py_UNICODE_ISSPACE``); no token holds one, so the pieces are the
+      token texts in order;
     - ids: one ``dict.setdefault`` pass maps each token to the position of
       its text's first occurrence, and ranking those first occurrences gives
       the vocabulary ids in first-seen order;
@@ -179,7 +181,13 @@ def tokenize(text: str) -> TokenizedContext:
     is_end[:-1] &= ~joined
     starts = np.flatnonzero(is_start)
     ends = np.flatnonzero(is_end) + 1
-    texts = np.insert(cp, starts, 0x20).tobytes().decode("utf-32-le").split()
+    # the code points with a space before every token start: token j's start
+    # moves j places right, and every position no start lands on keeps cp
+    spaced = np.full(cp.size + starts.size, 0x20, dtype=cp.dtype)
+    keep = np.ones(spaced.size, dtype=bool)
+    keep[starts + np.arange(starts.size)] = False
+    spaced[keep] = cp
+    texts = spaced.tobytes().decode("utf-32-le").split()
     n = len(texts)
     index: dict[str, int] = {}
     first = np.fromiter(map(index.setdefault, texts, range(n)), np.intp, n)

@@ -12,17 +12,21 @@ One training step on one instance:
 4. minimize  L = L_PG + lambda_len * L_LEN + beta_ent * L_ENT  where
 
        L_PG  = -(1/G) sum_j A_j log pi(prelim mask_j)
-       L_LEN = (mean_omega p_i - gamma)^2
-       L_ENT = -(mean Bernoulli entropy over omega)
+       L_LEN = (mean_i p_i - gamma)^2
+       L_ENT = -(mean Bernoulli entropy over the tokens)
 
    with one AdamW step (decoupled weight decay on the weight vector) over
    the analytic gradient; :func:`objective` computes both.
    Log-probabilities are always evaluated on the pre-projection masks; the
    projected mask only shapes the emphasized text.
 
-Each step runs one forward pass of the scorer, used for both sampling and
-the update.  :func:`objective` computes every term, value and gradient,
-from that forward pass, the (G, n) stack of pre-projection masks and the G
+The loss runs over every token of the context: training contexts come
+from :attr:`Instance.tokens`, whose omega is every token.
+:func:`init_from_dataset` standardizes the training split's features once,
+in place, so each step runs one forward pass of the scorer on the
+instance's standardized rows, used for both sampling and the update.
+:func:`objective` computes every term, value and gradient, from that
+forward pass, the (G, n) stack of pre-projection masks and the G
 advantages; a :class:`GroupSample` keeps no projected mask.  The solver is
 frozen: training mutates scorer parameters and optimizer state, nothing
 else.  One pool of min(G, :data:`MAX_ROLLOUT_WORKERS`) threads lives for
@@ -245,7 +249,7 @@ def advantages(rewards) -> np.ndarray:
 class LossTerms:
     """One step's loss terms, their weighted sum ``total``, and the sum's
     gradient (``grad_w``, ``grad_b``).  ``mean_p`` is the mean probability
-    over omega (0.0 when omega is empty)."""
+    over the tokens (0.0 when there are none)."""
 
     l_pg: float
     l_len: float
@@ -261,35 +265,36 @@ def objective(
     advantages: np.ndarray,
     fwd: policy.Forward,
     params: ScorerParams,
-    omega,
     cfg: TrainConfig,
 ) -> LossTerms:
     """L = L_PG + lambda_len * L_LEN + beta_ent * L_ENT and its analytic
     gradient with respect to (w, b), from the pre-projection ``masks``, the
-    ``advantages`` and ``fwd``, the step's forward pass over every row: the
-    G log-likelihoods log pi(mask_j) are evaluated here, on ``fwd.p``.
-    ``masks`` must be a (G, n) stack with one row per advantage and one
-    column per row of ``fwd``; any other shape raises StructureError.
+    ``advantages`` and ``fwd``, the step's forward pass: the G
+    log-likelihoods log pi(mask_j) are evaluated here, on ``fwd.p``.  The
+    loss runs over every row of ``fwd``; a caller that wants a subset of
+    the tokens passes the forward pass and masks of those rows.  ``masks``
+    must be a (G, n) stack with one row per advantage and one column per
+    row of ``fwd``; any other shape raises StructureError.
 
     The gradient holds masks and advantages fixed and matches central finite
     differences of ``total``; clamped tokens contribute zero everywhere,
-    like the clamped forward pass they correspond to.  An empty omega adds
-    no length penalty, entropy or gradient.
+    like the clamped forward pass they correspond to.  A forward pass over
+    no tokens adds no length penalty, entropy or gradient.
     """
     g = advantages.size
-    if masks.shape != (g, fwd.p.size):
+    x, p, interior = fwd.x, fwd.p, fwd.interior
+    n, tau = p.size, params.tau
+    if masks.shape != (g, n):
         raise StructureError(f"masks of shape {masks.shape} for {g} advantages "
-                             f"over {fwd.p.size} tokens")
-    idx = policy.omega_index(omega)
-    x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
-    n, tau = idx.size, params.tau
+                             f"over {n} tokens")
 
     # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau;
-    # one log_prob call per mask: a row-wise sum of the stack may differ in the last ulp
-    log_probs = np.array([policy.log_prob(m, fwd.p, idx) for m in masks])
+    # the mask term's product over the Fortran-ordered stack gives the bits the
+    # golden metrics record; over the C-ordered stack the last bits differ
+    log_probs = policy.log_prob(masks, p)
     with np.errstate(invalid="ignore"):  # +-inf advantages give NaN; grad_step skips the step
         l_pg = float(-(advantages * log_probs).mean())
-    dz_pg = -(advantages @ (masks[:, idx] - p)) / (g * tau)
+    dz_pg = -(advantages @ (np.asfortranarray(masks) - p)) / (g * tau)
 
     # length: L_LEN = (mean p - gamma)^2, dz = 2 (mean p - gamma) * dp/dz / (n tau)
     mean_p = float(p.mean()) if n else 0.0
@@ -298,7 +303,7 @@ def objective(
     dz_len = 2.0 * (mean_p - cfg.gamma) * dp_dz / (n * tau)
 
     # entropy bonus: L_ENT = -H, dz = -ln((1-p)/p) * dp/dz / (n tau)
-    l_ent = float(-policy.entropy(fwd.p, idx))
+    l_ent = float(-policy.entropy(p))
     dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * tau)
 
     dz = np.where(interior, dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent, 0.0)
@@ -320,12 +325,11 @@ def grad_step(
     params: ScorerParams,
     opt: OptimizerState,
     cfg: TrainConfig,
-    omega,
 ) -> LossTerms:
     """Evaluate :func:`objective` and apply one AdamW update on (w, b), in
     place on ``params`` and ``opt``.  Decoupled weight decay applies to the
     weight vector only.  Non-finite gradients skip the update (logged)."""
-    terms = objective(masks, advantages, fwd, params, omega, cfg)
+    terms = objective(masks, advantages, fwd, params, cfg)
     grad_w, grad_b = terms.grad_w, terms.grad_b
     if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
@@ -369,11 +373,12 @@ def init_from_dataset(
 
     Contexts come from :attr:`Instance.tokens`, so they stay with the
     instances after the run.  The split's features fill one (Σn, 7) matrix,
-    instance after instance; they are returned as a list of its row blocks,
-    aligned with ``dataset`` (instance ids need not be unique).
-    Standardization statistics come from that matrix; the bias starts at
-    tau * logit(gamma) so the initial expected highlight fraction sits on
-    budget.
+    instance after instance.  Standardization statistics come from that
+    matrix, which :func:`policy.init_params` then standardizes in place; it
+    is returned as a list of its row blocks, each the standardized rows
+    :func:`policy.forward` reads for one instance, aligned with ``dataset``
+    (instance ids need not be unique).  The bias starts at tau * logit(gamma)
+    so the initial expected highlight fraction sits on budget.
     """
     idf_table = build_idf_table([inst.tokens for inst in dataset])
     ends = np.cumsum([len(inst.tokens) for inst in dataset], dtype=np.intp)
@@ -535,8 +540,7 @@ def train(
                 inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
-            terms = grad_step(group.prelim_masks, group.advantages, fwd, params, opt, cfg,
-                              ctx.omega)
+            terms = grad_step(group.prelim_masks, group.advantages, fwd, params, opt, cfg)
             attempts, latencies_ms = solver_usage(group.outputs)
             # means over the G rollouts, from their spans stacked in one array
             spans = np.concatenate(group.spans)

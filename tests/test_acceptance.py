@@ -28,7 +28,7 @@ from hilite.markup import (
     inject,
     strip,
 )
-from hilite.policy import ScorerParams, forward, score
+from hilite.policy import ScorerParams, forward, score, standardize
 from hilite.rewards import RewardSpec, composite, em, hr_at_k, macro_f1, ndcg_at_k, token_f1
 from hilite.selection import Budget, SamplerKind, rng_stream, sample_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
@@ -129,11 +129,14 @@ def test_criterion_3_gradient_correctness():
         omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
         cfg = TrainConfig(group_size=2, steps=0, gamma=0.3)
         adv = advantages(rewards)
-        terms = objective(masks, adv, forward(feats, params), params, omega, cfg)
+        # the loss over omega: the forward pass and masks of omega's rows
+        terms = objective(masks[:, omega], adv, forward(standardize(feats, params)[omega], params),
+                          params, cfg)
         gw, gb = terms.grad_w, terms.grad_b
 
         def total_at(p2):
-            return objective(masks, adv, forward(feats, p2), p2, omega, cfg).total
+            fwd = forward(standardize(feats, p2)[omega], p2)
+            return objective(masks[:, omega], adv, fwd, p2, cfg).total
 
         h = 1e-6
         fd = np.zeros(d + 1)

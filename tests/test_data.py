@@ -183,6 +183,11 @@ def test_lone_surrogate_is_a_data_error_naming_line_and_field(tmp_path, line, fi
         load_jsonl(p)
 
 
+def test_instance_with_spans_over_a_lone_surrogate_is_a_data_error():
+    with pytest.raises(DataError, match=r"instance a: context is not valid Unicode"):
+        Instance(id="a", query="q", context="ab\ud800", gold="g", evidence_spans=[(0, 1)])
+
+
 def test_integer_id_loads_as_its_decimal_string(tmp_path):
     p = tmp_path / "ids.jsonl"
     p.write_text('{"id": 7, "query": "q", "context": "c", "gold": "g"}\n')

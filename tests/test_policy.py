@@ -216,34 +216,35 @@ def test_uniform_log_prob():
     n = 7
     s = np.full(n, 0.5)
     mask = np.zeros(n, dtype=np.uint8)
-    assert log_prob(mask, s, range(n)) == pytest.approx(-n * math.log(2))
+    assert log_prob(mask[None], s)[0] == pytest.approx(-n * math.log(2))
 
 
 def test_log_prob_decomposes_per_token():
     s = np.array([0.9, 0.1])
     mask = np.array([1, 0], dtype=np.uint8)
-    assert log_prob(mask, s, [0, 1]) == pytest.approx(
+    assert log_prob(mask[None], s)[0] == pytest.approx(
         math.log(0.9) + math.log(0.9), abs=1e-12
     )
-    assert log_prob(mask, s, [0, 1]) == pytest.approx(-0.2107, abs=1e-4)
+    assert log_prob(mask[None], s)[0] == pytest.approx(-0.2107, abs=1e-4)
 
 
 def test_log_prob_ignores_bits_outside_omega():
     s = np.array([0.9, 0.5])
     m1 = np.array([1, 1], dtype=np.uint8)
     m0 = np.array([1, 0], dtype=np.uint8)
-    assert log_prob(m1, s, [0]) == log_prob(m0, s, [0])
+    omega = [0]
+    assert log_prob(m1[None, omega], s[omega]) == log_prob(m0[None, omega], s[omega])
 
 
 def test_entropy_bounds_and_values():
     n = 4
-    assert entropy(np.full(n, 0.5), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 0.5)) == pytest.approx(
         math.log(2)
     )
-    assert entropy(np.full(n, 1e-6), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 1e-6)) == pytest.approx(
         0.0, abs=1e-4
     )
-    assert entropy(np.full(n, 0.25), range(n)) == pytest.approx(
+    assert entropy(np.full(n, 0.25)) == pytest.approx(
         0.5623351446188083, abs=1e-12
     )
 
@@ -254,12 +255,13 @@ def test_entropy_bounds_and_values():
 
 
 def pg_term_grad(mask, feats, params, omega):
-    """Gradient of log pi(mask) with respect to (w, b), read off the training
-    objective: its L_PG term for one mask with advantage -1, no length or
-    entropy term."""
-    masks = np.asarray(mask, dtype=np.uint8)[None]
+    """Gradient of log pi(mask) restricted to omega with respect to (w, b),
+    read off the training objective over omega's rows: its L_PG term for one
+    mask with advantage -1, no length or entropy term."""
+    masks = np.asarray(mask, dtype=np.uint8)[None, omega]
     cfg = TrainConfig(steps=0, lambda_len=0.0, beta_ent=0.0)
-    terms = objective(masks, np.array([-1.0]), policy.forward(feats, params), params, omega, cfg)
+    fwd = policy.forward(policy.standardize(feats, params)[omega], params)
+    terms = objective(masks, np.array([-1.0]), fwd, params, cfg)
     return terms.grad_w, terms.grad_b
 
 
@@ -295,6 +297,7 @@ def test_score_function_identity_expected_gradient_zero():
 
 
 def finite_diff_log_prob(mask, feats, params, omega, h=1e-6):
+    masks = np.asarray(mask)[None, omega]
     gw = np.zeros_like(params.w)
     for i in range(params.dim):
         up = copy.deepcopy(params)
@@ -302,16 +305,16 @@ def finite_diff_log_prob(mask, feats, params, omega, h=1e-6):
         down = copy.deepcopy(params)
         down.w[i] -= h
         gw[i] = (
-            log_prob(mask, score(feats, up), omega)
-            - log_prob(mask, score(feats, down), omega)
+            log_prob(masks, score(feats, up)[omega])[0]
+            - log_prob(masks, score(feats, down)[omega])[0]
         ) / (2 * h)
     up = copy.deepcopy(params)
     up.b += h
     down = copy.deepcopy(params)
     down.b -= h
     gb = (
-        log_prob(mask, score(feats, up), omega)
-        - log_prob(mask, score(feats, down), omega)
+        log_prob(masks, score(feats, up)[omega])[0]
+        - log_prob(masks, score(feats, down)[omega])[0]
     ) / (2 * h)
     return gw, gb
 
@@ -361,13 +364,30 @@ def test_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
 def test_init_params_freezes_stats_and_budget_bias():
     rng = np.random.default_rng(0)
     stacked = rng.normal(loc=2.0, scale=3.0, size=(100, FEATURE_DIM))
+    raw = stacked.copy()  # init_params standardizes stacked in place
     params = init_params(stacked, tau=1.0, init_prob=0.15)
-    assert np.allclose(params.norm_mean, stacked.mean(axis=0))
-    assert np.allclose(params.norm_var, stacked.var(axis=0))
+    assert np.allclose(params.norm_mean, raw.mean(axis=0))
+    assert np.allclose(params.norm_var, raw.var(axis=0))
     assert params.b == pytest.approx(math.log(0.15 / 0.85))
     # initial policy selects at the requested rate
-    f = feats_of(stacked[:10])
+    f = feats_of(raw[:10])
     assert np.allclose(score(f, params), 0.15, atol=1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e4]))
+def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale):
+    # centring in place before the variance, then scaling in place, gives
+    # numpy's mean and var and standardize's rows, not just close values
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(loc=scale * rng.normal(size=FEATURE_DIM), scale=scale, size=(n, FEATURE_DIM))
+    raw[:, 1] = rng.random(n) < 0.1  # a 0/1 column, like the overlap flags
+    raw[:, 5] = 0.0  # a constant column: variance 0
+    matrix = raw.copy()
+    params = init_params(matrix)
+    assert params.norm_mean.tobytes() == raw.mean(axis=0).tobytes()
+    assert params.norm_var.tobytes() == raw.var(axis=0).tobytes()
+    assert matrix.tobytes() == policy.standardize(raw, params).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from hilite.policy import (
     featurize,
     forward,
     init_params,
-    log_prob,
     score,
+    standardize,
 )
 from hilite.rewards import RewardSpec
 from hilite.solver import (
@@ -44,6 +44,7 @@ from hilite.solver import (
     SolverOutput,
 )
 from hilite.trainer import (
+    LossTerms,
     OptimizerState,
     TrainConfig,
     advantages,
@@ -81,12 +82,21 @@ def group_from(prelim_masks, rewards, advform=None):
     return np.asarray(prelim_masks, dtype=np.uint8), np.asarray(adv, dtype=np.float64)
 
 
-def terms_at(group, probs, omega, cfg):
+def terms_at(group, probs, cfg):
     """Objective terms for a forward pass whose probabilities are ``probs``
     (every token interior, one all-zero feature column)."""
     probs = np.asarray(probs, dtype=np.float64)
     fwd = Forward(x=np.zeros((probs.size, 1)), p=probs, interior=np.ones(probs.size, bool))
-    return objective(*group, fwd, identity_params([0.0]), omega, cfg)
+    return objective(*group, fwd, identity_params([0.0]), cfg)
+
+
+def objective_on(group, feats, params, cfg, omega=slice(None)):
+    """Objective terms over the rows ``omega`` (every row by default) of the
+    raw features ``feats``: the loss reads the forward pass and the masks of
+    those rows only."""
+    masks, adv = group
+    return objective(masks[:, omega], adv, forward(standardize(feats, params)[omega], params),
+                     params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +154,7 @@ def test_pg_loss_hand_evaluated():
     # L_PG = -(1/2) (ln 0.48 - ln 0.08) = -(1/2) ln 6
     scores = np.array([0.8, 0.4])
     cfg = small_config(lambda_len=0.0, beta_ent=0.0)
-    terms = terms_at(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, cfg)
     assert terms.l_pg == pytest.approx(-0.5 * math.log(6))
     assert terms.total == pytest.approx(-0.5 * math.log(6))
 
@@ -153,7 +163,7 @@ def test_len_loss_zero_on_budget():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config(gamma=0.25)
     scores = np.array([0.25, 0.25])
-    terms = terms_at(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, cfg)
     assert terms.l_len == 0.0
 
 
@@ -161,13 +171,14 @@ def test_entropy_loss_at_half():
     group = group_from([[0, 0], [0, 0]], [0.0, 0.0], advform=[0.0, 0.0])
     cfg = small_config()
     scores = np.array([0.5, 0.5])
-    terms = terms_at(group, scores, [0, 1], cfg)
+    terms = terms_at(group, scores, cfg)
     assert terms.l_ent == pytest.approx(-math.log(2))
 
 
 def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
-    group = group_from([[1, 0], [0, 1]], [1.0, 0.0])
-    terms = terms_at(group, [0.9, 0.1], [], small_config(gamma=0.3))
+    masks, adv = group_from([[1, 0], [0, 1]], [1.0, 0.0])
+    omega = []  # the loss over no token: the masks and probabilities of no row
+    terms = terms_at((masks[:, omega], adv), np.array([0.9, 0.1])[omega], small_config(gamma=0.3))
     assert (terms.l_len, terms.l_ent, terms.mean_p, terms.grad_b) == (0.0, 0.0, 0.0, 0.0)
     assert terms.grad_w.tolist() == [0.0]
     assert terms.total == terms.l_pg
@@ -179,7 +190,7 @@ def test_objective_on_empty_omega_adds_no_length_entropy_or_gradient():
 
 
 def total_loss_given(params, feats, group, omega, cfg):
-    return objective(*group, forward(feats, params), params, omega, cfg).total
+    return objective_on(group, feats, params, cfg, omega).total
 
 
 def finite_diff_total(params, feats, group, omega, cfg, h=1e-6):
@@ -219,7 +230,7 @@ def test_total_gradient_matches_finite_differences(seed):
     omega = sorted(rng.choice(n, size=max(2, n // 2), replace=False).tolist())
     cfg = small_config(gamma=0.3, lambda_len=0.01, beta_ent=1.0)
     group = group_from(masks, rewards)
-    terms = objective(*group, forward(feats, params), params, omega, cfg)
+    terms = objective_on(group, feats, params, cfg, omega)
     gw, gb = terms.grad_w, terms.grad_b
     fw, fb = finite_diff_total(params, feats, group, omega, cfg)
     ref = np.concatenate([fw, [fb]])
@@ -231,8 +242,6 @@ def test_total_gradient_matches_finite_differences(seed):
 def test_policy_gradient_term_matches_per_mask_loop(seed):
     # reference: -(1/G) sum_j A_j sum_{i in omega} (m_ji - p_i) x~_i / tau, one
     # mask and one token at a time
-    from hilite.policy import standardize
-
     rng = np.random.default_rng(seed)
     n, d, g = 12, 3, 4
     feats = rng.normal(size=(n, d))
@@ -249,7 +258,7 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
             ref_w -= a * (m[i] - p[i]) * x[i] / (g * params.tau)
             ref_b -= a * (m[i] - p[i]) / (g * params.tau)
     cfg = small_config(group_size=g, lambda_len=0.0, beta_ent=0.0)
-    terms = objective(stack, adv, forward(feats, params), params, omega, cfg)
+    terms = objective_on((stack, adv), feats, params, cfg, omega)
     gw, gb = terms.grad_w, terms.grad_b
     assert np.allclose(gw, ref_w, rtol=1e-12, atol=1e-14)
     assert gb == pytest.approx(ref_b, rel=1e-12, abs=1e-14)
@@ -260,15 +269,89 @@ def test_policy_gradient_term_matches_per_mask_loop(seed):
 def test_pg_loss_equals_per_mask_log_prob_sum_exactly(g, n, seed):
     # pinned with ==: L_PG sums each mask's log-likelihood with its own 1-D
     # sum, which golden_metrics.json digests; a batched row sum may move the
-    # last ulp
+    # last ulp.  The reference is the per-mask log-likelihood over omega,
+    # written out; the loss over omega reads omega's rows.
     rng = np.random.default_rng(seed)
     p = rng.uniform(1e-6, 1 - 1e-6, size=n)
     omega = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
     masks = (rng.random((g, n)) < rng.random()).astype(np.uint8)
     adv = rng.normal(size=g)
-    group = group_from(masks, np.zeros(g), advform=adv)
-    terms = terms_at(group, p, omega, small_config(group_size=g))
-    assert terms.l_pg == float(-(adv * np.array([log_prob(m, p, omega) for m in masks])).mean())
+    terms = terms_at((masks[:, omega], adv), p[omega], small_config(group_size=g))
+
+    def per_mask_log_prob(mask):
+        m, q = np.asarray(mask, dtype=np.float64)[omega], p[omega]
+        return float(np.sum(m * np.log(q) + (1.0 - m) * np.log1p(-q)))
+
+    assert terms.l_pg == float(-(adv * np.array([per_mask_log_prob(m) for m in masks])).mean())
+
+
+def omega_objective(masks, advantages, fwd, params, omega, cfg):
+    """Reference: the loss over the token subset ``omega`` computed the
+    direct way, with every per-token array gathered through omega's index,
+    one log-likelihood per mask and the entropy on its own.  On omega =
+    every token, :func:`objective` must match it bit for bit."""
+    g = advantages.size
+    idx = np.asarray(omega, dtype=np.int64)
+    x, p, interior = fwd.x[idx], fwd.p[idx], fwd.interior[idx]
+    n, tau = idx.size, params.tau
+
+    def log_prob(mask):
+        m = np.asarray(mask, dtype=np.float64)[idx]
+        return float(np.sum(m * np.log(p) + (1.0 - m) * np.log1p(-p)))
+
+    log_probs = np.array([log_prob(m) for m in masks])
+    with np.errstate(invalid="ignore"):
+        l_pg = float(-(advantages * log_probs).mean())
+    dz_pg = -(advantages @ (masks[:, idx] - p)) / (g * tau)
+    mean_p = float(p.mean()) if n else 0.0
+    l_len = float((mean_p - cfg.gamma) ** 2) if n else 0.0
+    dp_dz = p * (1.0 - p)
+    dz_len = 2.0 * (mean_p - cfg.gamma) * dp_dz / (n * tau)
+    entropy = float((-(p * np.log(p) + (1.0 - p) * np.log1p(-p))).mean()) if n else 0.0
+    l_ent = float(-entropy)
+    dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * tau)
+    dz = np.where(interior, dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent, 0.0)
+    return LossTerms(
+        l_pg=l_pg,
+        l_len=l_len,
+        l_ent=l_ent,
+        total=l_pg + cfg.lambda_len * l_len + cfg.beta_ent * l_ent,
+        grad_w=dz @ x,
+        grad_b=float(dz.sum()),
+        mean_p=mean_p,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.integers(1, 6),
+    n=st.one_of(st.integers(0, 400), st.integers(8000, 20000)),  # 2K and 16K contexts
+    d=st.integers(1, FEATURE_DIM),
+    scale=st.sampled_from([0.1, 1.0, 30.0, 1e3]),  # the larger ones clamp p at either end
+    inf_advantages=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_equals_the_omega_gathering_loss_on_every_token(
+    g, n, d, scale, inf_advantages, seed
+):
+    # training's omega is every token (arange(n), as tokenize sets it): there
+    # the loss over every row must keep every bit of every term and gradient
+    rng = np.random.default_rng(seed)
+    params = identity_params(rng.normal(scale=scale, size=d), b=float(rng.normal()),
+                             tau=float(rng.uniform(0.5, 2.0)))
+    fwd = forward(rng.normal(size=(n, d)), params)
+    masks = (rng.random((g, n)) < rng.random()).astype(np.uint8)
+    adv = rng.normal(size=g)
+    if inf_advantages:
+        adv[rng.integers(g)] = rng.choice([np.inf, -np.inf])
+    cfg = small_config(group_size=max(g, 2), gamma=float(rng.uniform(0.05, 0.5)),
+                       lambda_len=float(rng.uniform(0, 1)), beta_ent=float(rng.uniform(0, 2)))
+    with np.errstate(invalid="ignore"):  # +-inf advantages make NaN gradients
+        got = objective(masks, adv, fwd, params, cfg)
+        want = omega_objective(masks, adv, fwd, params, np.arange(n, dtype=np.int64), cfg)
+    for field in dataclasses.fields(LossTerms):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
@@ -282,10 +365,8 @@ def test_total_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens()
     cfg = small_config(group_size=3, gamma=0.3, lambda_len=0.5, beta_ent=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        terms_a = objective(*group_from(masks_a, rewards), forward(a, params),
-                            params, range(5), cfg)
-        terms_b = objective(*group_from(masks_b, rewards), forward(b, params),
-                            params, range(5), cfg)
+        terms_a = objective_on(group_from(masks_a, rewards), a, params, cfg)
+        terms_b = objective_on(group_from(masks_b, rewards), b, params, cfg)
     gw, gb, gw_b, gb_b = terms_a.grad_w, terms_a.grad_b, terms_b.grad_w, terms_b.grad_b
     assert np.all(np.isfinite(gw)) and math.isfinite(gb)
     assert gw.tolist() == gw_b.tolist() and gb == gb_b
@@ -307,7 +388,7 @@ def test_zero_gradient_step_only_decays_weights():
                        learning_rate=1e-4)
     w_before = params.w.copy()
     b_before = params.b
-    grad_step(*group, forward(feats, params), params, opt, cfg, [0, 1])
+    grad_step(*group, forward(standardize(feats, params), params), params, opt, cfg)
     assert np.allclose(params.w, w_before * (1 - 1e-4 * 1e-2))
     assert params.b == b_before  # decay is decoupled and applies to w only
 
@@ -324,7 +405,7 @@ def test_grad_step_deterministic():
         group = group_from(masks, rewards)
         cfg = small_config(group_size=3)
         for _ in range(5):
-            grad_step(*group, forward(feats, params), params, opt, cfg, range(5))
+            grad_step(*group, forward(standardize(feats, params), params), params, opt, cfg)
         return params.w.tobytes(), params.b
 
     assert run() == run()
@@ -337,18 +418,18 @@ def test_non_finite_gradient_skips_step(caplog):
     group = group_from([[1], [0]], [1.0, 0.0], advform=[np.inf, -np.inf])
     cfg = small_config()
     w_before = params.w.copy()
-    grad_step(*group, forward(feats, params), params, opt, cfg, [0])
+    grad_step(*group, forward(standardize(feats, params), params), params, opt, cfg)
     assert np.array_equal(params.w, w_before)
     assert opt.step == 0
 
 
 def test_objective_rejects_masks_of_the_wrong_shape():
     cfg = small_config()
-    terms_at(group_from([[1, 0], [0, 1]], [1.0, 0.0]), [0.5, 0.5], [0, 1], cfg)
+    terms_at(group_from([[1, 0], [0, 1]], [1.0, 0.0]), [0.5, 0.5], cfg)
     with pytest.raises(StructureError):  # one mask for two advantages
-        terms_at(group_from([[1, 0]], [1.0, 0.0], advform=[1.0, -1.0]), [0.5, 0.5], [0, 1], cfg)
+        terms_at(group_from([[1, 0]], [1.0, 0.0], advform=[1.0, -1.0]), [0.5, 0.5], cfg)
     with pytest.raises(StructureError):  # masks over one token, forward pass over two
-        terms_at(group_from([[1], [0]], [1.0, 0.0]), [0.5, 0.5], [0], cfg)
+        terms_at(group_from([[1], [0]], [1.0, 0.0]), [0.5, 0.5], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +752,21 @@ def test_training_features_are_row_blocks_of_one_matrix():
     base = feats[0].base
     assert base is not None and base.shape == (sum(len(inst.tokens) for inst in data), FEATURE_DIM)
     assert all(np.shares_memory(rows, base) for rows in feats)
-    for inst, rows in zip(data, feats):
-        assert np.array_equal(rows, featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling))
-    expected = init_params(np.vstack(feats), tau=cfg.tau, init_prob=cfg.gamma)
+    raw = [featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling) for inst in data]
+    expected = init_params(np.vstack(raw), tau=cfg.tau, init_prob=cfg.gamma)
     assert params.to_dict() == expected.to_dict()
+    for rows, inst_feats in zip(feats, raw):  # standardized once, in place
+        assert np.array_equal(rows, standardize(inst_feats, params))
+
+
+def test_training_forward_pass_equals_inference_scores():
+    data = oracle_dataset()
+    cfg = TrainConfig()
+    params, idf_table, feats = init_from_dataset(data, cfg)
+    params.w = np.random.default_rng(5).normal(size=FEATURE_DIM)  # so p varies by token
+    for inst, rows in zip(data, feats):
+        inference = score(featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling), params)
+        assert np.array_equal(forward(rows, params).p, inference)
 
 
 def test_training_split_without_tokens_rejected():
