@@ -51,8 +51,8 @@ for i in ranked:
 # Budgeted selection
 # =============================================================================
 
-budget = Budget.for_omega(gamma=0.25, omega_size=len(ctx.omega))
-print(f"\nbudget: gamma=0.25 over {len(ctx.omega)} tokens -> k={budget.k}")
+budget = Budget(gamma=0.25, omega_size=len(ctx))  # k over the context's tokens
+print(f"\nbudget: gamma=0.25 over {len(ctx)} tokens -> k={budget.k}")
 
 # the inference rule: top-k on p under the budget, then coalesce (gap delta)
 mask, _ = highlight(probs, ctx, gamma=0.25, delta=0)
@@ -60,7 +60,7 @@ chosen = [texts[i] for i in np.flatnonzero(mask)]
 print("top-k selection:", chosen)
 
 for kind in SamplerKind:
-    prelim, final = sample_mask(probs, ctx.omega, budget.k, kind, rng=42)
+    prelim, final = sample_mask(probs, budget.k, kind, rng=42)
     print(f"{kind.value:18s} selected {int(final.sum()):2d} tokens "
           f"(pre-projection {int(prelim.sum())})")
 # every sampler respects popcount <= k; bernoulli_project may come in under

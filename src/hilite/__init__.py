@@ -27,7 +27,6 @@ from .errors import (
     IntegrityError,
     ParseError,
     ProtocolError,
-    RangeBoundsError,
     SolverUnavailableError,
     StructureError,
     TemplateError,
@@ -45,7 +44,6 @@ from .markup import (
 )
 from .policy import (
     FEATURE_NAMES,
-    HTTPScorer,
     ScorerParams,
     SubprocessScorer,
     build_idf_table,
@@ -90,7 +88,7 @@ from .solver import (
     parse_final_json,
     render_prompt,
 )
-from .tokenization import Token, TokenizedContext, restrict_omega, tokenize
+from .tokenization import Token, TokenizedContext, tokenize
 from .trainer import (
     OptimizerState,
     TrainConfig,

@@ -10,10 +10,6 @@ class HiliteError(Exception):
     """Base class for all library errors."""
 
 
-class RangeBoundsError(HiliteError):
-    """A character/byte range lies outside the source text."""
-
-
 class StructureError(HiliteError):
     """Structurally invalid input: length mismatch, overlapping spans,
     duplicate ids, dimension mismatch."""

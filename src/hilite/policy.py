@@ -15,8 +15,8 @@ and its gradient with respect to (w, b) live in one place,
 :func:`hilite.trainer.objective`, and run over every row they are given.
 
 Values pass between layers as plain arrays: :func:`featurize` returns the
-(n_tokens, 7) float64 feature matrix, and :func:`score` (like both external
-scorers) returns the vector of clamped per-token probabilities.
+(n_tokens, 7) float64 feature matrix, and :func:`score` (like the external
+scorer) returns the vector of clamped per-token probabilities.
 
 Feature standardization statistics live inside ScorerParams and are frozen
 at initialization (computed once from the training split, which
@@ -25,8 +25,9 @@ during optimization.
 
 An external scorer can replace the native one at inference time, speaking a
 small line-delimited JSON protocol over a child process's standard streams
-or an HTTP endpoint: request ``{"op": "score", "query": q, "tokens": [...]}``,
-response ``{"probs": [...]}`` with one probability per token.
+(:class:`SubprocessScorer`): request
+``{"op": "score", "query": q, "tokens": [...]}``, response
+``{"probs": [...]}`` with one probability per token.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, StructureError
-from .solver import TRANSPORT_ERRORS, ConnectionPool
 from .tokenization import TokenizedContext, tokenize
 
 PROB_CLAMP = 1e-6
@@ -385,33 +385,3 @@ class SubprocessScorer:
     def __exit__(self, *exc):
         self.close()
 
-
-class HTTPScorer:
-    """Same protocol over a POST endpoint, one request per call and no
-    retries: any transport error or non-2xx status is a ProtocolError.
-
-    Requests reuse the instance's keep-alive connections
-    (:class:`hilite.solver.ConnectionPool`, standard library only);
-    ``https://`` URLs get TLS, environment proxy settings are not read, and
-    ``timeout`` bounds each socket operation.
-    """
-
-    def __init__(self, url: str, timeout: float = 30.0):
-        self.url = url
-        self.timeout = timeout
-        self.pool = ConnectionPool(url, timeout)
-
-    def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
-        body = json.dumps({"op": "score", "query": query, "tokens": tokens})
-        try:
-            status, data = self.pool.post(
-                body.encode("utf-8"), {"Content-Type": "application/json"}
-            )
-        except TRANSPORT_ERRORS as exc:
-            raise ProtocolError(f"scorer endpoint failed: {exc}") from exc
-        if not 200 <= status < 300:
-            raise ProtocolError(f"scorer endpoint failed: HTTP {status}")
-        return _validate_probs(_parse_reply(data), len(tokens))
-
-    def close(self) -> None:
-        self.pool.close()

@@ -1,9 +1,10 @@
-"""Budgeted mask production: no mask holds more than k = floor(gamma * |omega|)
-tokens.
+"""Budgeted mask production: no mask holds more than k = floor(gamma * n) of
+a context's n tokens.
 
-Every sampler but the random baseline keeps the k tokens with the largest
-per-token key, and every exact-k draw, the baseline's included, passes one
-k > |omega| check:
+Masks range over the context's tokens, the paper's index set omega with no
+token excluded.  Every sampler but the random baseline keeps the k tokens
+with the largest per-token key, and every exact-k draw, the baseline's
+included, passes one k > n check:
 
 - ``greedy_topk`` and :func:`topk`, the inference rule, key on p itself;
 - ``softmax_wor`` and ``gumbel_topk`` are one keyed exact-k sampler.  The
@@ -15,8 +16,8 @@ k > |omega| check:
   m_i ~ Bernoulli(p_i) and projects it to the budget by keeping the drawn
   tokens with the largest p (projection only ever deselects; no gradient
   flows through it);
-- :func:`random_mask`, the evaluation baseline, draws k tokens of omega
-  uniformly without replacement.
+- :func:`random_mask`, the evaluation baseline, draws k tokens uniformly
+  without replacement.
 
 Known approximation: training scores every mask by its Bernoulli
 log-likelihood.  For the exact-k samplers that is not the probability of
@@ -48,8 +49,8 @@ GUMBEL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Budget:
-    """Highlight budget: at most k = floor(gamma * omega_size) of omega_size
-    tokens."""
+    """Highlight budget: at most k = floor(gamma * omega_size) of a
+    context's omega_size tokens."""
 
     gamma: float
     omega_size: int
@@ -93,23 +94,15 @@ def _as_rng(rng) -> np.random.Generator:
     return rng
 
 
-def _omega_index(omega) -> np.ndarray:
-    """omega as an int64 index array (no copy when it already is one)."""
-    return np.asarray(omega, dtype=np.int64)
-
-
 def _mask_from_indices(n: int, indices: np.ndarray) -> Mask:
     mask = np.zeros(n, dtype=np.uint8)
     mask[indices] = 1
     return mask
 
 
-def _budget_index(omega, k: int) -> np.ndarray:
-    """omega as an index array, once k is known to fit in it."""
-    idx = _omega_index(omega)
-    if k > idx.size:
-        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
-    return idx
+def _check_budget(k: int, n: int) -> None:
+    if k > n:
+        raise BudgetError(f"k={k} exceeds the {n} tokens")
 
 
 def _topk_indices(keys: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
@@ -127,15 +120,9 @@ def _topk_indices(keys: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((above, tied[: k - above.size]))
 
 
-def sample_bernoulli(probs: np.ndarray, omega, rng) -> Mask:
-    """Preliminary mask: m_i ~ Bernoulli(p_i) on omega, zero elsewhere."""
-    rng = _as_rng(rng)
-    idx = _omega_index(omega)
-    mask = np.zeros(len(probs), dtype=np.uint8)
-    if idx.size:
-        draws = rng.random(idx.size)
-        mask[idx[draws < probs[idx]]] = 1
-    return mask
+def sample_bernoulli(probs: np.ndarray, rng) -> Mask:
+    """Preliminary mask: m_i ~ Bernoulli(p_i) on every token."""
+    return (_as_rng(rng).random(len(probs)) < probs).astype(np.uint8)
 
 
 def project_k(mask: Mask, probs: np.ndarray, k: int) -> Mask:
@@ -151,24 +138,20 @@ def project_k(mask: Mask, probs: np.ndarray, k: int) -> Mask:
 
 
 def topk(probs: np.ndarray, omega, k: int) -> Mask:
-    """Deterministic inference-time selection: the k largest p_i on omega."""
-    idx = _budget_index(omega, k)
+    """Deterministic inference-time selection: the k largest p_i among the
+    token indices ``omega`` (every token, for ``ctx.omega``)."""
+    idx = np.asarray(omega, dtype=np.int64)
+    _check_budget(k, idx.size)
     return _mask_from_indices(len(probs), _topk_indices(probs[idx], idx, k))
 
 
 def random_mask(ctx: TokenizedContext, k: int, rng: np.random.Generator | int) -> Mask:
-    """Select exactly k tokens uniformly without replacement from omega."""
-    idx = _budget_index(ctx.omega, k)
-    return _mask_from_indices(len(ctx), _as_rng(rng).choice(idx, size=k, replace=False))
+    """Select exactly k tokens uniformly without replacement."""
+    _check_budget(k, len(ctx))
+    return _mask_from_indices(len(ctx), _as_rng(rng).choice(len(ctx), size=k, replace=False))
 
 
-def sample_mask(
-    probs: np.ndarray,
-    omega,
-    k: int,
-    kind: SamplerKind,
-    rng,
-) -> tuple[Mask, Mask]:
+def sample_mask(probs: np.ndarray, k: int, kind: SamplerKind, rng) -> tuple[Mask, Mask]:
     """Draw a mask with the configured sampler.
 
     Returns (preliminary mask, budget-feasible mask).  For
@@ -179,13 +162,12 @@ def sample_mask(
     """
     kind = SamplerKind(kind)
     if kind == SamplerKind.BERNOULLI_PROJECT:
-        prelim = sample_bernoulli(probs, omega, rng)
+        prelim = sample_bernoulli(probs, rng)
         return prelim, project_k(prelim, probs, k)
+    _check_budget(k, len(probs))
     if kind == SamplerKind.GREEDY_TOPK:
-        mask = topk(probs, omega, k)
+        keys = probs
     else:  # softmax_wor and gumbel_topk: Efraimidis-Spirakis keys
-        idx = _budget_index(omega, k)
-        u = _as_rng(rng).random(idx.size)
-        keys = np.log(np.maximum(u, GUMBEL_FLOOR)) / probs[idx]
-        mask = _mask_from_indices(len(probs), _topk_indices(keys, idx, k))
+        keys = np.log(np.maximum(_as_rng(rng).random(len(probs)), GUMBEL_FLOOR)) / probs
+    mask = _mask_from_indices(len(probs), _topk_indices(keys, np.arange(len(probs)), k))
     return mask, mask

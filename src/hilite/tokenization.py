@@ -11,12 +11,14 @@ never cut a multi-byte character in half.
 A :class:`TokenizedContext` keeps the tokens as parallel arrays, not as one
 object per token.  Token texts are one vocabulary per context: ``vocab``
 holds each distinct text once, in first-seen order, and the int32 array
-``text_ids`` names each token's entry in it.  Byte ranges and the index set
-are the int64 arrays ``starts``, ``ends`` and ``omega``.  Every layer reads
-those arrays; :attr:`TokenizedContext.tokens` builds :class:`Token` objects
-on demand for callers that want one record per token.  The encoded source,
+``text_ids`` names each token's entry in it.  Byte ranges are the int64
+arrays ``starts`` and ``ends``.  Every layer reads those arrays;
+:attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand
+for callers that want one record per token.  The encoded source,
 :attr:`TokenizedContext.source_bytes`, is computed on first read and kept,
-so splicing markers or pruning encodes each context once.
+so splicing markers or pruning encodes each context once.  Highlighting
+may select any of the context's tokens: the paper's index set omega, with
+no token excluded.
 
 The default rule splits on whitespace and keeps each punctuation character
 as its own token: a token is either a maximal run of word characters
@@ -40,12 +42,12 @@ substituted; this one is the reference used by the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, RangeBoundsError
+from .errors import DataError
 
 def _ascii_table(pattern: str) -> np.ndarray:
     """Whether each ASCII code point matches the one-character ``pattern``."""
@@ -68,15 +70,12 @@ class Token:
 
 @dataclass(eq=False)
 class TokenizedContext:
-    """Source text, its tokens as parallel arrays, and the index set omega.
+    """Source text and its tokens as parallel arrays.
 
     ``vocab`` is the tuple of distinct token texts in first-seen order and
     ``text_ids`` (int32) holds one entry per token: ``vocab[text_ids[i]]``
     is token i's text and ``[starts[i], ends[i])`` its byte range in the
-    UTF-8 source.  omega (int64) holds the token indices eligible for
-    highlighting.  It defaults to every token (None at construction);
-    callers exclude query/instruction regions via :func:`restrict_omega`.
-    An explicitly empty omega stays empty.
+    UTF-8 source.
     """
 
     source: str
@@ -84,16 +83,11 @@ class TokenizedContext:
     text_ids: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    omega: np.ndarray | None = None
 
     def __post_init__(self):
         self.text_ids = np.asarray(self.text_ids, dtype=np.int32)
         self.starts = np.asarray(self.starts, dtype=np.int64)
         self.ends = np.asarray(self.ends, dtype=np.int64)
-        if self.omega is None:
-            self.omega = np.arange(len(self.text_ids), dtype=np.int64)
-        else:
-            self.omega = np.asarray(self.omega, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.text_ids)
@@ -107,8 +101,13 @@ class TokenizedContext:
             and np.array_equal(self.text_ids, other.text_ids)
             and np.array_equal(self.starts, other.starts)
             and np.array_equal(self.ends, other.ends)
-            and np.array_equal(self.omega, other.omega)
         )
+
+    # kept while perfbench/run.py passes it to selection.topk
+    @property
+    def omega(self) -> np.ndarray:
+        """Every token's index (int64), built on each read."""
+        return np.arange(len(self), dtype=np.int64)
 
     # kept while perfbench/run.py and perfbench/test_checks.py read Token records
     @property
@@ -212,21 +211,3 @@ def tokens_touching(ctx: TokenizedContext, byte_ranges) -> np.ndarray:
         hit |= (ctx.starts < end) & (ctx.ends > start)
     return hit
 
-
-def restrict_omega(
-    ctx: TokenizedContext, excluded_char_ranges: list[tuple[int, int]]
-) -> TokenizedContext:
-    """Return a copy of ``ctx`` whose omega excludes tokens touching any
-    excluded byte range.
-
-    A token survives only if it lies fully outside every excluded range.
-    Ranges must fall within the source bounds.
-    """
-    n_bytes = len(ctx.source_bytes)
-    for start, end in excluded_char_ranges:
-        if start < 0 or end > n_bytes or start > end:
-            raise RangeBoundsError(
-                f"excluded range [{start}, {end}) outside source bounds [0, {n_bytes})"
-            )
-    omega = np.asarray(ctx.omega, dtype=np.int64)
-    return replace(ctx, omega=omega[~tokens_touching(ctx, excluded_char_ranges)[omega]])

@@ -4,7 +4,8 @@ One training step on one instance:
 
 1. score all context tokens, giving the Bernoulli policy p;
 2. sample G preliminary masks, project each to the budget
-   k = floor(gamma * |omega|) (largest p first), coalesce with gap delta,
+   k = floor(gamma * n) of the context's n tokens (largest p first),
+   coalesce with gap delta,
    inject markers, and query the solver with the emphasized text;
 3. normalize the G rewards into advantages A_j = (r_j - mean) / (std + eps)
    using the population standard deviation (all-equal rewards give all-zero
@@ -20,8 +21,8 @@ One training step on one instance:
    Log-probabilities are always evaluated on the pre-projection masks; the
    projected mask only shapes the emphasized text.
 
-The loss runs over every token of the context: training contexts come
-from :attr:`Instance.tokens`, whose omega is every token.
+Sampling, budgets and the loss run over the context's tokens, the paper's
+index set omega with no token excluded.
 :func:`init_from_dataset` standardizes the training split's features once,
 in place, so each step runs one forward pass of the scorer on the
 instance's standardized rows, used for both sampling and the update.
@@ -168,6 +169,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in d.items() if k in known})
 
@@ -451,12 +454,12 @@ def rollout_group(
     zero-reward, flagged episode).
     """
     ctx = inst.tokens
-    budget = Budget.for_omega(cfg.gamma, len(ctx.omega))
+    k = Budget(cfg.gamma, len(ctx)).k
     prelim_masks = np.empty((cfg.group_size, probs.size), dtype=np.uint8)
     spans, emphasized = [], []
     for j in range(cfg.group_size):
         rng = rng_stream(cfg.seed, inst.id, j, step)
-        prelim_masks[j], proj = sample_mask(probs, ctx.omega, budget.k, cfg.sampler, rng)
+        prelim_masks[j], proj = sample_mask(probs, k, cfg.sampler, rng)
         spans.append(markup.coalesce(proj, ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
@@ -551,7 +554,7 @@ def train(
                 "L_LEN": terms.l_len,
                 "L_ENT": terms.l_ent,
                 "mean_p": terms.mean_p,
-                "k": Budget.for_omega(cfg.gamma, len(ctx.omega)).k,
+                "k": Budget(cfg.gamma, len(ctx)).k,
                 "seed": cfg.seed,
                 "solver_attempts": attempts,
                 "solver_latency_ms": max(latencies_ms, default=0.0),
@@ -610,11 +613,11 @@ VARIANTS = ("hilite", "random", "pruned", "no-highlight")
 
 
 def highlight(probs: np.ndarray, ctx, gamma: float, delta: int) -> tuple[Mask, Spans]:
-    """The inference rule, (mask, spans): the k = floor(gamma * |omega|)
-    tokens of omega with the largest ``probs``, from any scorer (k = 0 at
+    """The inference rule, (mask, spans): the k = floor(gamma * n) of the
+    context's n tokens with the largest ``probs``, from any scorer (k = 0 at
     gamma = 0), coalesced with gap ``delta``."""
-    k = Budget.for_omega(gamma, len(ctx.omega)).k if gamma != 0 else 0
-    mask = topk(probs, ctx.omega, k)
+    k = Budget(gamma, len(ctx)).k if gamma != 0 else 0
+    mask = topk(probs, np.arange(len(ctx)), k)
     return mask, markup.coalesce(mask, ctx, delta)
 
 
@@ -630,10 +633,11 @@ def evaluate(
 ) -> dict:
     """Deterministic evaluation pass: :func:`highlight` selects, one solver
     call per instance, task reward, mean highlight fraction (selected tokens
-    over |ω|), mean covered fraction (tokens inside the coalesced spans,
-    bridged ones included, over all tokens) and span count, the solver's
-    attempts (summed) and reply latency (p50/p99, ms), and (when gold spans
-    exist) evidence precision/recall/F1 at ``EVIDENCE_THRESHOLD``.
+    over all tokens), mean covered fraction (tokens inside the coalesced
+    spans, bridged ones included, over all tokens) and span count, the
+    solver's attempts (summed) and reply latency (p50/p99, ms), and (when
+    gold spans exist) evidence precision/recall/F1 at
+    ``EVIDENCE_THRESHOLD``.
 
     Variants: "hilite" injects markers around the top-k spans, "random"
     does the same for a seeded random mask of equal budget, "pruned" feeds
@@ -668,14 +672,14 @@ def evaluate(
         if variant != "random" and mask_sampler is None:
             mask, spans = highlight(probs, ctx, cfg.gamma, cfg.delta)
         else:
-            k = Budget.for_omega(cfg.gamma, len(ctx.omega)).k
+            k = Budget(cfg.gamma, len(ctx)).k
             if variant == "random":
                 mask = random_mask(ctx, k, rng_stream(cfg.seed, f"eval-random-{inst.id}"))
             else:
-                _, mask = sample_mask(probs, ctx.omega, k, mask_sampler,
+                _, mask = sample_mask(probs, k, mask_sampler,
                                       rng_stream(cfg.seed, f"eval-{inst.id}"))
             spans = markup.coalesce(mask, ctx, cfg.delta)
-        fraction = mask.sum() / max(1, len(ctx.omega))
+        fraction = mask.sum() / max(1, len(ctx))
         if variant == "no-highlight":
             emphasized, fraction = inst.context, 0.0
             spans = spans[:0]  # the solver sees no span

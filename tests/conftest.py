@@ -69,8 +69,7 @@ def scripted_server():
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 echo endpoint that keeps connections open.
 
-    Replies ``{"text": prompt}`` to a solver request and ``{"probs": [0.5,
-    ...]}`` to a scorer request.  ``server.script`` entries, taken one per
+    Replies ``{"text": prompt}``.  ``server.script`` entries, taken one per
     request, replace the reply by ``(body bytes, Content-Length)``, sent as
     they are before the connection is closed.  With ``server.drop_after_reply``
     every connection is closed after its reply, without a ``Connection:
@@ -94,11 +93,7 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             data, length = scripted
             self.close_connection = True
         else:
-            if "tokens" in request:
-                reply = {"probs": [0.5] * len(request["tokens"])}
-            else:
-                reply = {"text": request["prompt"]}
-            data = json.dumps(reply).encode()
+            data = json.dumps({"text": request["prompt"]}).encode()
             length = len(data)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -179,6 +174,9 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "gamma-true": (("config", "gamma"), True),
     "delta-fraction": (("config", "delta"), 2.5),
     "seed-text": (("config", "seed"), "x"),
+    "config-list": (("config",), [1]),
+    "config-string": (("config",), "x"),
+    "config-null": (("config",), None),
 }
 
 

@@ -90,13 +90,11 @@ def test_criterion_2_budget_safety():
     violations = 0
     for case in range(10_000):
         n = int(rng.integers(2, 60))
-        omega_size = int(rng.integers(1, n + 1))
-        omega = sorted(rng.choice(n, size=omega_size, replace=False).tolist())
         probs = rng.uniform(1e-6, 1 - 1e-6, size=n)
         gamma = float(rng.uniform(0.02, 1.0))
-        k = Budget.for_omega(gamma, omega_size).k
+        k = Budget(gamma, n).k
         kind = kinds[case % 4]
-        _, mask = sample_mask(probs, omega, k, kind, int(rng.integers(1 << 62)))
+        _, mask = sample_mask(probs, k, kind, int(rng.integers(1 << 62)))
         if int(mask.sum()) > k:
             violations += 1
     assert violations == 0

@@ -397,7 +397,8 @@ def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
 
 
 @pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short", "idf-ceiling-nan",
-                                  "gamma-true"])
+                                  "gamma-true", "config-list", "config-string",
+                                  "config-null"])
 def test_highlight_corrupt_checkpoint_exits_4(runner, tmp_path, case):
     bad = tmp_path / "bad.json"
     if case == "empty":

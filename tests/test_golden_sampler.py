@@ -67,12 +67,10 @@ def golden_sampler() -> dict:
         drawn: dict[str, list[str]] = {kind.value: [] for kind in SamplerKind}
         drawn["random"] = []
         for gamma in GAMMAS:
-            k = Budget.for_omega(gamma, len(ctx.omega)).k
+            k = Budget.for_omega(gamma, len(ctx)).k
             for seed in DRAW_SEEDS:
                 for kind in SamplerKind:
-                    prelim, proj = sample_mask(
-                        probs, ctx.omega, k, kind, rng_stream(seed, name, 0, 0)
-                    )
+                    prelim, proj = sample_mask(probs, k, kind, rng_stream(seed, name, 0, 0))
                     drawn[kind.value] += [prelim.tobytes().hex(), proj.tobytes().hex()]
                 mask = random_mask(ctx, k, rng_stream(seed, f"eval-random-{name}"))
                 drawn["random"].append(mask.tobytes().hex())

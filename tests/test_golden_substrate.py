@@ -1,7 +1,7 @@
 """Golden fixture for the token substrate.
 
-Tokens, features, top-k and random masks, omega restriction, gold token
-indices, coalesced spans, emphasized and pruned texts, and the checkpoint
+Tokens, features, top-k and random masks (over every token and over a
+restricted index set), gold token indices, coalesced spans, emphasized and pruned texts, and the checkpoint
 file of a short fixed-seed training run must stay byte-identical.  Inputs:
 three 2K-token needles, one needle with multi-byte sentences (German,
 Greek, Japanese, emoji) spliced in, and a handful of edge strings.  The
@@ -31,7 +31,7 @@ from hilite.markup import DEFAULT_FORMAT, coalesce, inject, prune
 from hilite.policy import ScorerParams, build_idf_table, featurize, init_params, score
 from hilite.selection import Budget, random_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
-from hilite.tokenization import restrict_omega, tokenize
+from hilite.tokenization import tokenize, tokens_touching
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_substrate.json"
 
@@ -134,20 +134,27 @@ def golden_substrate() -> dict:
         matrix = feats[name]
         assert matrix.dtype == np.float64
         n_bytes = len(text.encode("utf-8"))
-        restricted = restrict_omega(ctx, [(0, n_bytes // 4), (n_bytes // 2, n_bytes // 2 + 40)]
-                                    if n_bytes > 40 else [(0, n_bytes // 2)])
+        excluded = ([(0, n_bytes // 4), (n_bytes // 2, n_bytes // 2 + 40)]
+                    if n_bytes > 40 else [(0, n_bytes // 2)])
+        # a restricted index set: the tokens that touch no excluded byte range
+        restricted = np.flatnonzero(~tokens_touching(ctx, excluded))
         scores = score(feats[name], params)
         record = {
             "tokens": _sha([(t.text, t.char_start, t.char_end) for t in ctx.tokens]),
             "features": _sha_bytes(matrix.tobytes()),
-            "restricted_omega": _sha([int(i) for i in restricted.omega]),
+            "restricted_omega": _sha([int(i) for i in restricted]),
             "gold_tokens": _sha(sorted(gold_token_indices(ctx, evidence))),
         }
         masks, spans, emphasized, pruned = [], [], [], []
         for gamma in GAMMAS:
-            for omega_ctx in (ctx, restricted):
-                k = Budget.for_omega(gamma, len(omega_ctx.omega)).k
-                for mask in (topk(scores, omega_ctx.omega, k), random_mask(omega_ctx, k, 5)):
+            for idx in (ctx.omega, restricted):
+                k = Budget.for_omega(gamma, idx.size).k
+                if idx.size == len(ctx):
+                    drawn = random_mask(ctx, k, 5)
+                else:  # random_mask's draw, over the restricted index set
+                    drawn = np.zeros(len(ctx), dtype=np.uint8)
+                    drawn[np.random.default_rng(5).choice(idx, size=k, replace=False)] = 1
+                for mask in (topk(scores, idx, k), drawn):
                     masks.append(mask.tobytes().hex())
                     for delta in DELTAS:
                         sp = coalesce(mask, ctx, delta)

@@ -353,13 +353,6 @@ def test_random_mask_budget_error():
         random_mask(ctx, 11, 0)
 
 
-def test_random_mask_respects_omega():
-    ctx = tokenize("a b c d e f")
-    ctx.omega = (1, 3, 5)
-    mask = random_mask(ctx, 3, 0)
-    assert set(np.flatnonzero(mask).tolist()) == {1, 3, 5}
-
-
 # ---------------------------------------------------------------------------
 # formats
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hilite import policy
 from hilite.errors import ProtocolError, StructureError
 from hilite.policy import (
     FEATURE_DIM,
-    HTTPScorer,
     ScorerParams,
     SubprocessScorer,
     build_idf_table,
@@ -422,6 +421,19 @@ def test_subprocess_scorer_round_trip():
         assert np.allclose(s, 0.25)
 
 
+def test_subprocess_scorer_sends_one_score_request_per_call():
+    # the child answers p = 0.5 only to a well-formed request naming q's tokens
+    child = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    ok = req['op'] == 'score' and req['query'] == 'q?' and req['tokens'] == ['a', 'é']\n"
+        "    print(json.dumps({'probs': [0.5 if ok else 0.1] * len(req['tokens'])}), flush=True)\n"
+    )
+    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
+        assert scorer.score_tokens("q?", ["a", "é"]).tolist() == [0.5, 0.5]
+
+
 def test_subprocess_scorer_malformed_response():
     with SubprocessScorer([sys.executable, "-c", BAD_JSON_SCORER]) as scorer:
         with pytest.raises(ProtocolError):
@@ -488,25 +500,13 @@ def test_subprocess_scorer_reads_replies_split_and_joined():
         assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.25)  # queued copy
 
 
-def test_http_scorer(scripted_server):
-    url, handler = scripted_server
-    handler.script.append((200, {"probs": [0.1, 0.2, 0.3]}))
-    scorer = HTTPScorer(url)
-    s = scorer.score_tokens("q", ["a", "b", "c"])
-    assert np.allclose(s, [0.1, 0.2, 0.3])
-    assert handler.requests_seen[0]["op"] == "score"
-
-
-def test_http_scorer_wrong_length(scripted_server):
-    url, handler = scripted_server
-    handler.script.append((200, {"probs": [0.1]}))
-    with pytest.raises(ProtocolError):
-        HTTPScorer(url).score_tokens("q", ["a", "b"])
-
-
-@pytest.mark.parametrize("probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None]])
-def test_http_scorer_off_contract_probabilities(scripted_server, probs):
-    url, handler = scripted_server
-    handler.script.append((200, {"probs": probs}))
-    with pytest.raises(ProtocolError):
-        HTTPScorer(url).score_tokens("q", ["t"] * len(probs))
+@pytest.mark.parametrize(
+    "probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None], [math.nan]]
+)
+def test_subprocess_scorer_off_contract_probabilities(probs):
+    # json writes NaN as a bare NaN, which json.loads reads back as a float
+    reply = json.dumps({"probs": probs})
+    child = f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n"
+    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
+        with pytest.raises(ProtocolError):
+            scorer.score_tokens("q", ["t"] * len(probs))

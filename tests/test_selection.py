@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilite.errors import BudgetError, StructureError
@@ -47,38 +47,32 @@ def test_bernoulli_degenerate_low():
     s = scores_of(np.full(n, PROB_CLAMP))
     totals = 0
     for seed in range(20):
-        totals += sample_bernoulli(s, range(n), seed).sum()
+        totals += sample_bernoulli(s, seed).sum()
     assert totals / (20 * n) <= 1e-5
 
 
 def test_bernoulli_degenerate_high():
     n = 500
     s = scores_of(np.full(n, 1 - PROB_CLAMP))
-    mask = sample_bernoulli(s, range(n), 0)
+    mask = sample_bernoulli(s, 0)
     assert mask.sum() == n
 
 
 def test_bernoulli_concentration():
     n = 1000
     s = scores_of(np.full(n, 0.5))
-    one = sample_bernoulli(s, range(n), 0).sum() / n
+    one = sample_bernoulli(s, 0).sum() / n
     assert abs(one - 0.5) <= 0.05
     mean = np.mean(
-        [sample_bernoulli(s, range(n), seed).sum() / n for seed in range(100)]
+        [sample_bernoulli(s, seed).sum() / n for seed in range(100)]
     )
     assert abs(mean - 0.5) <= 0.005
 
 
-def test_bernoulli_zero_outside_omega():
-    s = scores_of([0.99, 0.99, 0.99, 0.99])
-    mask = sample_bernoulli(s, [1, 3], 0)
-    assert mask[0] == 0 and mask[2] == 0
-
-
 def test_bernoulli_deterministic_given_seed():
     s = scores_of(np.random.default_rng(0).uniform(0.2, 0.8, size=50))
-    a = sample_bernoulli(s, range(50), 42)
-    b = sample_bernoulli(s, range(50), 42)
+    a = sample_bernoulli(s, 42)
+    b = sample_bernoulli(s, 42)
     assert np.array_equal(a, b)
 
 
@@ -190,31 +184,31 @@ def test_topk_restricted_to_omega():
 
 def test_greedy_topk_equals_topk():
     s = scores_of([0.3, 0.8, 0.5, 0.5])
-    got = sample_mask(s, range(4), 2, SamplerKind.GREEDY_TOPK, 0)[1]
+    got = sample_mask(s, 2, SamplerKind.GREEDY_TOPK, 0)[1]
     want = topk(s, range(4), 2)
     assert np.array_equal(got, want)
 
 
 def test_softmax_single_candidate():
     s = scores_of([0.7])
-    out = sample_mask(s, [0], 1, SamplerKind.SOFTMAX_WOR, 0)[1]
+    out = sample_mask(s, 1, SamplerKind.SOFTMAX_WOR, 0)[1]
     assert out[0] == 1
 
 
 def test_gumbel_golden_draw():
     # frozen draw: fixed seed on equal probabilities must reproduce exactly
     s = scores_of([0.5, 0.5, 0.5])
-    out = sample_mask(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
+    out = sample_mask(s, 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
     first = int(np.flatnonzero(out)[0])
-    again = sample_mask(s, range(3), 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
+    again = sample_mask(s, 1, SamplerKind.GUMBEL_TOPK, rng_stream(7))[1]
     assert int(np.flatnonzero(again)[0]) == first
     assert first == 0  # golden value recorded from the reference run
 
 
 def test_greedy_topk_ignores_rng():
     s = scores_of([0.1, 0.9, 0.3])
-    a = sample_mask(s, range(3), 1, SamplerKind.GREEDY_TOPK, 0)[1]
-    b = sample_mask(s, range(3), 1, SamplerKind.GREEDY_TOPK, 999)[1]
+    a = sample_mask(s, 1, SamplerKind.GREEDY_TOPK, 0)[1]
+    b = sample_mask(s, 1, SamplerKind.GREEDY_TOPK, 999)[1]
     assert np.array_equal(a, b)
 
 
@@ -222,10 +216,10 @@ def test_alternative_exact_k_and_budget_error():
     rng = np.random.default_rng(1)
     s = scores_of(rng.uniform(0.05, 0.95, size=30))
     for kind in (SamplerKind.GREEDY_TOPK, SamplerKind.SOFTMAX_WOR, SamplerKind.GUMBEL_TOPK):
-        out = sample_mask(s, range(30), 7, kind, 0)[1]
+        out = sample_mask(s, 7, kind, 0)[1]
         assert out.sum() == 7
         with pytest.raises(BudgetError):
-            sample_mask(s, range(30), 31, kind, 0)
+            sample_mask(s, 31, kind, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +231,23 @@ def test_budget_safety_across_kinds_and_seeds():
     rng = np.random.default_rng(0)
     for trial in range(200):
         n = int(rng.integers(2, 60))
-        omega = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         s = scores_of(rng.uniform(0.01, 0.99, size=n))
         gamma = float(rng.uniform(0.05, 1.0))
-        k = Budget.for_omega(gamma, len(omega)).k
+        k = Budget(gamma, n).k
         for kind in SamplerKind:
-            prelim, mask = sample_mask(s, omega, k, kind, int(rng.integers(1 << 31)))
+            prelim, mask = sample_mask(s, k, kind, int(rng.integers(1 << 31)))
+            assert mask.shape == (n,)
             assert mask.sum() <= k
-            assert set(np.flatnonzero(mask))  <= set(omega) or mask.sum() == 0
 
 
 def test_seed_determinism_all_kinds():
     s = scores_of(np.random.default_rng(5).uniform(0.1, 0.9, size=40))
     for kind in SamplerKind:
-        a_prelim, a = sample_mask(s, range(40), 10, kind, rng_stream(3, "x", 1, 2))
-        b_prelim, b = sample_mask(s, range(40), 10, kind, rng_stream(3, "x", 1, 2))
+        a_prelim, a = sample_mask(s, 10, kind, rng_stream(3, "x", 1, 2))
+        b_prelim, b = sample_mask(s, 10, kind, rng_stream(3, "x", 1, 2))
         assert np.array_equal(a, b)
         assert np.array_equal(a_prelim, b_prelim)
-        c_prelim, c = sample_mask(s, range(40), 10, kind, rng_stream(4, "x", 1, 2))
+        c_prelim, c = sample_mask(s, 10, kind, rng_stream(4, "x", 1, 2))
         if kind != SamplerKind.GREEDY_TOPK:
             assert not np.array_equal(a_prelim, c_prelim) or kind == SamplerKind.GREEDY_TOPK
 
@@ -265,7 +258,7 @@ def test_greedy_consistency_with_degenerate_probs():
     high = [3, 7, 11]
     probs[high] = 1 - PROB_CLAMP
     s = scores_of(probs)
-    _, mask = sample_mask(s, range(20), 5, SamplerKind.BERNOULLI_PROJECT, 0)
+    _, mask = sample_mask(s, 5, SamplerKind.BERNOULLI_PROJECT, 0)
     want = topk(s, range(20), 3)
     assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(want))
 
@@ -289,34 +282,31 @@ EXACT_K_KINDS = (SamplerKind.GREEDY_TOPK, SamplerKind.SOFTMAX_WOR, SamplerKind.G
 
 @st.composite
 def sampling_cases(draw):
-    """(probs, omega, k, seed) with probabilities inside the policy's clamp,
-    drawn from a few shared levels so that ties are common."""
+    """(probs, k, seed) with probabilities inside the policy's clamp, drawn
+    from a few shared levels so that ties are common."""
     n = draw(st.integers(1, 60))
     p = st.floats(PROB_CLAMP, 1 - PROB_CLAMP)
     levels = draw(st.lists(p, min_size=1, max_size=3))
     probs = np.array(draw(st.lists(st.sampled_from(levels) | p, min_size=n, max_size=n)))
-    omega = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
-    k = draw(st.integers(0, len(omega)))
-    return probs, omega, k, draw(st.integers(0, 2**32 - 1))
+    return probs, draw(st.integers(0, n)), draw(st.integers(0, 2**32 - 1))
 
 
-def gumbel_reference(probs, omega, k, rng):
+def gumbel_reference(probs, k, rng):
     """Top k of log p + Gumbel(0, 1) noise, ties to the lowest index."""
-    idx = np.asarray(omega, dtype=np.int64)
-    u = rng.random(idx.size)
-    keys = np.log(probs[idx]) - np.log(-np.log(np.maximum(u, GUMBEL_FLOOR)))
+    u = rng.random(len(probs))
+    keys = np.log(probs) - np.log(-np.log(np.maximum(u, GUMBEL_FLOOR)))
     mask = np.zeros(len(probs), dtype=np.uint8)
-    mask[idx[np.lexsort((idx, -keys))[:k]]] = 1
+    mask[np.lexsort((np.arange(len(probs)), -keys))[:k]] = 1
     return mask
 
 
 @given(sampling_cases())
 @settings(max_examples=300, deadline=None)
 def test_softmax_wor_and_gumbel_topk_draw_the_gumbel_reference_mask(case):
-    probs, omega, k, seed = case
-    want = gumbel_reference(probs, omega, k, rng_stream(seed))
+    probs, k, seed = case
+    want = gumbel_reference(probs, k, rng_stream(seed))
     for kind in (SamplerKind.SOFTMAX_WOR, SamplerKind.GUMBEL_TOPK):
-        prelim, proj = sample_mask(probs, omega, k, kind, rng_stream(seed))
+        prelim, proj = sample_mask(probs, k, kind, rng_stream(seed))
         assert np.array_equal(prelim, want)
         assert np.array_equal(proj, want)
 
@@ -324,15 +314,94 @@ def test_softmax_wor_and_gumbel_topk_draw_the_gumbel_reference_mask(case):
 @given(sampling_cases())
 @settings(max_examples=300, deadline=None)
 def test_every_mask_lies_in_omega_within_budget(case):
-    probs, omega, k, seed = case
-    outside = np.setdiff1d(np.arange(len(probs)), omega)
+    # omega is every token: each mask has one bit per token, within budget
+    probs, k, seed = case
     for kind in SamplerKind:
-        prelim, proj = sample_mask(probs, omega, k, kind, rng_stream(seed))
-        assert not prelim[outside].any()
+        prelim, proj = sample_mask(probs, k, kind, rng_stream(seed))
+        assert prelim.shape == proj.shape == probs.shape
         assert np.all(proj <= prelim)
         assert proj.sum() == k if kind in EXACT_K_KINDS else proj.sum() <= k
     ctx = tokenize(" ".join(["w"] * len(probs)))
-    ctx.omega = np.asarray(omega, dtype=np.int64)
     mask = random_mask(ctx, k, rng_stream(seed))
-    assert not mask[outside].any()
+    assert mask.shape == probs.shape
     assert mask.sum() == k
+
+
+# ---------------------------------------------------------------------------
+# the samplers over every token equal their index-set forms on omega = arange(n)
+# ---------------------------------------------------------------------------
+
+
+def omega_sample_mask(probs, omega, k, kind, rng):
+    """Reference: sample_mask as written for an index set omega, every
+    per-token array gathered through omega's index (the Bernoulli draw
+    skipped on an empty omega)."""
+    idx = np.asarray(omega, dtype=np.int64)
+    mask = np.zeros(len(probs), dtype=np.uint8)
+    if kind == SamplerKind.BERNOULLI_PROJECT:
+        if idx.size:
+            mask[idx[rng.random(idx.size) < probs[idx]]] = 1
+        return mask, project_k(mask, probs, k)
+    if k > idx.size:
+        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
+    if kind == SamplerKind.GREEDY_TOPK:
+        keys = probs[idx]
+    else:
+        keys = np.log(np.maximum(rng.random(idx.size), GUMBEL_FLOOR)) / probs[idx]
+    mask[_topk_indices(keys, idx, k)] = 1
+    return mask, mask
+
+
+def omega_random_mask(n, omega, k, rng):
+    """Reference: random_mask as written for an index set omega."""
+    idx = np.asarray(omega, dtype=np.int64)
+    if k > idx.size:
+        raise BudgetError(f"k={k} exceeds |omega|={idx.size}")
+    mask = np.zeros(n, dtype=np.uint8)
+    mask[rng.choice(idx, size=k, replace=False)] = 1
+    return mask
+
+
+@st.composite
+def long_sampling_cases(draw):
+    """(probs, k, seed) for n from 0 to 3000, k from 0 to n + 1 (n + 1 is
+    over budget); probabilities from a seeded generator inside the clamp,
+    rounded to one decimal in half the cases so that ties are heavy."""
+    n = draw(st.integers(0, 3000))
+    probs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        PROB_CLAMP, 1 - PROB_CLAMP, size=n
+    )
+    if draw(st.booleans()):
+        probs = np.clip(np.round(probs, 1), PROB_CLAMP, 1 - PROB_CLAMP)
+    k = draw(st.sampled_from([0, n, n + 1]) | st.integers(0, n))
+    return probs, k, draw(st.integers(0, 2**32 - 1))
+
+
+@given(long_sampling_cases())
+@example((np.zeros(0), 0, 0))
+@example((np.zeros(0), 1, 0))
+@example((np.full(1, 0.5), 1, 3))
+@settings(max_examples=200, deadline=None)
+def test_samplers_over_every_token_equal_the_omega_gathering_forms(case):
+    probs, k, seed = case
+    n = probs.size
+    omega = np.arange(n, dtype=np.int64)
+    ctx = tokenize(" ".join(["w"] * n))
+    draws = [(kind, lambda rng, kind=kind: sample_mask(probs, k, kind, rng),
+              lambda rng, kind=kind: omega_sample_mask(probs, omega, k, kind, rng))
+             for kind in SamplerKind]
+    draws.append(("random", lambda rng: (random_mask(ctx, k, rng),),
+                  lambda rng: (omega_random_mask(n, omega, k, rng),)))
+    for kind, new, old in draws:
+        rng_new, rng_old = rng_stream(seed, "x", 0, 0), rng_stream(seed, "x", 0, 0)
+        try:
+            want = old(rng_old)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                new(rng_new)
+            continue
+        got = new(rng_new)
+        assert [m.dtype for m in got] == [m.dtype for m in want], kind
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want], kind
+        # each form leaves the generator where the other does
+        assert rng_new.random() == rng_old.random(), kind

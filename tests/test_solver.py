@@ -22,7 +22,6 @@ from hilite.errors import (
     TemplateError,
 )
 from hilite.markup import BUILTIN_FORMATS, DEFAULT_FORMAT, coalesce, inject
-from hilite.policy import HTTPScorer
 from hilite.solver import (
     ANSWER_TAG,
     ConnectionPool,
@@ -317,18 +316,6 @@ def test_reply_cut_short_is_retried_as_transport_failure(keepalive_server):
     assert server.requests == 3
 
 
-def test_http_scorer_reuses_its_connection(keepalive_server):
-    url, server = keepalive_server
-    scorer = HTTPScorer(url, timeout=5.0)
-    try:
-        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.5)
-        assert np.allclose(scorer.score_tokens("q", ["c"]), 0.5)
-    finally:
-        scorer.close()
-    assert server.requests == 2
-    assert server.connections == 1
-
-
 @pytest.mark.parametrize("field,value", [
     ("max_tokens", 0), ("temperature", -1.0), ("temperature", float("nan")),
     ("temperature", float("inf")), ("timeout", float("inf")),
@@ -347,12 +334,10 @@ def test_endpoint_must_be_an_http_url(url):
 NO_REQUESTS_CHILD = """
 import sys
 import hilite, hilite.cli
-from hilite.policy import HTTPScorer
 from hilite.solver import EndpointConfig, HTTPSolver, TEMPLATES
 url = sys.argv[1]
 solver = HTTPSolver(EndpointConfig(url=url, timeout=5.0), TEMPLATES["basic"])
 assert solver.solve("q", "ctx").raw_text
-assert len(HTTPScorer(url, timeout=5.0).score_tokens("q", ["a"])) == 1
 assert "requests" not in sys.modules, "requests was imported"
 """
 
@@ -369,7 +354,7 @@ def test_http_clients_do_not_import_requests(keepalive_server):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert server.requests == 2
+    assert server.requests == 1
     for path in (root / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = []

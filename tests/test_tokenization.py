@@ -7,13 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hilite.errors import DataError, RangeBoundsError
-from hilite.tokenization import (
-    _char_classes,
-    restrict_omega,
-    tokenize,
-    tokens_touching,
-)
+from hilite.errors import DataError
+from hilite.tokenization import _char_classes, tokenize, tokens_touching
 
 
 def test_empty_text_yields_zero_tokens():
@@ -62,6 +57,17 @@ def test_source_bytes_are_encoded_once_and_kept():
 
 def test_omega_defaults_to_all_tokens():
     ctx = tokenize("one two three")
+    assert tuple(ctx.omega) == (0, 1, 2)
+    assert ctx.omega.dtype == np.int64
+    # built on each read from the token count; the context keeps no index set
+    assert ctx.omega is not ctx.omega
+    assert "omega" not in {f.name for f in dataclasses.fields(ctx)}
+
+
+def test_omega_is_read_only():
+    ctx = tokenize("a b c")
+    with pytest.raises(AttributeError):
+        ctx.omega = np.array([1], dtype=np.int64)
     assert tuple(ctx.omega) == (0, 1, 2)
 
 
@@ -158,23 +164,6 @@ def test_determinism(text):
     assert tokenize(text) == tokenize(text)
 
 
-def test_restrict_omega_no_ranges_is_identity():
-    ctx = tokenize("a b c d e")
-    assert tuple(restrict_omega(ctx, []).omega) == tuple(ctx.omega)
-
-
-def test_restrict_omega_full_exclusion_empties_omega():
-    ctx = tokenize("a b c")
-    n = len(ctx.source_bytes)
-    assert tuple(restrict_omega(ctx, [(0, n)]).omega) == ()
-
-
-def test_restrict_omega_partial():
-    ctx = tokenize("aa bb cc dd ee")  # tokens at 0-2, 3-5, 6-8, 9-11, 12-14
-    out = restrict_omega(ctx, [(0, 5)])  # covers tokens 0 and 1
-    assert tuple(out.omega) == (2, 3, 4)
-
-
 @given(st.text(max_size=60), st.lists(st.tuples(st.integers(0, 200), st.integers(0, 200)),
                                       max_size=4))
 @settings(max_examples=200, deadline=None)
@@ -185,14 +174,3 @@ def test_tokens_touching_matches_per_token_check(text, ranges):
         for start, end in zip(ctx.starts.tolist(), ctx.ends.tolist())
     ]
     assert tokens_touching(ctx, ranges).tolist() == expected
-
-
-def test_restrict_omega_out_of_bounds_rejected():
-    ctx = tokenize("a b")
-    with pytest.raises(RangeBoundsError):
-        restrict_omega(ctx, [(0, 99)])
-
-
-def test_explicit_empty_omega_is_preserved():
-    ctx = dataclasses.replace(tokenize("a b"), omega=())
-    assert tuple(ctx.omega) == ()

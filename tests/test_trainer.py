@@ -975,8 +975,7 @@ def test_highlight_selects_the_budget_on_omega_and_coalesces_it(words, gamma, de
     from hilite.tokenization import tokenize
 
     rng = np.random.default_rng(seed)
-    ctx = tokenize(" ".join(words))
-    ctx = dataclasses.replace(ctx, omega=np.flatnonzero(rng.random(len(ctx)) < 0.7))
+    ctx = tokenize(" ".join(words))  # omega is every token
     probs = rng.random(len(ctx))
     mask, spans = highlight(probs, ctx, gamma, delta)
     assert mask.sum() == (math.floor(gamma * len(ctx.omega)) if gamma else 0)
@@ -1027,6 +1026,16 @@ def test_checkpoint_with_retired_config_keys_loads_unchanged(tmp_path):
     assert old_params.to_dict() == params.to_dict()
     assert old_opt.to_dict() == opt.to_dict() == result.opt.to_dict()
     assert old_idf == idf
+
+
+@pytest.mark.parametrize("case", ["config-list", "config-string", "config-null"])
+def test_checkpoint_whose_config_is_not_an_object_is_corrupt(tmp_path, case):
+    path = tmp_path / "ck.json"
+    write_checkpoint(path, corrupt=case)
+    with pytest.raises(IntegrityError, match="config must be a JSON object"):
+        load_checkpoint(path)
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict(json.loads(path.read_text())["config"])
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
