@@ -48,6 +48,7 @@ from .tokenization import TokenizedContext, tokenize
 PROB_CLAMP = 1e-6
 NORM_EPS = 1e-8
 CLOSE_GRACE_S = 5.0  # SubprocessScorer.close waits this long before SIGKILL
+_VAR_BLOCK = 16_384  # rows init_params squares at a time
 
 FEATURE_NAMES = (
     "query_unigram_overlap",
@@ -183,14 +184,21 @@ def init_params(
     init_prob: float | None = None,
 ) -> ScorerParams:
     """Fresh scorer parameters with standardization statistics frozen from
-    ``feature_matrix`` (stack of training-split features), which is left
-    standardized by them, in place: the rows :func:`forward` reads.
+    ``feature_matrix`` (C-ordered stack of training-split features), which is
+    left standardized by them, in place: the rows :func:`forward` reads.
 
     The statistics are each column's mean and population variance.  The
     matrix is centred in place after the mean is taken, the variance is the
     column sum of the squared centred rows over n, and the centred rows are
     then scaled in place; the statistics and rows equal numpy's ``mean`` and
     ``var`` and :func:`standardize` bit for bit.
+
+    The squares are taken ``_VAR_BLOCK`` rows at a time, never as a copy of
+    the whole matrix.  Each block is squared into rows 1.. of a small buffer
+    whose row 0 holds the column sums so far, and the buffer is summed over
+    axis 0.  numpy sums a C-ordered matrix over axis 0 one row after the
+    other, each added to the sum of the rows before it, and so does this
+    running sum: the variance keeps the bits of a one-shot sum of squares.
 
     w starts at zero.  When ``init_prob`` is given, the bias starts at
     tau * logit(init_prob) so the initial policy selects at that rate;
@@ -205,7 +213,13 @@ def init_params(
         b = tau * math.log(init_prob / (1.0 - init_prob))
     norm_mean = feature_matrix.mean(axis=0)
     feature_matrix -= norm_mean
-    norm_var = np.square(feature_matrix).sum(axis=0) / feature_matrix.shape[0]
+    n = feature_matrix.shape[0]
+    acc = np.zeros((min(n, _VAR_BLOCK) + 1, d))
+    for start in range(0, n, _VAR_BLOCK):
+        block = feature_matrix[start:start + _VAR_BLOCK]
+        np.square(block, out=acc[1:len(block) + 1])
+        acc[0] = acc[:len(block) + 1].sum(axis=0)
+    norm_var = acc[0] / n
     feature_matrix /= np.sqrt(norm_var + NORM_EPS)
     return ScorerParams(
         w=np.zeros(d, dtype=np.float64),
@@ -262,14 +276,15 @@ def log_prob(masks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Bernoulli log-likelihood of each row of the (G, n) mask stack
     ``masks`` under ``probs``, as a length-G array.
 
-    log p and log(1 - p) are evaluated once for all G rows; each row is
-    then summed with its own 1-D sum, so row j equals the log-likelihood of
-    ``masks[j]`` alone bit for bit.  Always finite (probabilities are
-    clamped) and <= 0.
+    log p and log(1 - p) are evaluated once for all G rows, and each mask
+    bit picks one of the two; each row is then summed with its own 1-D sum,
+    so row j equals the log-likelihood of ``masks[j]`` alone bit for bit.
+    The picked terms equal ``m log p + (1 - m) log(1 - p)`` for 0/1 masks
+    bit for bit, as the product dropped is always -0.0.  Always finite
+    (probabilities are clamped) and <= 0.
     """
     log_p, log_q = np.log(probs), np.log1p(-probs)
-    m = np.asarray(masks, dtype=np.float64)
-    terms = m * log_p + (1.0 - m) * log_q
+    terms = np.where(np.asarray(masks, dtype=bool), log_p, log_q)
     return np.array([np.sum(row) for row in terms])
 
 
@@ -302,8 +317,12 @@ def _validate_probs(payload: dict, n_tokens: int) -> np.ndarray:
         raise ProtocolError(f"scorer returned non-numeric probabilities: {exc}") from exc
     if arr.ndim != 1:
         raise ProtocolError("scorer returned nested probability lists")
+    if any(isinstance(v, bool) for v in probs):
+        raise ProtocolError("scorer returned booleans, not probabilities")
     if not np.all(np.isfinite(arr)):
         raise ProtocolError("scorer returned non-finite probabilities")
+    if np.any((arr < 0.0) | (arr > 1.0)):
+        raise ProtocolError("scorer returned probabilities outside [0, 1]")
     return np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 

@@ -5,6 +5,7 @@ import math
 import signal
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,6 +236,21 @@ def test_log_prob_ignores_bits_outside_omega():
     assert log_prob(m1[None, omega], s[omega]) == log_prob(m0[None, omega], s[omega])
 
 
+@pytest.mark.parametrize("n", [2_000, 16_000])
+def test_log_prob_picks_the_terms_of_the_product_form_bit_for_bit(n):
+    # random 0/1 stacks, with probabilities drawn across (0, 1) and pinned at the clamps
+    rng = np.random.default_rng(n)
+    probs = rng.random(n)
+    probs[: n // 4] = policy.PROB_CLAMP
+    probs[n // 4 : n // 2] = 1.0 - policy.PROB_CLAMP
+    probs = np.clip(probs, policy.PROB_CLAMP, 1.0 - policy.PROB_CLAMP)
+    masks = (rng.random((4, n)) < 0.5).astype(np.uint8)
+    m = masks.astype(np.float64)
+    terms = m * np.log(probs) + (1.0 - m) * np.log1p(-probs)
+    expected = np.array([np.sum(row) for row in terms])
+    assert log_prob(masks, probs).tobytes() == expected.tobytes()
+
+
 def test_entropy_bounds_and_values():
     n = 4
     assert entropy(np.full(n, 0.5)) == pytest.approx(
@@ -375,9 +391,14 @@ def test_init_params_freezes_stats_and_budget_bias():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e4]))
+@example(n=policy._VAR_BLOCK - 1, seed=1, scale=1.0)
+@example(n=policy._VAR_BLOCK, seed=2, scale=1.0)
+@example(n=policy._VAR_BLOCK + 1, seed=3, scale=1.0)
+@example(n=3 * policy._VAR_BLOCK + 17, seed=4, scale=1.0)
 def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale):
     # centring in place before the variance, then scaling in place, gives
-    # numpy's mean and var and standardize's rows, not just close values
+    # numpy's mean and var and standardize's rows, not just close values;
+    # the examples cross the edges of init_params' variance blocks
     rng = np.random.default_rng(seed)
     raw = rng.normal(loc=scale * rng.normal(size=FEATURE_DIM), scale=scale, size=(n, FEATURE_DIM))
     raw[:, 1] = rng.random(n) < 0.1  # a 0/1 column, like the overlap flags
@@ -387,6 +408,19 @@ def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale)
     assert params.norm_mean.tobytes() == raw.mean(axis=0).tobytes()
     assert params.norm_var.tobytes() == raw.var(axis=0).tobytes()
     assert matrix.tobytes() == policy.standardize(raw, params).tobytes()
+
+
+def test_init_params_makes_no_full_size_temporary():
+    # numpy reports its buffers to tracemalloc; a squared copy of the matrix
+    # would make the traced peak as large as the matrix itself
+    matrix = np.random.default_rng(0).normal(size=(200_000, FEATURE_DIM))
+    tracemalloc.start()
+    try:
+        init_params(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +447,12 @@ WRONG_LENGTH_SCORER = (
     "    req = json.loads(line)\n"
     "    print(json.dumps({'probs': [0.5] * (len(req['tokens']) - 1)}), flush=True)\n"
 )
+
+
+def test_scorer_probabilities_zero_and_one_are_accepted_and_clamped():
+    probs = policy._validate_probs({"probs": [0.0, 1.0, 0, 1, 0.5]}, 5)
+    lo, hi = policy.PROB_CLAMP, 1.0 - policy.PROB_CLAMP
+    assert probs.tolist() == [lo, hi, lo, hi, 0.5]
 
 
 def test_subprocess_scorer_round_trip():
@@ -501,7 +541,8 @@ def test_subprocess_scorer_reads_replies_split_and_joined():
 
 
 @pytest.mark.parametrize(
-    "probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None], [math.nan]]
+    "probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None], [math.nan], [True], [1.5], [-0.5],
+              [False, 0.5], [math.inf]]
 )
 def test_subprocess_scorer_off_contract_probabilities(probs):
     # json writes NaN as a bare NaN, which json.loads reads back as a float
