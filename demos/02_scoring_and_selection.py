@@ -36,9 +36,9 @@ print("feature names:", FEATURE_NAMES)
 print("feature matrix:", feats.shape)
 
 # standardization statistics come from whatever split you train on; here we
-# just freeze them from this single context (init_params standardizes the
-# matrix it is given in place, so it gets a copy)
-params = init_params(feats.copy(), tau=1.0, init_prob=0.25)
+# just freeze them from this single context (init_params takes a list of
+# row blocks, one per context)
+params = init_params([feats], tau=1.0, init_prob=0.25)
 params.w = np.array([0.4, 1.2, 0.8, 0.0, 0.1, 1.0, 0.0])  # hand-set for the demo
 probs = score(feats, params)
 

@@ -86,7 +86,7 @@ class Instance:
     def tokens(self) -> TokenizedContext:
         """The tokenized context, computed on first read and kept.
 
-        Kept tokens cost about 32 bytes per token (tracemalloc over 50
+        Kept tokens cost about 16 bytes per token (tracemalloc over 50
         generated 2K-token needles, ``source_bytes`` unread) and live as
         long as the instance.  They are not a field: equality, ``repr``,
         ``to_record`` and ``dataclasses.replace`` ignore them, so a replaced

@@ -16,12 +16,17 @@ and its gradient with respect to (w, b) live in one place,
 
 Values pass between layers as plain arrays: :func:`featurize` returns the
 (n_tokens, 7) float64 feature matrix, and :func:`score` (like the external
-scorer) returns the vector of clamped per-token probabilities.
+scorer) returns the vector of clamped per-token probabilities.  The matrix
+is built from two parts, :class:`FeatureParts`: a table with one row per
+vocabulary entry for the four features that are functions of a token's
+text, and the per-token flags; relative position comes from the token
+count.  Training keeps the parts, with the table standardized once per
+entry, and builds each step's standardized rows from them.
 
 Feature standardization statistics live inside ScorerParams and are frozen
-at initialization (computed once from the training split, which
-:func:`init_params` leaves standardized), keeping the policy stationary
-during optimization.
+at initialization (computed once from the training split's raw rows by
+:func:`init_params`, which keeps no copy of them), keeping the policy
+stationary during optimization.
 
 An external scorer can replace the native one at inference time, speaking a
 small line-delimited JSON protocol over a child process's standard streams
@@ -38,7 +43,7 @@ import os
 import select
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .tokenization import TokenizedContext, tokenize
 PROB_CLAMP = 1e-6
 NORM_EPS = 1e-8
 CLOSE_GRACE_S = 5.0  # SubprocessScorer.close waits this long before SIGKILL
-_VAR_BLOCK = 16_384  # rows init_params squares at a time
+_VAR_BLOCK = 16_384  # rows init_params adds up at a time
 
 FEATURE_NAMES = (
     "query_unigram_overlap",
@@ -85,6 +90,11 @@ class ScorerParams:
     def dim(self) -> int:
         return self.w.shape[0]
 
+    @property
+    def norm_scale(self) -> np.ndarray:
+        """What :func:`standardize` divides each column by."""
+        return np.sqrt(self.norm_var + NORM_EPS)
+
     def to_dict(self) -> dict:
         return {
             "w": self.w.tolist(),
@@ -120,26 +130,67 @@ def build_idf_table(contexts: list[TokenizedContext]) -> dict[str, float]:
     return {w: math.log((1 + n) / (1 + c)) for w, c in sorted(df.items())}
 
 
-def featurize(
+@dataclass
+class FeatureParts:
+    """One context's feature rows in two parts, which :meth:`rows` joins.
+
+    ``table`` has one row per vocabulary entry.  Its columns that are
+    functions of the token's text (query unigram overlap, idf, capped
+    length, numeric flag) are filled, and the other three are zero: those
+    come from the token's place in the context.  ``bigram`` and
+    ``initial`` hold each token's query-bigram and sentence-initial flag
+    (bool), and relative position is i / n.  :meth:`rows` writes a
+    per-token value v as ``(v - mean) / scale``; raw parts have mean 0 and
+    scale 1, and :meth:`standardized` parts carry the scorer's statistics.
+    """
+
+    table: np.ndarray
+    bigram: np.ndarray
+    initial: np.ndarray
+    mean: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM))
+    scale: np.ndarray = field(default_factory=lambda: np.ones(FEATURE_DIM))
+
+    def standardized(self, params: ScorerParams) -> "FeatureParts":
+        """These parts with the table standardized by ``params`` once per
+        entry: standardization acts elementwise, so gathering a standardized
+        entry gives the bits of standardizing the gathered row."""
+        return FeatureParts(standardize(self.table, params), self.bigram, self.initial,
+                            params.norm_mean, params.norm_scale)
+
+    def rows(self, text_ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (n, 7) rows of the tokens ``text_ids``, written into ``out``
+        when given: one gather of the table, then the three per-token
+        columns.  Equals :func:`featurize`, or :func:`standardize` of it for
+        standardized parts, bit for bit."""
+        n = len(text_ids)
+        # the ids always index the table, so mode="clip" changes no row; it
+        # spares the copy of ``out`` that take makes under mode="raise"
+        out = np.take(self.table, text_ids, axis=0, out=out, mode="clip")
+        levels = (np.array([[0.0], [1.0]]) - self.mean) / self.scale  # a 0 and a 1 flag
+        for col, flags in ((1, self.bigram), (6, self.initial)):
+            out[:, col] = levels[0, col]
+            np.copyto(out[:, col], levels[1, col], where=flags)
+        position = np.arange(n, dtype=np.float64)
+        position /= n
+        position -= self.mean[3]
+        position /= self.scale[3]
+        out[:, 3] = position
+        return out
+
+
+def feature_parts(
     query: str,
     ctx: TokenizedContext,
     idf_table: dict[str, float],
     idf_ceiling: float = 6.0,
-) -> np.ndarray:
-    """Compute the fixed 7-dimensional feature vector for every token, as
-    an (n_tokens, 7) float64 matrix.
+) -> FeatureParts:
+    """The raw :class:`FeatureParts` of every token of ``ctx``.
 
-    Features are independent of any mask or budget: query unigram/bigram
-    overlap, idf, relative position i/L, capped token length, numeric flag,
-    and sentence-initial flag.  Each lexical feature is computed once per
-    entry of the context's vocabulary (or casefolded word) and gathered by
-    ``ctx.text_ids``; query bigrams are matched as integer pair codes.
+    Features are independent of any mask or budget.  Each lexical feature
+    is computed once per entry of the context's vocabulary (or casefolded
+    word); query bigrams are matched as integer pair codes.
     """
-    n = len(ctx)
-    x = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    if n == 0:
-        return x
-    vocab = ctx.vocab
+    n, vocab = len(ctx), ctx.vocab
     text_id = ctx.text_ids.astype(np.intp)  # gathers run faster on intp than int32 indices
     # distinct casefolded word -> word id
     folded = [t.casefold() for t in vocab]
@@ -162,67 +213,100 @@ def featurize(
     bigram[:-1] |= pair_hit  # ... or starts one
 
     def per_word(values, dtype):
-        return np.fromiter(values, dtype=dtype, count=n_words)[word_id]
+        return np.fromiter(values, dtype=dtype, count=n_words)[word_of_text]
 
     def per_text(values, dtype):
-        return np.fromiter(values, dtype=dtype, count=len(vocab))[text_id]
+        return np.fromiter(values, dtype=dtype, count=len(vocab))
 
-    x[:, 0] = per_word((w in q_unigrams for w in words), bool)
-    x[:, 1] = bigram
-    x[:, 2] = per_word((idf_table.get(w, idf_ceiling) for w in words), np.float64)
-    x[:, 3] = np.arange(n) / n
-    x[:, 4] = per_text((min(len(t), _LENGTH_CAP) for t in vocab), np.int64) / _LENGTH_CAP
-    x[:, 5] = per_text((t.isdigit() for t in vocab), bool)
-    x[0, 6] = 1.0
-    x[1:, 6] = per_text((t in _SENTENCE_FINAL for t in vocab), bool)[:-1]
-    return x
+    table = np.zeros((len(vocab), FEATURE_DIM))
+    table[:, 0] = per_word((w in q_unigrams for w in words), bool)
+    table[:, 2] = per_word((idf_table.get(w, idf_ceiling) for w in words), np.float64)
+    table[:, 4] = per_text((min(len(t), _LENGTH_CAP) for t in vocab), np.int64) / _LENGTH_CAP
+    table[:, 5] = per_text((t.isdigit() for t in vocab), bool)
+    initial = np.ones(n, dtype=bool)
+    initial[1:] = per_text((t in _SENTENCE_FINAL for t in vocab), bool)[text_id[:-1]]
+    return FeatureParts(table, bigram, initial)
+
+
+def featurize(
+    query: str,
+    ctx: TokenizedContext,
+    idf_table: dict[str, float],
+    idf_ceiling: float = 6.0,
+) -> np.ndarray:
+    """Compute the fixed 7-dimensional feature vector for every token, as
+    an (n_tokens, 7) float64 matrix: query unigram/bigram overlap, idf,
+    relative position i/L, capped token length, numeric flag, and
+    sentence-initial flag (see :func:`feature_parts`)."""
+    return feature_parts(query, ctx, idf_table, idf_ceiling).rows(ctx.text_ids)
+
+
+def _column_sum(row_blocks, center: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Column sums over the rows of every block in ``row_blocks``, or over
+    their squares about ``center``, and the number of rows.
+
+    The rows go ``_VAR_BLOCK`` at a time into rows 1.. of a buffer whose row
+    0 holds the sums so far, and the buffer is summed over axis 0.  numpy
+    sums a C-ordered matrix over axis 0 one row after the other, each added
+    to the sum of the rows before it, and so does this running sum: the
+    result keeps the bits of one sum over the stacked rows, however they
+    are split into blocks.
+    """
+    acc, n = None, 0
+    for block in row_blocks:
+        if block.ndim != 2 or (acc is not None and block.shape[1] != acc.shape[1]):
+            raise StructureError(f"row block of shape {block.shape} does not stack")
+        if acc is None:
+            acc = np.zeros((_VAR_BLOCK + 1, block.shape[1]))
+        for start in range(0, len(block), _VAR_BLOCK):
+            chunk = block[start:start + _VAR_BLOCK]
+            rows = acc[1:len(chunk) + 1]
+            if center is None:
+                rows[:] = chunk
+            else:
+                np.square(np.subtract(chunk, center, out=rows), out=rows)
+            acc[0] = acc[:len(chunk) + 1].sum(axis=0)
+            n += len(chunk)
+    if not n:
+        raise StructureError("init_params needs at least one row")
+    return acc[0], n
 
 
 def init_params(
-    feature_matrix: np.ndarray,
+    row_blocks,
     tau: float = 1.0,
     init_prob: float | None = None,
 ) -> ScorerParams:
     """Fresh scorer parameters with standardization statistics frozen from
-    ``feature_matrix`` (C-ordered stack of training-split features), which is
-    left standardized by them, in place: the rows :func:`forward` reads.
+    the raw training-split rows in ``row_blocks``: 2-D blocks of equal width,
+    which are read and never changed.  The blocks are iterated twice, so
+    pass a collection or another re-iterable; each block is read before the
+    next one is drawn, so they may share one buffer.
 
-    The statistics are each column's mean and population variance.  The
-    matrix is centred in place after the mean is taken, the variance is the
-    column sum of the squared centred rows over n, and the centred rows are
-    then scaled in place; the statistics and rows equal numpy's ``mean`` and
-    ``var`` and :func:`standardize` bit for bit.
-
-    The squares are taken ``_VAR_BLOCK`` rows at a time, never as a copy of
-    the whole matrix.  Each block is squared into rows 1.. of a small buffer
-    whose row 0 holds the column sums so far, and the buffer is summed over
-    axis 0.  numpy sums a C-ordered matrix over axis 0 one row after the
-    other, each added to the sum of the rows before it, and so does this
-    running sum: the variance keeps the bits of a one-shot sum of squares.
+    The statistics are each column's mean and population variance: the
+    column sum over n, then the column sum of the squared centred rows over
+    n.  Both sums are running sums in numpy's axis-0 order (see
+    :func:`_column_sum`), so the statistics equal numpy's ``mean`` and
+    ``var`` of the stacked rows bit for bit, and no copy of the stack is
+    made.
 
     w starts at zero.  When ``init_prob`` is given, the bias starts at
     tau * logit(init_prob) so the initial policy selects at that rate;
     the trainer passes the budget fraction gamma, which keeps the initial
     expected highlight fraction on budget and the length penalty at zero.
     """
-    d = feature_matrix.shape[1]
+    if iter(row_blocks) is row_blocks:
+        raise StructureError("row_blocks is read twice, so it must not be a one-shot iterator")
     b = 0.0
     if init_prob is not None:
         if not 0.0 < init_prob < 1.0:
             raise StructureError("init_prob must lie in (0, 1)")
         b = tau * math.log(init_prob / (1.0 - init_prob))
-    norm_mean = feature_matrix.mean(axis=0)
-    feature_matrix -= norm_mean
-    n = feature_matrix.shape[0]
-    acc = np.zeros((min(n, _VAR_BLOCK) + 1, d))
-    for start in range(0, n, _VAR_BLOCK):
-        block = feature_matrix[start:start + _VAR_BLOCK]
-        np.square(block, out=acc[1:len(block) + 1])
-        acc[0] = acc[:len(block) + 1].sum(axis=0)
-    norm_var = acc[0] / n
-    feature_matrix /= np.sqrt(norm_var + NORM_EPS)
+    total, n = _column_sum(row_blocks)
+    norm_mean = total / n
+    norm_var = _column_sum(row_blocks, norm_mean)[0] / n
     return ScorerParams(
-        w=np.zeros(d, dtype=np.float64),
+        w=np.zeros(norm_mean.size, dtype=np.float64),
         b=b,
         tau=tau,
         norm_mean=norm_mean,
@@ -230,13 +314,19 @@ def init_params(
     )
 
 
-def standardize(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
-    """Per-feature mean/variance standardization with frozen statistics."""
+def standardize(
+    feats: np.ndarray, params: ScorerParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-feature mean/variance standardization with frozen statistics,
+    written into ``out`` when given (``feats`` itself, to standardize in
+    place); one (n, 7) array either way."""
     if feats.ndim != 2 or feats.shape[1] != params.dim:
         raise StructureError(
             f"feature matrix of shape {feats.shape} != (n, {params.dim})"
         )
-    return (feats - params.norm_mean) / np.sqrt(params.norm_var + NORM_EPS)
+    out = np.subtract(feats, params.norm_mean, out=out)
+    out /= params.norm_scale
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -267,14 +357,24 @@ def forward(x: np.ndarray, params: ScorerParams) -> Forward:
     )
 
 
-def score(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
-    """Clamped selection probabilities for every token, from raw features."""
-    return forward(standardize(feats, params), params).p
+def score(feats: np.ndarray, params: ScorerParams, overwrite: bool = False) -> np.ndarray:
+    """Clamped selection probabilities for every token, from raw features.
+    With ``overwrite``, ``feats`` is standardized in place, for a caller
+    that has no further use for the raw features; no second (n, 7) array
+    is made."""
+    return forward(standardize(feats, params, out=feats if overwrite else None), params).p
 
 
-def log_prob(masks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def bernoulli_logs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log p, log(1 - p)) of ``probs``, which :func:`log_prob` and
+    :func:`entropy` both read."""
+    return np.log(probs), np.log1p(-probs)
+
+
+def log_prob(masks: np.ndarray, probs: np.ndarray, logs=None) -> np.ndarray:
     """Bernoulli log-likelihood of each row of the (G, n) mask stack
-    ``masks`` under ``probs``, as a length-G array.
+    ``masks`` under ``probs``, as a length-G array; ``logs`` is
+    :func:`bernoulli_logs` of ``probs`` when the caller has it already.
 
     log p and log(1 - p) are evaluated once for all G rows, and each mask
     bit picks one of the two; each row is then summed with its own 1-D sum,
@@ -283,17 +383,18 @@ def log_prob(masks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     bit for bit, as the product dropped is always -0.0.  Always finite
     (probabilities are clamped) and <= 0.
     """
-    log_p, log_q = np.log(probs), np.log1p(-probs)
+    log_p, log_q = bernoulli_logs(probs) if logs is None else logs
     terms = np.where(np.asarray(masks, dtype=bool), log_p, log_q)
     return np.array([np.sum(row) for row in terms])
 
 
-def entropy(probs: np.ndarray) -> float:
+def entropy(probs: np.ndarray, logs=None) -> float:
     """Token-wise Bernoulli entropy averaged over every token, in [0, ln 2]
-    (0.0 when there are none)."""
+    (0.0 when there are none); ``logs`` as in :func:`log_prob`."""
     if probs.size == 0:
         return 0.0
-    h = -(probs * np.log(probs) + (1.0 - probs) * np.log1p(-probs))
+    log_p, log_q = bernoulli_logs(probs) if logs is None else logs
+    h = -(probs * log_p + (1.0 - probs) * log_q)
     return float(h.mean())
 
 

@@ -58,6 +58,9 @@ def _ascii_table(pattern: str) -> np.ndarray:
 _ASCII_WORD = _ascii_table(r"\w")
 _ASCII_SPACE = _ascii_table(r"\s")
 
+# the longest UTF-8 encoding of a context whose byte offsets fit int32
+MAX_CONTEXT_BYTES = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Token:
@@ -74,8 +77,8 @@ class TokenizedContext:
 
     ``vocab`` is the tuple of distinct token texts in first-seen order and
     ``text_ids`` (int32) holds one entry per token: ``vocab[text_ids[i]]``
-    is token i's text and ``[starts[i], ends[i])`` its byte range in the
-    UTF-8 source.
+    is token i's text and ``[starts[i], ends[i])`` (int32) its byte range
+    in the UTF-8 source.
     """
 
     source: str
@@ -86,8 +89,8 @@ class TokenizedContext:
 
     def __post_init__(self):
         self.text_ids = np.asarray(self.text_ids, dtype=np.int32)
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.ends = np.asarray(self.ends, dtype=np.int64)
+        self.starts = np.asarray(self.starts, dtype=np.int32)
+        self.ends = np.asarray(self.ends, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.text_ids)
@@ -164,15 +167,21 @@ def tokenize(text: str) -> TokenizedContext:
 
     So ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
     holds for arbitrary Unicode input.  Text that holds a lone surrogate
-    has no UTF-8 encoding and raises :class:`DataError`.
+    has no UTF-8 encoding and raises :class:`DataError`, and so does text
+    whose encoding is longer than :data:`MAX_CONTEXT_BYTES`.
     """
     try:
-        cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        utf8 = None if text.isascii() else text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise DataError(
             f"text is not valid Unicode: {exc.reason} at character {exc.start} "
             f"(U+{ord(text[exc.start]):04X})"
         ) from exc
+    size = len(text) if utf8 is None else len(utf8)
+    if size > MAX_CONTEXT_BYTES:
+        raise DataError(f"text of {size} UTF-8 bytes is longer than the {MAX_CONTEXT_BYTES} "
+                        f"that int32 byte offsets address")
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
     word, space = _char_classes(cp)
     joined = word[1:] & word[:-1]  # character i + 1 continues character i's word
     is_start, is_end = ~space, ~space
@@ -192,10 +201,10 @@ def tokenize(text: str) -> TokenizedContext:
     first = np.fromiter(map(index.setdefault, texts, range(n)), np.intp, n)
     # token i is its text's first occurrence where first[i] == i
     text_ids = (np.cumsum(first == np.arange(n), dtype=np.int32) - 1)[first]
-    if not text.isascii():
+    if utf8 is not None:
         # a code point's byte offset is that of its UTF-8 lead byte, and lead
         # bytes are the ones not of the form 0b10xxxxxx (as int8: >= -64)
-        lead = np.frombuffer(text.encode("utf-8"), np.int8) >= -64
+        lead = np.frombuffer(utf8, np.int8) >= -64
         offsets = np.flatnonzero(np.append(lead, True))
         starts, ends = offsets[starts], offsets[ends]
     return TokenizedContext(

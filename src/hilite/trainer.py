@@ -23,9 +23,11 @@ One training step on one instance:
 
 Sampling, budgets and the loss run over the context's tokens, the paper's
 index set omega with no token excluded.
-:func:`init_from_dataset` standardizes the training split's features once,
-in place, so each step runs one forward pass of the scorer on the
-instance's standardized rows, used for both sampling and the update.
+:func:`init_from_dataset` keeps each training instance's features as a
+per-vocabulary table, standardized once per entry, and two per-token flag
+arrays.  Each step gathers the instance's standardized rows into one buffer
+that lives for the run and runs one forward pass of the scorer on them,
+used for both sampling and the update.
 :func:`objective` computes every term, value and gradient, from that
 forward pass, the (G, n) stack of pre-projection masks and the G
 advantages; a :class:`GroupSample` keeps no projected mask.  The solver is
@@ -64,7 +66,7 @@ from .errors import (
     StructureError,
 )
 from .markup import BUILTIN_FORMATS, MarkerFormat, Mask, Spans, get_format
-from .policy import ScorerParams, build_idf_table, featurize, score
+from .policy import FeatureParts, ScorerParams, build_idf_table, feature_parts, featurize, score
 from .rewards import DEFAULT_REWARD_SPEC, RANKING_METRICS, RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
 from .solver import FINAL_JSON, FREE_TEXT, SolverOutput, parse_output
@@ -294,7 +296,8 @@ def objective(
     # policy gradient: L_PG = -(1/G) sum_j A_j log pi(m_j), dz = -(1/G) sum_j A_j (m_j - p) / tau;
     # the mask term's product over the Fortran-ordered stack gives the bits the
     # golden metrics record; over the C-ordered stack the last bits differ
-    log_probs = policy.log_prob(masks, p)
+    logs = policy.bernoulli_logs(p)  # read by the log-likelihoods and the entropy
+    log_probs = policy.log_prob(masks, p, logs)
     with np.errstate(invalid="ignore"):  # +-inf advantages give NaN; grad_step skips the step
         l_pg = float(-(advantages * log_probs).mean())
     dz_pg = -(advantages @ (np.asfortranarray(masks) - p)) / (g * tau)
@@ -306,7 +309,7 @@ def objective(
     dz_len = 2.0 * (mean_p - cfg.gamma) * dp_dz / (n * tau)
 
     # entropy bonus: L_ENT = -H, dz = -ln((1-p)/p) * dp/dz / (n tau)
-    l_ent = float(-policy.entropy(p))
+    l_ent = float(-policy.entropy(p, logs))
     dz_ent = -np.log((1.0 - p) / p) * dp_dz / (n * tau)
 
     dz = np.where(interior, dz_pg + cfg.lambda_len * dz_len + cfg.beta_ent * dz_ent, 0.0)
@@ -369,30 +372,46 @@ class TrainResult:
     metrics_path: Path | None = None
 
 
+class _RawRows:
+    """The raw feature rows of each training instance, one block per
+    instance, built afresh into one shared buffer on every pass: what
+    :func:`policy.init_params` reads twice."""
+
+    def __init__(self, parts: list[FeatureParts], dataset: list[Instance]):
+        self.parts, self.dataset = parts, dataset
+
+    def __iter__(self):
+        buf = np.empty((max(len(inst.tokens) for inst in self.dataset), policy.FEATURE_DIM))
+        for part, inst in zip(self.parts, self.dataset):
+            yield part.rows(inst.tokens.text_ids, buf[:len(inst.tokens)])
+
+
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
-) -> tuple[ScorerParams, dict[str, float], list[np.ndarray]]:
+) -> tuple[ScorerParams, dict[str, float], list[FeatureParts]]:
     """Featurize the training split and freeze initialization state.
 
     Contexts come from :attr:`Instance.tokens`, so they stay with the
-    instances after the run.  The split's features fill one (Σn, 7) matrix,
-    instance after instance.  Standardization statistics come from that
-    matrix, which :func:`policy.init_params` then standardizes in place; it
-    is returned as a list of its row blocks, each the standardized rows
-    :func:`policy.forward` reads for one instance, aligned with ``dataset``
-    (instance ids need not be unique).  The bias starts at tau * logit(gamma)
-    so the initial expected highlight fraction sits on budget.
+    instances after the run.  Each instance's features are kept as
+    :class:`policy.FeatureParts`, aligned with ``dataset`` (instance ids
+    need not be unique): a table with one row per vocabulary entry and two
+    flag bytes per token, not its (n, 7) rows.  Standardization statistics
+    come from the raw rows, built one instance at a time into one buffer;
+    then each table is standardized once, and
+    ``parts[i].rows(dataset[i].tokens.text_ids)`` gives the standardized
+    rows :func:`policy.forward` reads for instance i.  The bias starts at
+    tau * logit(gamma) so the initial expected highlight fraction sits on
+    budget.
     """
     idf_table = build_idf_table([inst.tokens for inst in dataset])
-    ends = np.cumsum([len(inst.tokens) for inst in dataset], dtype=np.intp)
-    if not dataset or ends[-1] == 0:
+    if not any(len(inst.tokens) for inst in dataset):
         raise ConfigError("training split contains no tokens")
-    matrix = np.empty((ends[-1], policy.FEATURE_DIM))
-    feats = np.split(matrix, ends[:-1])
-    for inst, rows in zip(dataset, feats):
-        rows[:] = featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
-    params = policy.init_params(matrix, tau=cfg.tau, init_prob=cfg.gamma)
-    return params, idf_table, feats
+    parts = [feature_parts(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
+             for inst in dataset]
+    params = policy.init_params(_RawRows(parts, dataset), tau=cfg.tau, init_prob=cfg.gamma)
+    for i, part in enumerate(parts):  # in place: one raw table at a time is let go
+        parts[i] = part.standardized(params)
+    return params, idf_table, parts
 
 
 def solver_contract(solver, reward_spec: RewardSpec, fmt: MarkerFormat) -> str:
@@ -518,8 +537,10 @@ def train(
                           "is infinite at gamma = 1, where every token is selected")
     fmt = get_format(cfg.marker_format)
     contract = solver_contract(solver, reward_spec, fmt)
-    params, idf_table, feats = init_from_dataset(dataset, cfg)
+    params, idf_table, parts = init_from_dataset(dataset, cfg)
     opt = OptimizerState.zeros(params.dim)
+    # each step's standardized rows, written over the rows of the step before
+    rows = np.empty((max(len(inst.tokens) for inst in dataset), params.dim))
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_path = None
@@ -538,7 +559,7 @@ def train(
             i = step % len(dataset)
             inst = dataset[i]
             ctx = inst.tokens
-            fwd = policy.forward(feats[i], params)
+            fwd = policy.forward(parts[i].rows(ctx.text_ids, rows[:len(ctx)]), params)
             group, failures = rollout_group(
                 inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
@@ -651,7 +672,7 @@ def evaluate(
     Contexts come from :attr:`Instance.tokens`, computed once per instance
     per process: training on the same instances and repeated passes over
     them (ablation variants, sweep grid points) tokenize nothing again, and
-    the tokens stay alive with the instances (about 32 bytes per token on
+    the tokens stay alive with the instances (about 16 bytes per token on
     2K-token needles; see :attr:`Instance.tokens`).
     """
     if variant not in VARIANTS:
@@ -668,7 +689,8 @@ def evaluate(
     failures = 0
     for inst in dataset:
         ctx = inst.tokens
-        probs = score(featurize(inst.query, ctx, idf_table, cfg.idf_ceiling), params)
+        probs = score(featurize(inst.query, ctx, idf_table, cfg.idf_ceiling), params,
+                      overwrite=True)
         if variant != "random" and mask_sampler is None:
             mask, spans = highlight(probs, ctx, cfg.gamma, cfg.delta)
         else:

@@ -78,7 +78,7 @@ def golden_oracle() -> dict:
     ctxs = {name: tokenize(text) for name, (_, text, _) in data.items()}
     idf = build_idf_table(list(ctxs.values()))
     feats = {name: featurize(query, ctxs[name], idf) for name, (query, _, _) in data.items()}
-    base = init_params(np.vstack(list(feats.values())))
+    base = init_params(list(feats.values()))
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,

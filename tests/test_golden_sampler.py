@@ -56,7 +56,7 @@ def golden_sampler() -> dict:
     ctxs = {name: tokenize(inst.context) for name, inst in needles.items()}
     idf = build_idf_table(list(ctxs.values()))
     feats = {name: featurize(inst.query, ctxs[name], idf) for name, inst in needles.items()}
-    base = init_params(np.vstack(list(feats.values())))
+    base = init_params(list(feats.values()))
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,

@@ -117,7 +117,7 @@ def golden_substrate() -> dict:
     feats = {
         name: featurize(query, ctxs[name], idf) for name, (query, _, _) in data.items()
     }
-    base = init_params(np.vstack(list(feats.values())))
+    base = init_params(list(feats.values()))
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,
@@ -195,7 +195,7 @@ def reference_tokenize(text: str) -> list[tuple[str, int, int]]:
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_per_character_reference(text):
     ctx = tokenize(text)
-    assert ctx.starts.dtype == ctx.ends.dtype == ctx.omega.dtype == np.int64
+    assert ctx.starts.dtype == ctx.ends.dtype == np.int32 and ctx.omega.dtype == np.int64
     texts = [ctx.vocab[i] for i in ctx.text_ids]
     got = list(zip(texts, ctx.starts.tolist(), ctx.ends.tolist()))
     assert got == reference_tokenize(text)

@@ -132,6 +132,35 @@ def test_featurize_matches_per_token_reference(context, query, documents):
     assert np.array_equal(got, reference_featurize(query, ctx, idf_table, 6.0))
 
 
+@given(FEATURE_TEXTS, FEATURE_TEXTS, st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_standardized_parts_give_standardized_rows_bit_for_bit(context, query, seed):
+    # a table standardized once per vocabulary entry, gathered, equals the
+    # standardized rows; written over a buffer that holds other rows
+    ctx = tokenize(context)
+    rng = np.random.default_rng(seed)
+    params = identity_params(np.zeros(FEATURE_DIM))
+    params.norm_mean, params.norm_var = rng.normal(size=FEATURE_DIM), rng.random(FEATURE_DIM)
+    parts = policy.feature_parts(query, ctx, {"the": 0.25})
+    raw = featurize(query, ctx, {"the": 0.25})
+    buf = rng.normal(size=(len(ctx) + 3, FEATURE_DIM))
+    got = parts.standardized(params).rows(ctx.text_ids, buf[:len(ctx)])
+    assert got.base is buf
+    assert got.tobytes() == policy.standardize(raw, params).tobytes()
+    assert parts.table.shape == (len(ctx.vocab), FEATURE_DIM)
+    assert parts.bigram.dtype == parts.initial.dtype == bool
+
+
+def test_score_with_overwrite_standardizes_the_features_in_place():
+    ctx = tokenize("Code 417. Next line, code 417 again")
+    feats = featurize("the code 417 please", ctx, {})
+    params = identity_params(np.linspace(-1.0, 1.0, FEATURE_DIM), b=0.2)
+    params.norm_mean, params.norm_var = feats.mean(axis=0), feats.var(axis=0)
+    want_rows, want = policy.standardize(feats, params), score(feats.copy(), params)
+    assert score(feats, params, overwrite=True).tobytes() == want.tobytes()
+    assert feats.tobytes() == want_rows.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -249,6 +278,14 @@ def test_log_prob_picks_the_terms_of_the_product_form_bit_for_bit(n):
     terms = m * np.log(probs) + (1.0 - m) * np.log1p(-probs)
     expected = np.array([np.sum(row) for row in terms])
     assert log_prob(masks, probs).tobytes() == expected.tobytes()
+
+
+def test_given_logs_give_the_same_bits():
+    p = np.random.default_rng(1).uniform(1e-6, 1 - 1e-6, size=500)
+    masks = (np.random.default_rng(2).random((4, 500)) < 0.3).astype(np.uint8)
+    logs = policy.bernoulli_logs(p)
+    assert log_prob(masks, p, logs).tobytes() == log_prob(masks, p).tobytes()
+    assert entropy(p, logs) == entropy(p)
 
 
 def test_entropy_bounds_and_values():
@@ -378,9 +415,8 @@ def test_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
 
 def test_init_params_freezes_stats_and_budget_bias():
     rng = np.random.default_rng(0)
-    stacked = rng.normal(loc=2.0, scale=3.0, size=(100, FEATURE_DIM))
-    raw = stacked.copy()  # init_params standardizes stacked in place
-    params = init_params(stacked, tau=1.0, init_prob=0.15)
+    raw = rng.normal(loc=2.0, scale=3.0, size=(100, FEATURE_DIM))
+    params = init_params([raw], tau=1.0, init_prob=0.15)
     assert np.allclose(params.norm_mean, raw.mean(axis=0))
     assert np.allclose(params.norm_var, raw.var(axis=0))
     assert params.b == pytest.approx(math.log(0.15 / 0.85))
@@ -396,27 +432,55 @@ def test_init_params_freezes_stats_and_budget_bias():
 @example(n=policy._VAR_BLOCK + 1, seed=3, scale=1.0)
 @example(n=3 * policy._VAR_BLOCK + 17, seed=4, scale=1.0)
 def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale):
-    # centring in place before the variance, then scaling in place, gives
-    # numpy's mean and var and standardize's rows, not just close values;
-    # the examples cross the edges of init_params' variance blocks
+    # running sums in numpy's axis-0 order give numpy's mean and var, not
+    # just close values, and leave the rows as they were; the examples cross
+    # the edges of init_params' summing blocks
     rng = np.random.default_rng(seed)
     raw = rng.normal(loc=scale * rng.normal(size=FEATURE_DIM), scale=scale, size=(n, FEATURE_DIM))
     raw[:, 1] = rng.random(n) < 0.1  # a 0/1 column, like the overlap flags
     raw[:, 5] = 0.0  # a constant column: variance 0
     matrix = raw.copy()
-    params = init_params(matrix)
+    params = init_params([matrix])
     assert params.norm_mean.tobytes() == raw.mean(axis=0).tobytes()
     assert params.norm_var.tobytes() == raw.var(axis=0).tobytes()
-    assert matrix.tobytes() == policy.standardize(raw, params).tobytes()
+    assert matrix.tobytes() == raw.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 * policy._VAR_BLOCK + 5), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+@example(sizes=[policy._VAR_BLOCK - 1, 2, policy._VAR_BLOCK], seed=1)
+@example(sizes=[0, policy._VAR_BLOCK + 1, 0], seed=2)
+@example(sizes=[1] * 5 + [2 * policy._VAR_BLOCK + 3], seed=3)
+def test_init_params_statistics_over_any_block_split_equal_numpy_bit_for_bit(sizes, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(loc=rng.normal(size=FEATURE_DIM), size=(size, FEATURE_DIM))
+              for size in sizes]
+    stacked = np.vstack(blocks)
+    if not len(stacked):
+        with pytest.raises(StructureError, match="at least one row"):
+            init_params(blocks)
+        return
+    params = init_params(blocks)
+    assert params.norm_mean.tobytes() == stacked.mean(axis=0).tobytes()
+    assert params.norm_var.tobytes() == stacked.var(axis=0).tobytes()
+
+
+def test_init_params_rejects_a_one_shot_iterator():
+    rows = np.ones((3, FEATURE_DIM))
+    with pytest.raises(StructureError, match="one-shot"):
+        init_params(iter([rows]))
+    with pytest.raises(StructureError, match="does not stack"):
+        init_params([rows, np.ones((2, FEATURE_DIM - 1))])
 
 
 def test_init_params_makes_no_full_size_temporary():
-    # numpy reports its buffers to tracemalloc; a squared copy of the matrix
+    # numpy reports its buffers to tracemalloc; a copy of the stacked rows
     # would make the traced peak as large as the matrix itself
     matrix = np.random.default_rng(0).normal(size=(200_000, FEATURE_DIM))
     tracemalloc.start()
     try:
-        init_params(matrix)
+        init_params([matrix])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hilite import tokenization
 from hilite.errors import DataError
 from hilite.tokenization import _char_classes, tokenize, tokens_touching
 
@@ -47,6 +48,22 @@ def test_offsets_are_byte_offsets_for_multibyte_text():
 def test_lone_surrogate_is_a_data_error_naming_its_position():
     with pytest.raises(DataError, match=r"not valid Unicode: .* at character 4 \(U\+DCFF\)"):
         tokenize("abc \udcff def")
+
+
+def test_byte_offsets_are_int32():
+    ctx = tokenize("café bar")
+    assert ctx.starts.dtype == ctx.ends.dtype == np.int32
+    assert ctx.ends.tolist() == [5, 9]
+
+
+def test_context_longer_than_int32_byte_offsets_is_a_data_error(monkeypatch):
+    # the bound is 2 GiB - 1 bytes; lowered here, so no text needs that much
+    monkeypatch.setattr(tokenization, "MAX_CONTEXT_BYTES", 8)
+    assert tokenize("abc defg").ends.tolist() == [3, 8]
+    assert tokenize("ééé a").ends.tolist() == [6, 8]  # 5 characters, 8 bytes
+    for text in ("abc defgh", "ééé ab"):  # 9 bytes each
+        with pytest.raises(DataError, match="9 UTF-8 bytes is longer than the 8"):
+            tokenize(text)
 
 
 def test_source_bytes_are_encoded_once_and_kept():

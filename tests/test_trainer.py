@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -590,7 +591,7 @@ def test_train_at_gamma_one_is_rejected_before_any_featurizing_or_call(monkeypat
     cfg = TrainConfig(steps=2, seed=0, gamma=1.0)
     featurized = []
     with monkeypatch.context() as patch:
-        patch.setattr(trainer, "featurize", lambda *args: featurized.append(args))
+        patch.setattr(trainer, "feature_parts", lambda *args: featurized.append(args))
         solver = ScriptedSolver(["<answer>x</answer>"])
         with pytest.raises(ConfigError, match="gamma"):
             train(data, solver, cfg)
@@ -745,26 +746,54 @@ def test_config_float_field_takes_an_integer_as_a_float():
     assert config_hash(cfg) == config_hash(TrainConfig(gamma=1.0, beta_ent=0.0))
 
 
-def test_training_features_are_row_blocks_of_one_matrix():
+def step_rows(parts, data):
+    """Each instance's standardized rows as train builds them, one after the
+    other in one shared buffer, copied out."""
+    buf = np.empty((max(len(inst.tokens) for inst in data), FEATURE_DIM))
+    return [part.rows(inst.tokens.text_ids, buf[:len(inst.tokens)]).copy()
+            for part, inst in zip(parts, data)]
+
+
+def test_training_rows_equal_standardized_features_bit_for_bit():
+    # an empty and a one-token context among the needles, each after a
+    # longer instance whose rows are still in the buffer
     data = oracle_dataset()
+    data[2:2] = [make_instance(context="", inst_id="empty")]
+    data[4:4] = [make_instance(context="beta", inst_id="one")]
     cfg = TrainConfig()
-    params, idf_table, feats = init_from_dataset(data, cfg)
-    base = feats[0].base
-    assert base is not None and base.shape == (sum(len(inst.tokens) for inst in data), FEATURE_DIM)
-    assert all(np.shares_memory(rows, base) for rows in feats)
+    params, idf_table, parts = init_from_dataset(data, cfg)
     raw = [featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling) for inst in data]
-    expected = init_params(np.vstack(raw), tau=cfg.tau, init_prob=cfg.gamma)
-    assert params.to_dict() == expected.to_dict()
-    for rows, inst_feats in zip(feats, raw):  # standardized once, in place
-        assert np.array_equal(rows, standardize(inst_feats, params))
+    stacked = np.vstack(raw)
+    assert params.norm_mean.tobytes() == stacked.mean(axis=0).tobytes()
+    assert params.norm_var.tobytes() == stacked.var(axis=0).tobytes()
+    assert params.to_dict() == init_params(raw, tau=cfg.tau, init_prob=cfg.gamma).to_dict()
+    rows = step_rows(parts, data)
+    assert [len(r) for r in rows[2:5]] == [0, len(data[3].tokens), 1]
+    for got, inst_feats in zip(rows, raw):
+        assert got.tobytes() == standardize(inst_feats, params).tobytes()
+
+
+def test_init_from_dataset_keeps_less_than_a_quarter_of_the_feature_rows():
+    # numpy reports its buffers to tracemalloc; (n, 7) float64 rows would
+    # take 56 bytes per token
+    data = gen_dataset(40, target_tokens=2000, seed=3)
+    n_tokens = sum(len(inst.tokens) for inst in data)  # tokenized before tracing
+    tracemalloc.start()
+    try:
+        kept = init_from_dataset(data, TrainConfig())
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept[2]) == len(data)
+    assert current < n_tokens * FEATURE_DIM * 8 / 4
 
 
 def test_training_forward_pass_equals_inference_scores():
     data = oracle_dataset()
     cfg = TrainConfig()
-    params, idf_table, feats = init_from_dataset(data, cfg)
+    params, idf_table, parts = init_from_dataset(data, cfg)
     params.w = np.random.default_rng(5).normal(size=FEATURE_DIM)  # so p varies by token
-    for inst, rows in zip(data, feats):
+    for inst, rows in zip(data, step_rows(parts, data)):
         inference = score(featurize(inst.query, inst.tokens, idf_table, cfg.idf_ceiling), params)
         assert np.array_equal(forward(rows, params).p, inference)
 
