@@ -59,7 +59,6 @@ from .rewards import (
     composite,
     em,
     hr_at_k,
-    macro_f1,
     ndcg_at_k,
     normalize_answer,
     token_f1,

@@ -232,7 +232,7 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
     fmt = get_format(format_name or cfg.marker_format)
 
     ctx = tokenize(text)
-    probs = score(featurize(query, ctx, idf_table, cfg.idf_ceiling), params)
+    probs = score(featurize(query, ctx, idf_table, cfg.idf_ceiling), params, overwrite=True)
     _, spans = highlight(probs, ctx, gamma, delta)
     click.echo(markup.inject(ctx, spans, fmt))
     if print_spans:

@@ -3,7 +3,7 @@
 String metrics (exact match, token F1) run over a conventional QA
 normalization: lowercase, drop punctuation, drop English articles, collapse
 whitespace.  Ranking metrics (HR@K, NDCG@K) assume a single relevant item.
-Classification metrics (accuracy, macro F1) operate over a fixed label set.
+Accuracy is the share of labels that match, case-insensitively.
 
 All metrics return values in [0, 1].  Degenerate empty inputs evaluate to 0
 with a logged warning instead of raising, so reward evaluation stays total
@@ -87,32 +87,6 @@ def accuracy(preds: list, golds: list) -> float:
         1 for p, g in zip(preds, golds) if str(p).strip().lower() == str(g).strip().lower()
     )
     return hits / len(golds)
-
-
-def macro_f1(preds: list, golds: list, labels: list) -> float:
-    """Unweighted mean of per-class F1 over the fixed label set.
-
-    A prediction outside the label set counts as wrong and is a false
-    positive for no class; classes absent from both sides contribute 0.
-    """
-    if not preds or not golds or len(preds) != len(golds):
-        log.warning("macro_f1 over empty/mismatched inputs evaluates to 0")
-        return 0.0
-    norm = lambda v: str(v).strip().lower()
-    preds_n = [norm(p) for p in preds]
-    golds_n = [norm(g) for g in golds]
-    scores = []
-    for label in (norm(l) for l in labels):
-        tp = sum(1 for p, g in zip(preds_n, golds_n) if p == label and g == label)
-        fp = sum(1 for p, g in zip(preds_n, golds_n) if p == label and g != label)
-        fn = sum(1 for p, g in zip(preds_n, golds_n) if p != label and g == label)
-        if tp == 0:
-            scores.append(0.0)
-        else:
-            precision = tp / (tp + fp)
-            recall = tp / (tp + fn)
-            scores.append(2 * precision * recall / (precision + recall))
-    return sum(scores) / len(scores) if scores else 0.0
 
 
 # name -> metric(output, gold, k); the names a RewardSpec may use

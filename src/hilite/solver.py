@@ -179,7 +179,6 @@ class SolverOutput:
     raw_text: str
     latency: float = 0.0
     attempt_count: int = 1
-    flagged: bool = False
 
 
 def parse_answer(raw: str) -> str:

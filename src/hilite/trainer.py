@@ -51,6 +51,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,12 +194,12 @@ class GroupSample:
     """What one instance's G rollouts leave for the update and the step
     record.  ``prelim_masks`` is the (G, n) ``uint8`` stack of
     pre-projection masks, row j for rollout j, that :func:`objective` reads
-    with ``advantages``; ``spans`` holds each projected mask's coalesced
-    spans.  The projected masks and the G emphasized texts are not kept."""
+    with ``advantages``; ``episodes`` holds each rollout's :class:`Episode`
+    and ``spans`` its projected mask's coalesced spans.  The projected
+    masks and the G emphasized texts are not kept."""
 
     prelim_masks: np.ndarray
-    outputs: list[SolverOutput | None]
-    rewards: np.ndarray
+    episodes: list[Episode]
     advantages: np.ndarray
     spans: list[np.ndarray]
 
@@ -433,25 +434,31 @@ def solver_contract(solver, reward_spec: RewardSpec, fmt: MarkerFormat) -> str:
     return contract
 
 
+class Episode(NamedTuple):
+    """One solver call's outcome.  ``output`` is None when the call raised
+    a transport or protocol error; such a call, and a reply that does not
+    parse, is ``flagged`` with reward 0."""
+
+    output: SolverOutput | None
+    reward: float
+    flagged: bool
+
+
 def episode(
     solver, inst: Instance, text: str, contract: str, reward_spec: RewardSpec
-) -> tuple[SolverOutput | None, float]:
-    """One solver call on ``text``, scored against the instance's gold answer.
-
-    Transport exhaustion and off-contract payloads give ``(None, 0.0)``; a
-    reply that does not parse under ``contract`` comes back flagged.  Either
-    way it is a zero-reward episode, never a crash.
-    """
+) -> Episode:
+    """One solver call on ``text``, its reply parsed under ``contract`` and
+    scored against the instance's gold answer; never a crash.  The reply is
+    left as the solver returned it."""
     try:
         out = solver.solve(inst.query, text, inst)
     except (SolverUnavailableError, ProtocolError):
-        return None, 0.0
+        return Episode(None, 0.0, True)
     try:
         parsed = parse_output(out.raw_text, contract)
     except ParseError:
-        out.flagged = True
-        return out, 0.0
-    return out, composite(parsed, inst.gold, reward_spec)
+        return Episode(out, 0.0, True)
+    return Episode(out, composite(parsed, inst.gold, reward_spec), False)
 
 
 def rollout_group(
@@ -464,13 +471,14 @@ def rollout_group(
     reward_spec: RewardSpec,
     step: int,
     pool: ThreadPoolExecutor,
-) -> tuple[GroupSample, int]:
+) -> tuple[GroupSample, tuple[int, int, list[float]]]:
     """Sample G masks over ``inst.tokens``, query the solver concurrently
     on ``pool``, parse its replies under ``contract``, and assemble the
     group.
 
-    Returns the group plus the number of transport failures (each one is a
-    zero-reward, flagged episode).
+    Returns the group plus :func:`solver_usage` of its episodes: a call
+    that raised a transport or protocol error counts as failed, against the
+    failure budget, and a reply that does not parse is flagged only.
     """
     ctx = inst.tokens
     k = Budget(cfg.gamma, len(ctx)).k
@@ -482,18 +490,11 @@ def rollout_group(
         spans.append(markup.coalesce(proj, ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
-    outputs, rewards = zip(*pool.map(
+    episodes = list(pool.map(
         lambda text: episode(solver, inst, text, contract, reward_spec), emphasized
     ))
-    rewards = np.array(rewards, dtype=np.float64)
-    group = GroupSample(
-        prelim_masks=prelim_masks,
-        outputs=list(outputs),
-        rewards=rewards,
-        advantages=advantages(rewards),
-        spans=spans,
-    )
-    return group, outputs.count(None)
+    group = GroupSample(prelim_masks, episodes, advantages([ep.reward for ep in episodes]), spans)
+    return group, solver_usage(episodes)
 
 
 def covered_fraction(spans: np.ndarray, n_tokens: int) -> float:
@@ -501,11 +502,12 @@ def covered_fraction(spans: np.ndarray, n_tokens: int) -> float:
     return (spans[:, 1] - spans[:, 0] + 1).sum() / max(1, n_tokens)
 
 
-def solver_usage(outputs) -> tuple[int, list[float]]:
-    """Attempts summed over the replies among ``outputs``, and each reply's
-    latency in milliseconds.  A call that raised left no reply to count."""
-    replies = [out for out in outputs if out is not None]
-    return sum(out.attempt_count for out in replies), [out.latency * 1e3 for out in replies]
+def solver_usage(episodes: list[Episode]) -> tuple[int, int, list[float]]:
+    """The failed calls among ``episodes`` (they left no reply), the
+    attempts summed over the replies, and each reply's latency in ms."""
+    replies = [ep.output for ep in episodes if ep.output is not None]
+    return (len(episodes) - len(replies), sum(out.attempt_count for out in replies),
+            [out.latency * 1e3 for out in replies])
 
 
 REGRESSION_WINDOW = 50
@@ -528,8 +530,9 @@ def train(
 ) -> TrainResult:
     """Algorithm: cycle the dataset with batch size 1, one grouped update
     per step.  Writes a metrics log and a final checkpoint when ``out_dir``
-    is given; aborts with a partial checkpoint once transport failures
-    exceed the failure budget.  Needs gamma < 1."""
+    is given; aborts with a partial checkpoint once the solver calls that
+    raised a transport or protocol error exceed the failure budget (a reply
+    that does not parse is flagged only).  Needs gamma < 1."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     if cfg.gamma == 1.0:
@@ -560,17 +563,16 @@ def train(
             inst = dataset[i]
             ctx = inst.tokens
             fwd = policy.forward(parts[i].rows(ctx.text_ids, rows[:len(ctx)]), params)
-            group, failures = rollout_group(
+            group, (failures, attempts, latencies_ms) = rollout_group(
                 inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
             total_failures += failures
             terms = grad_step(group.prelim_masks, group.advantages, fwd, params, opt, cfg)
-            attempts, latencies_ms = solver_usage(group.outputs)
             # means over the G rollouts, from their spans stacked in one array
             spans = np.concatenate(group.spans)
             record = {
                 "step": step,
-                "rewards": group.rewards.tolist(),
+                "rewards": [ep.reward for ep in group.episodes],
                 "L_PG": terms.l_pg,
                 "L_LEN": terms.l_len,
                 "L_ENT": terms.l_ent,
@@ -666,8 +668,9 @@ def evaluate(
     untouched.  ``mask_sampler`` swaps the deterministic top-k rule for one
     of the sampler kinds (seeded per instance), for sampler-sensitivity
     sweeps.  Like :func:`train`, the pass aborts with
-    SolverUnavailableError once transport failures exceed
-    ``cfg.solver_failure_budget``.
+    SolverUnavailableError once the calls that raised a transport or
+    protocol error exceed ``cfg.solver_failure_budget``; a reply that does
+    not parse is flagged only.
 
     Contexts come from :attr:`Instance.tokens`, computed once per instance
     per process: training on the same instances and repeated passes over
@@ -680,12 +683,11 @@ def evaluate(
     fmt = get_format(cfg.marker_format)
     contract = solver_contract(solver, reward_spec, fmt)
 
-    rewards = []
+    episodes = []
     fractions = []
     covered = []
     n_spans = []
     overlaps = []
-    outputs = []
     failures = 0
     for inst in dataset:
         ctx = inst.tokens
@@ -713,10 +715,8 @@ def evaluate(
         covered.append(covered_fraction(spans, len(ctx)))
         n_spans.append(len(spans))
 
-        out, reward = episode(solver, inst, emphasized, contract, reward_spec)
-        rewards.append(reward)
-        outputs.append(out)
-        failures += out is None
+        episodes.append(episode(solver, inst, emphasized, contract, reward_spec))
+        failures += episodes[-1].output is None
         if failures > cfg.solver_failure_budget:
             raise SolverUnavailableError(f"evaluation aborted after {failures} solver failures")
 
@@ -725,17 +725,17 @@ def evaluate(
                 evidence_overlap(probs, EVIDENCE_THRESHOLD, inst.evidence_spans, ctx)
             )
 
-    attempts, latencies_ms = solver_usage(outputs)
+    _, attempts, latencies_ms = solver_usage(episodes)
     p50, p99 = np.percentile(latencies_ms, [50, 99]) if latencies_ms else (0.0, 0.0)
     report = {
         "variant": variant,
         "n": len(dataset),
-        "mean_reward": float(np.mean(rewards)) if rewards else 0.0,
+        "mean_reward": float(np.mean([ep.reward for ep in episodes])) if episodes else 0.0,
         "mean_highlight_fraction": float(np.mean(fractions)) if fractions else 0.0,
         "mean_covered_fraction": float(np.mean(covered)) if covered else 0.0,
         "mean_spans": float(np.mean(n_spans)) if n_spans else 0.0,
-        "flagged": sum(out is None or out.flagged for out in outputs),
-        "rewards": [float(r) for r in rewards],
+        "flagged": sum(ep.flagged for ep in episodes),
+        "rewards": [float(ep.reward) for ep in episodes],
         "solver_attempts": attempts,
         "solver_latency_ms": {"p50": float(p50), "p99": float(p99)},
     }

@@ -7,7 +7,6 @@ from hilite.rewards import (
     composite,
     em,
     hr_at_k,
-    macro_f1,
     ndcg_at_k,
     normalize_answer,
     token_f1,
@@ -160,35 +159,26 @@ def test_reward_spec_parse():
 # classification metrics
 # ---------------------------------------------------------------------------
 
-LABELS = ["yes", "no", "maybe"]
-
 
 def test_perfect_predictions():
     golds = ["yes", "no", "maybe", "yes"]
     assert accuracy(golds, golds) == 1.0
-    assert macro_f1(golds, golds, LABELS) == 1.0
 
 
 def test_single_class_predictions_on_balanced_golds():
     golds = ["yes", "no", "maybe"]
     preds = ["yes", "yes", "yes"]
     assert accuracy(preds, golds) == pytest.approx(1 / 3)
-    # yes: P=1/3, R=1 -> F1=0.5; others 0 -> macro 1/6
-    assert macro_f1(preds, golds, LABELS) == pytest.approx(1 / 6)
 
 
 def test_empty_inputs_are_zero_with_warning(caplog):
     assert accuracy([], []) == 0.0
-    assert macro_f1([], [], LABELS) == 0.0
 
 
 def test_out_of_label_prediction_counts_as_wrong():
     golds = ["yes", "no"]
     preds = ["banana", "no"]
     assert accuracy(preds, golds) == pytest.approx(0.5)
-    # banana is a false positive for no class: yes has no tp -> 0,
-    # no is perfect -> 1, maybe absent -> 0
-    assert macro_f1(preds, golds, LABELS) == pytest.approx(1 / 3)
 
 
 def test_all_metrics_bounded():

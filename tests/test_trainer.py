@@ -45,11 +45,13 @@ from hilite.solver import (
     SolverOutput,
 )
 from hilite.trainer import (
+    Episode,
     LossTerms,
     OptimizerState,
     TrainConfig,
     advantages,
     config_hash,
+    episode,
     evaluate,
     grad_step,
     highlight,
@@ -551,6 +553,20 @@ def test_protocol_error_is_flagged_episode_not_crash():
     assert result.history[0]["rewards"] == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_episode_leaves_an_unparsed_reply_as_the_solver_returned_it():
+    reply = SolverOutput(raw_text="no tags at all", latency=0.25, attempt_count=2)
+
+    class OneReplySolver:
+        def solve(self, query, emphasized, instance=None):
+            return reply
+
+    inst = oracle_dataset(n=1)[0]
+    ep = episode(OneReplySolver(), inst, inst.context, ANSWER_TAG, RewardSpec((("em", 1.0),)))
+    assert ep == Episode(reply, 0.0, True) and ep.output is reply
+    assert dataclasses.asdict(reply) == {"raw_text": "no tags at all", "latency": 0.25,
+                                         "attempt_count": 2}
+
+
 def test_train_builds_one_thread_pool_per_call(monkeypatch):
     from hilite import trainer
 
@@ -986,6 +1002,30 @@ def test_evaluate_within_the_failure_budget_flags_the_failed_episodes():
     report = evaluate(data, result.params, solver, cfg, result.idf_table)
     assert report["n"] == 4 and report["flagged"] == 2
     assert report["rewards"][:2] == [0.0, 0.0]
+
+
+def test_evaluate_counts_protocol_errors_as_flagged_failures_and_aborts_over_budget():
+    from hilite.errors import ProtocolError
+
+    class BrokenSolver:
+        output_contract = "answer-tag"
+        calls = 0
+
+        def solve(self, query, emphasized, instance=None):
+            self.calls += 1
+            raise ProtocolError("garbage payload")
+
+    data = oracle_dataset(n=4)
+    cfg = TrainConfig(steps=0, seed=0, solver_failure_budget=4)
+    result = train(data, OracleSolver(OracleSolverConfig()), cfg)
+    report = evaluate(data, result.params, BrokenSolver(), cfg, result.idf_table)
+    assert report["flagged"] == 4 and report["rewards"] == [0.0] * 4
+    assert report["solver_attempts"] == 0  # a call that raised left no reply
+    solver = BrokenSolver()
+    with pytest.raises(SolverUnavailableError, match="3 solver failures"):
+        evaluate(data, result.params, solver, dataclasses.replace(cfg, solver_failure_budget=2),
+                 result.idf_table)
+    assert solver.calls == 3  # the pass stops at the failure over budget
 
 
 # ---------------------------------------------------------------------------
