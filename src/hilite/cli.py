@@ -39,7 +39,7 @@ from .errors import (
     SolverUnavailableError,
 )
 from .markup import get_format
-from .policy import featurize, score
+from .policy import feature_parts, forward
 from .rewards import DEFAULT_REWARD_SPEC, RewardSpec
 from .solver import (
     EndpointConfig,
@@ -232,7 +232,8 @@ def cmd_highlight(checkpoint_path, input_path, text, query, gamma, delta,
     fmt = get_format(format_name or cfg.marker_format)
 
     ctx = tokenize(text)
-    probs = score(featurize(query, ctx, idf_table, cfg.idf_ceiling), params, overwrite=True)
+    parts = feature_parts(query, ctx, idf_table, cfg.idf_ceiling)
+    probs = forward(parts.standardized(params).rows(), params).p
     _, spans = highlight(probs, ctx, gamma, delta)
     click.echo(markup.inject(ctx, spans, fmt))
     if print_spans:

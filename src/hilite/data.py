@@ -3,8 +3,7 @@
 The JSONL instance schema is the single interchange format:
 
     {"id": str|int, "query": str, "context": str, "gold": str|int,
-     "evidence_spans": [[start, end], ...]?,            # integer byte offsets
-     "candidates": [{"id": int, "title": str, ...}]?}
+     "evidence_spans": [[start, end], ...]?}            # integer byte offsets
 
 An integer id loads as its decimal string; any other non-string id is
 rejected.  Unknown fields are preserved on round-trip.  Real benchmark
@@ -40,13 +39,13 @@ from .errors import DataError
 from .tokenization import TokenizedContext, tokenize, tokens_touching
 
 REQUIRED_FIELDS = ("id", "query", "context", "gold")
-_KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans", "candidates")
+_KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans",)
 
 
 @dataclass(frozen=True)
 class Instance:
-    """One dataset record: query, context, gold target, optional gold
-    evidence byte ranges and candidate items.
+    """One dataset record: query, context, gold target and optional gold
+    evidence byte ranges; any other field is kept in ``extra``.
 
     Instances are immutable; derive a changed one with
     ``dataclasses.replace``.  :attr:`tokens` tokenizes the context once per
@@ -59,7 +58,6 @@ class Instance:
     context: str
     gold: object
     evidence_spans: list[tuple[int, int]] | None = None
-    candidates: list[dict] | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,8 +101,6 @@ class Instance:
         }
         if self.evidence_spans is not None:
             record["evidence_spans"] = [[s, e] for s, e in self.evidence_spans]
-        if self.candidates is not None:
-            record["candidates"] = self.candidates
         record.update(self.extra)
         return record
 
@@ -122,7 +118,6 @@ class Instance:
             context=record["context"],
             gold=record["gold"],
             evidence_spans=spans,
-            candidates=record.get("candidates"),
             extra={k: v for k, v in record.items() if k not in _KNOWN_FIELDS},
         )
 

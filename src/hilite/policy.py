@@ -9,19 +9,18 @@ which defines a Bernoulli-factorized selection policy over the context's
 tokens (the paper's index set omega, with no token excluded).
 Probabilities are clamped away from 0/1 so log-likelihood and entropy stay
 finite.  :func:`forward` is the one place that evaluates this map, on rows
-that are already standardized; :func:`score` standardizes raw features and
-calls it, and the training objective reads its result.  The training loss
-and its gradient with respect to (w, b) live in one place,
+that are already standardized, and the training objective reads its result:
+the loss and its gradient with respect to (w, b) live in one place,
 :func:`hilite.trainer.objective`, and run over every row they are given.
 
-Values pass between layers as plain arrays: :func:`featurize` returns the
-(n_tokens, 7) float64 feature matrix, and :func:`score` (like the external
-scorer) returns the vector of clamped per-token probabilities.  The matrix
-is built from two parts, :class:`FeatureParts`: a table with one row per
-vocabulary entry for the four features that are functions of a token's
-text, and the per-token flags; relative position comes from the token
-count.  Training keeps the parts, with the table standardized once per
-entry, and builds each step's standardized rows from them.
+A context's features come in two parts, :class:`FeatureParts`: a table with
+one row per vocabulary entry for the four features that are functions of a
+token's text, and the per-token flags; relative position comes from the
+token count.  Training, evaluation and ``hilite highlight`` take one route
+to the probabilities: the table is standardized once per entry, and the
+gathered (n_tokens, 7) rows go to :func:`forward`.  :func:`featurize` (the
+raw rows) and :func:`score` (their clamped probabilities) are the same map
+on one raw matrix, which tests and demos read.
 
 Feature standardization statistics live inside ScorerParams and are frozen
 at initialization (computed once from the training split's raw rows by
@@ -137,14 +136,17 @@ class FeatureParts:
     ``table`` has one row per vocabulary entry.  Its columns that are
     functions of the token's text (query unigram overlap, idf, capped
     length, numeric flag) are filled, and the other three are zero: those
-    come from the token's place in the context.  ``bigram`` and
-    ``initial`` hold each token's query-bigram and sentence-initial flag
-    (bool), and relative position is i / n.  :meth:`rows` writes a
-    per-token value v as ``(v - mean) / scale``; raw parts have mean 0 and
-    scale 1, and :meth:`standardized` parts carry the scorer's statistics.
+    come from the token's place in the context.  ``text_ids`` is the
+    context's own :attr:`TokenizedContext.text_ids`, the table row of each
+    token.  ``bigram`` and ``initial`` hold each token's query-bigram and
+    sentence-initial flag (bool), and relative position is i / n.
+    :meth:`rows` writes a per-token value v as ``(v - mean) / scale``; raw
+    parts have mean 0 and scale 1, and :meth:`standardized` parts carry the
+    scorer's statistics.
     """
 
     table: np.ndarray
+    text_ids: np.ndarray
     bigram: np.ndarray
     initial: np.ndarray
     mean: np.ndarray = field(default_factory=lambda: np.zeros(FEATURE_DIM))
@@ -154,18 +156,18 @@ class FeatureParts:
         """These parts with the table standardized by ``params`` once per
         entry: standardization acts elementwise, so gathering a standardized
         entry gives the bits of standardizing the gathered row."""
-        return FeatureParts(standardize(self.table, params), self.bigram, self.initial,
-                            params.norm_mean, params.norm_scale)
+        return FeatureParts(standardize(self.table, params), self.text_ids, self.bigram,
+                            self.initial, params.norm_mean, params.norm_scale)
 
-    def rows(self, text_ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (n, 7) rows of the tokens ``text_ids``, written into ``out``
-        when given: one gather of the table, then the three per-token
-        columns.  Equals :func:`featurize`, or :func:`standardize` of it for
-        standardized parts, bit for bit."""
-        n = len(text_ids)
+    def rows(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The context's (n, 7) rows, written into ``out`` when given: one
+        gather of the table, then the three per-token columns.  Equals
+        :func:`featurize`, or :func:`standardize` of it for standardized
+        parts, bit for bit."""
+        n = len(self.text_ids)
         # the ids always index the table, so mode="clip" changes no row; it
         # spares the copy of ``out`` that take makes under mode="raise"
-        out = np.take(self.table, text_ids, axis=0, out=out, mode="clip")
+        out = np.take(self.table, self.text_ids, axis=0, out=out, mode="clip")
         levels = (np.array([[0.0], [1.0]]) - self.mean) / self.scale  # a 0 and a 1 flag
         for col, flags in ((1, self.bigram), (6, self.initial)):
             out[:, col] = levels[0, col]
@@ -225,7 +227,7 @@ def feature_parts(
     table[:, 5] = per_text((t.isdigit() for t in vocab), bool)
     initial = np.ones(n, dtype=bool)
     initial[1:] = per_text((t in _SENTENCE_FINAL for t in vocab), bool)[text_id[:-1]]
-    return FeatureParts(table, bigram, initial)
+    return FeatureParts(table, ctx.text_ids, bigram, initial)
 
 
 def featurize(
@@ -238,7 +240,7 @@ def featurize(
     an (n_tokens, 7) float64 matrix: query unigram/bigram overlap, idf,
     relative position i/L, capped token length, numeric flag, and
     sentence-initial flag (see :func:`feature_parts`)."""
-    return feature_parts(query, ctx, idf_table, idf_ceiling).rows(ctx.text_ids)
+    return feature_parts(query, ctx, idf_table, idf_ceiling).rows()
 
 
 def _column_sum(row_blocks, center: np.ndarray | None = None) -> tuple[np.ndarray, int]:
@@ -314,17 +316,15 @@ def init_params(
     )
 
 
-def standardize(
-    feats: np.ndarray, params: ScorerParams, out: np.ndarray | None = None
-) -> np.ndarray:
+def standardize(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
     """Per-feature mean/variance standardization with frozen statistics,
-    written into ``out`` when given (``feats`` itself, to standardize in
-    place); one (n, 7) array either way."""
+    as one new array.  Inside the package it reads a :class:`FeatureParts`
+    table, one row per vocabulary entry, not a context's (n, 7) rows."""
     if feats.ndim != 2 or feats.shape[1] != params.dim:
         raise StructureError(
             f"feature matrix of shape {feats.shape} != (n, {params.dim})"
         )
-    out = np.subtract(feats, params.norm_mean, out=out)
+    out = feats - params.norm_mean
     out /= params.norm_scale
     return out
 
@@ -357,12 +357,12 @@ def forward(x: np.ndarray, params: ScorerParams) -> Forward:
     )
 
 
-def score(feats: np.ndarray, params: ScorerParams, overwrite: bool = False) -> np.ndarray:
-    """Clamped selection probabilities for every token, from raw features.
-    With ``overwrite``, ``feats`` is standardized in place, for a caller
-    that has no further use for the raw features; no second (n, 7) array
-    is made."""
-    return forward(standardize(feats, params, out=feats if overwrite else None), params).p
+def score(feats: np.ndarray, params: ScorerParams) -> np.ndarray:
+    """Clamped selection probabilities for every token, from the raw
+    (n, 7) rows ``feats``.  The package reads standardized
+    :class:`FeatureParts` rows instead (``forward(parts.standardized(params)
+    .rows(), params).p``), which give the same probabilities bit for bit."""
+    return forward(standardize(feats, params), params).p
 
 
 def bernoulli_logs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,11 +67,13 @@ from .errors import (
     StructureError,
 )
 from .markup import BUILTIN_FORMATS, MarkerFormat, Mask, Spans, get_format
-from .policy import FeatureParts, ScorerParams, build_idf_table, feature_parts, featurize, score
+from .policy import FeatureParts, ScorerParams, build_idf_table, feature_parts
 from .rewards import DEFAULT_REWARD_SPEC, RANKING_METRICS, RewardSpec, composite
 from .selection import Budget, SamplerKind, random_mask, rng_stream, sample_mask, topk
 from .solver import FINAL_JSON, FREE_TEXT, SolverOutput, parse_output
-# unused here, but perfbench/run.py's install_tracing wraps trainer.tokenize
+# unused here, but perfbench/run.py's install_tracing wraps trainer.featurize,
+# trainer.score and trainer.tokenize
+from .policy import featurize, score  # noqa: F401
 from .tokenization import tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -378,13 +380,13 @@ class _RawRows:
     instance, built afresh into one shared buffer on every pass: what
     :func:`policy.init_params` reads twice."""
 
-    def __init__(self, parts: list[FeatureParts], dataset: list[Instance]):
-        self.parts, self.dataset = parts, dataset
+    def __init__(self, parts: list[FeatureParts]):
+        self.parts = parts
 
     def __iter__(self):
-        buf = np.empty((max(len(inst.tokens) for inst in self.dataset), policy.FEATURE_DIM))
-        for part, inst in zip(self.parts, self.dataset):
-            yield part.rows(inst.tokens.text_ids, buf[:len(inst.tokens)])
+        buf = np.empty((max(len(part.text_ids) for part in self.parts), policy.FEATURE_DIM))
+        for part in self.parts:
+            yield part.rows(buf[:len(part.text_ids)])
 
 
 def init_from_dataset(
@@ -398,18 +400,17 @@ def init_from_dataset(
     need not be unique): a table with one row per vocabulary entry and two
     flag bytes per token, not its (n, 7) rows.  Standardization statistics
     come from the raw rows, built one instance at a time into one buffer;
-    then each table is standardized once, and
-    ``parts[i].rows(dataset[i].tokens.text_ids)`` gives the standardized
-    rows :func:`policy.forward` reads for instance i.  The bias starts at
-    tau * logit(gamma) so the initial expected highlight fraction sits on
-    budget.
+    then each table is standardized once, and ``parts[i].rows()`` gives the
+    standardized rows :func:`policy.forward` reads for instance i.  The bias
+    starts at tau * logit(gamma) so the initial expected highlight fraction
+    sits on budget.
     """
     idf_table = build_idf_table([inst.tokens for inst in dataset])
     if not any(len(inst.tokens) for inst in dataset):
         raise ConfigError("training split contains no tokens")
     parts = [feature_parts(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
              for inst in dataset]
-    params = policy.init_params(_RawRows(parts, dataset), tau=cfg.tau, init_prob=cfg.gamma)
+    params = policy.init_params(_RawRows(parts), tau=cfg.tau, init_prob=cfg.gamma)
     for i, part in enumerate(parts):  # in place: one raw table at a time is let go
         parts[i] = part.standardized(params)
     return params, idf_table, parts
@@ -562,7 +563,7 @@ def train(
             i = step % len(dataset)
             inst = dataset[i]
             ctx = inst.tokens
-            fwd = policy.forward(parts[i].rows(ctx.text_ids, rows[:len(ctx)]), params)
+            fwd = policy.forward(parts[i].rows(rows[:len(ctx)]), params)
             group, (failures, attempts, latencies_ms) = rollout_group(
                 inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
             )
@@ -676,7 +677,10 @@ def evaluate(
     per process: training on the same instances and repeated passes over
     them (ablation variants, sweep grid points) tokenize nothing again, and
     the tokens stay alive with the instances (about 16 bytes per token on
-    2K-token needles; see :attr:`Instance.tokens`).
+    2K-token needles; see :attr:`Instance.tokens`).  Probabilities take
+    training's route: the instance's :class:`policy.FeatureParts`, its table
+    standardized once per vocabulary entry, give the rows
+    :func:`policy.forward` reads.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown eval variant {variant!r}")
@@ -691,8 +695,8 @@ def evaluate(
     failures = 0
     for inst in dataset:
         ctx = inst.tokens
-        probs = score(featurize(inst.query, ctx, idf_table, cfg.idf_ceiling), params,
-                      overwrite=True)
+        parts = feature_parts(inst.query, ctx, idf_table, cfg.idf_ceiling)
+        probs = policy.forward(parts.standardized(params).rows(), params).p
         if variant != "random" and mask_sampler is None:
             mask, spans = highlight(probs, ctx, cfg.gamma, cfg.delta)
         else:

@@ -1,17 +1,30 @@
 import csv
 import gc
+import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import make_instance, write_checkpoint
+from hilite import policy
 from hilite.cli import main
-from hilite.data import gen_dataset, save_jsonl
+from hilite.data import SynthSpec, gen_dataset, gen_needle, load_jsonl, save_jsonl
 from hilite.markup import DEFAULT_FORMAT, scan_markers
-from hilite.solver import ANSWER_TAG, SolverOutput
-from hilite.trainer import evaluate, load_checkpoint
+from hilite.policy import FEATURE_DIM, ScorerParams, build_idf_table, featurize, init_params
+from hilite.solver import ANSWER_TAG, OracleSolver, OracleSolverConfig, SolverOutput
+from hilite.tokenization import tokenize
+from hilite.trainer import (
+    VARIANTS,
+    OptimizerState,
+    TrainConfig,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+)
+from test_golden_oracle import WEIGHTS, mixed_utf8_needle
 
 
 @pytest.fixture
@@ -394,6 +407,82 @@ def test_highlight_spans_json_are_the_marked_byte_ranges(runner, oracle_run):
     assert stripped.decode("utf-8") == text
     assert len(regions) > 1
     assert json.loads(spans_line) == {"spans": [list(r) for r in regions]}
+
+
+# SHA-256 of ``hilite highlight --spans`` stdout on each case of
+# highlight_cases(), under the checkpoint of highlight_checkpoint()
+HIGHLIGHT_STDOUT_SHA256 = {
+    "needle-2k": "4f07d9626adaf1c4e663eaa4990a065057cd4c90696b4042a6a0b11f9e4e01bd",
+    "utf8-16k": "38293be20a86dddca11cc3c2c7c2c448c61affe24e3c15d027cd1335f526dd34",
+}
+
+
+def highlight_cases() -> dict[str, tuple[str, str]]:
+    """name -> (query, context): a 2K-token needle, and a 16K-token needle
+    mixed with multi-byte sentences."""
+    needle = gen_needle(SynthSpec(target_tokens=2000, seed=21))
+    query, context, _ = mixed_utf8_needle(14000, seed=25)
+    return {"needle-2k": (needle.query, needle.context), "utf8-16k": (query, context)}
+
+
+def highlight_checkpoint(path, cases) -> None:
+    """A checkpoint whose idf table and standardization statistics come
+    from ``cases``, with fixed weights that read every feature."""
+    ctxs = [tokenize(context) for _, context in cases.values()]
+    idf_table = build_idf_table(ctxs)
+    base = init_params([featurize(query, ctx, idf_table)
+                        for (query, _), ctx in zip(cases.values(), ctxs)])
+    params = ScorerParams(w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
+                          norm_mean=base.norm_mean, norm_var=base.norm_var)
+    save_checkpoint(path, params, OptimizerState.zeros(FEATURE_DIM), TrainConfig(), idf_table)
+
+
+def test_highlight_spans_stdout_matches_the_recorded_digests(runner, tmp_path):
+    cases = highlight_cases()
+    checkpoint = tmp_path / "checkpoint.json"
+    highlight_checkpoint(checkpoint, cases)
+    got = {}
+    for name, (query, context) in cases.items():
+        source = tmp_path / f"{name}.txt"
+        source.write_text(context, encoding="utf-8")
+        result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint),
+                                      "--input", str(source), "--query", query, "--spans"])
+        assert result.exit_code == 0, result.output
+        got[name] = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert got == HIGHLIGHT_STDOUT_SHA256
+
+
+def test_inference_standardizes_no_more_rows_than_the_vocabulary_has(
+    runner, oracle_run, monkeypatch
+):
+    # standardizing once per vocabulary entry, as training does, never
+    # reads more rows than the context has distinct token texts
+    dataset_path, checkpoint, _ = oracle_run
+    sizes = []
+    standardize = policy.standardize
+
+    def recording(feats, params, *args, **kwargs):
+        sizes.append(len(feats))
+        return standardize(feats, params, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "standardize", recording)
+    data = load_jsonl(dataset_path)
+    params, _, cfg, idf_table = load_checkpoint(checkpoint)
+    vocab_sizes = [len(inst.tokens.vocab) for inst in data]
+    assert all(len(inst.tokens) > size for inst, size in zip(data, vocab_sizes))
+    for variant in VARIANTS:
+        sizes.clear()
+        evaluate(data, params, OracleSolver(OracleSolverConfig()), cfg, idf_table,
+                 variant=variant)
+        assert len(sizes) == len(data)
+        assert all(got <= size for got, size in zip(sizes, vocab_sizes)), (variant, sizes)
+
+    text = "the cat and the dog and the bird. The cat saw the dog, and the bird saw the cat."
+    sizes.clear()
+    result = runner.invoke(main, ["highlight", "--checkpoint", str(checkpoint),
+                                  "--text", text, "--query", "the cat"])
+    assert result.exit_code == 0, result.output
+    assert sizes and max(sizes) <= len(tokenize(text).vocab) < len(tokenize(text))
 
 
 @pytest.mark.parametrize("case", ["empty", "idf-null", "norm-mean-short", "idf-ceiling-nan",

@@ -49,8 +49,7 @@ def test_round_trip_preserves_unknown_fields(tmp_path):
         context="ctx text",
         gold="g",
         evidence_spans=[(0, 3)],
-        candidates=[{"id": 1, "title": "t"}],
-        extra={"source": "unit-test", "difficulty": 3},
+        extra={"candidates": [{"id": 1, "title": "t"}], "source": "unit-test", "difficulty": 3},
     )
     p = tmp_path / "d.jsonl"
     save_jsonl([inst], p)

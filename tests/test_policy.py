@@ -144,21 +144,11 @@ def test_standardized_parts_give_standardized_rows_bit_for_bit(context, query, s
     parts = policy.feature_parts(query, ctx, {"the": 0.25})
     raw = featurize(query, ctx, {"the": 0.25})
     buf = rng.normal(size=(len(ctx) + 3, FEATURE_DIM))
-    got = parts.standardized(params).rows(ctx.text_ids, buf[:len(ctx)])
+    got = parts.standardized(params).rows(buf[:len(ctx)])
     assert got.base is buf
     assert got.tobytes() == policy.standardize(raw, params).tobytes()
-    assert parts.table.shape == (len(ctx.vocab), FEATURE_DIM)
+    assert parts.table.shape == (len(ctx.vocab), FEATURE_DIM) and parts.text_ids is ctx.text_ids
     assert parts.bigram.dtype == parts.initial.dtype == bool
-
-
-def test_score_with_overwrite_standardizes_the_features_in_place():
-    ctx = tokenize("Code 417. Next line, code 417 again")
-    feats = featurize("the code 417 please", ctx, {})
-    params = identity_params(np.linspace(-1.0, 1.0, FEATURE_DIM), b=0.2)
-    params.norm_mean, params.norm_var = feats.mean(axis=0), feats.var(axis=0)
-    want_rows, want = policy.standardize(feats, params), score(feats.copy(), params)
-    assert score(feats, params, overwrite=True).tobytes() == want.tobytes()
-    assert feats.tobytes() == want_rows.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -766,7 +766,7 @@ def step_rows(parts, data):
     """Each instance's standardized rows as train builds them, one after the
     other in one shared buffer, copied out."""
     buf = np.empty((max(len(inst.tokens) for inst in data), FEATURE_DIM))
-    return [part.rows(inst.tokens.text_ids, buf[:len(inst.tokens)]).copy()
+    return [part.rows(buf[:len(inst.tokens)]).copy()
             for part, inst in zip(parts, data)]
 
 
