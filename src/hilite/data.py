@@ -47,6 +47,11 @@ class Instance:
     """One dataset record: query, context, gold target and optional gold
     evidence byte ranges; any other field is kept in ``extra``.
 
+    Construction checks the fields however the instance is built: valid
+    Unicode query and context strings, a string id (an integer becomes its
+    decimal string), and sorted, disjoint spans of integer byte offsets
+    inside the context.  A failed check raises DataError.
+
     Instances are immutable; derive a changed one with
     ``dataclasses.replace``.  :attr:`tokens` tokenizes the context once per
     instance per process, and training and every evaluation pass over the
@@ -61,24 +66,38 @@ class Instance:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.evidence_spans is not None:
+        if type(self.id) is int:  # bool is no id
+            object.__setattr__(self, "id", str(self.id))
+        if not isinstance(self.id, str):
+            raise DataError("field 'id' is not a string or an integer")
+        for fname in ("query", "context"):
+            value = getattr(self, fname)
+            if not isinstance(value, str):
+                raise DataError(f"field {fname!r} is not a string")
             try:  # a lone surrogate has no UTF-8 encoding, so no byte offsets
-                n = len(self.context.encode("utf-8"))
+                value.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise DataError(f"instance {self.id}: context is not valid Unicode: "
+                raise DataError(f"field {fname!r} is not valid Unicode: "
                                 f"{exc.reason} at character {exc.start}") from exc
-            prev_end = -1
-            for start, end in self.evidence_spans:
-                if not (0 <= start < end <= n):
-                    raise DataError(
-                        f"instance {self.id}: evidence span [{start}, {end}) "
-                        f"outside context bounds [0, {n})"
-                    )
-                if start < prev_end:
-                    raise DataError(
-                        f"instance {self.id}: evidence spans overlap or are unsorted"
-                    )
-                prev_end = end
+        if self.evidence_spans is None:
+            return
+        try:
+            spans = [(start, end) for start, end in self.evidence_spans]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"instance {self.id}: malformed evidence_spans: {exc}") from exc
+        n = len(self.context.encode("utf-8"))
+        prev_end = -1
+        for start, end in spans:
+            if type(start) is not int or type(end) is not int:  # bool is no offset
+                raise DataError(f"instance {self.id}: evidence_spans entry "
+                                f"{[start, end]} is not two integers")
+            if not (0 <= start < end <= n):
+                raise DataError(f"instance {self.id}: evidence span [{start}, {end}) "
+                                f"outside context bounds [0, {n})")
+            if start < prev_end:
+                raise DataError(f"instance {self.id}: evidence spans overlap or are unsorted")
+            prev_end = end
+        object.__setattr__(self, "evidence_spans", spans)
 
     @cached_property
     def tokens(self) -> TokenizedContext:
@@ -106,18 +125,12 @@ class Instance:
 
     @classmethod
     def from_record(cls, record: dict) -> "Instance":
-        spans = record.get("evidence_spans")
-        if spans is not None:
-            spans = [(start, end) for start, end in spans]
-            for pair in spans:
-                if not all(type(v) is int for v in pair):  # bool is no offset
-                    raise DataError(f"evidence_spans entry {list(pair)} is not two integers")
         return cls(
-            id=str(record["id"]),
+            id=record["id"],
             query=record["query"],
             context=record["context"],
             gold=record["gold"],
-            evidence_spans=spans,
+            evidence_spans=record.get("evidence_spans"),
             extra={k: v for k, v in record.items() if k not in _KNOWN_FIELDS},
         )
 
@@ -144,22 +157,10 @@ def _parse_line(path: Path, lineno: int, line: str) -> Instance:
     for fname in REQUIRED_FIELDS:
         if fname not in record:
             raise DataError(f"{path}:{lineno}: missing field {fname!r}")
-    for fname in ("query", "context"):
-        if not isinstance(record[fname], str):
-            raise DataError(f"{path}:{lineno}: field {fname!r} is not a string")
-        try:  # a JSON escape such as "\ud800" decodes to a lone surrogate
-            record[fname].encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DataError(f"{path}:{lineno}: field {fname!r} is not valid Unicode: "
-                            f"{exc.reason} at character {exc.start}") from exc
-    if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
-        raise DataError(f"{path}:{lineno}: field 'id' is not a string or an integer")
     try:
         return Instance.from_record(record)
     except DataError as exc:
         raise DataError(f"{path}:{lineno}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # only evidence_spans is unpacked
-        raise DataError(f"{path}:{lineno}: malformed evidence_spans: {exc}") from exc
 
 
 def save_jsonl(dataset: list[Instance], path: str | Path) -> None:

@@ -11,7 +11,7 @@ never cut a multi-byte character in half.
 A :class:`TokenizedContext` keeps the tokens as parallel arrays, not as one
 object per token.  Token texts are one vocabulary per context: ``vocab``
 holds each distinct text once, in first-seen order, and the int32 array
-``text_ids`` names each token's entry in it.  Byte ranges are the int64
+``text_ids`` names each token's entry in it.  Byte ranges are the int32
 arrays ``starts`` and ``ends``.  Every layer reads those arrays;
 :attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand
 for callers that want one record per token.  The encoded source,

@@ -208,34 +208,32 @@ class GroupSample:
 
 @dataclass
 class OptimizerState:
-    """AdamW moment accumulators for (w, b)."""
+    """AdamW moment accumulators over the parameter vector (w, b): ``m``
+    and ``v`` hold one entry per weight and the bias last.  Checkpoints keep
+    them as ``m_w``/``v_w`` lists and ``m_b``/``v_b`` numbers."""
 
-    m_w: np.ndarray
-    v_w: np.ndarray
-    m_b: float = 0.0
-    v_b: float = 0.0
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, dim: int) -> "OptimizerState":
-        return cls(m_w=np.zeros(dim), v_w=np.zeros(dim))
+        return cls(m=np.zeros(dim + 1), v=np.zeros(dim + 1))
 
     def to_dict(self) -> dict:
         return {
-            "m_w": self.m_w.tolist(),
-            "v_w": self.v_w.tolist(),
-            "m_b": self.m_b,
-            "v_b": self.v_b,
+            "m_w": self.m[:-1].tolist(),
+            "v_w": self.v[:-1].tolist(),
+            "m_b": float(self.m[-1]),
+            "v_b": float(self.v[-1]),
             "step": self.step,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
         return cls(
-            m_w=np.asarray(d["m_w"], dtype=np.float64),
-            v_w=np.asarray(d["v_w"], dtype=np.float64),
-            m_b=float(d["m_b"]),
-            v_b=float(d["v_b"]),
+            m=np.append(np.asarray(d["m_w"], dtype=np.float64), float(d["m_b"])),
+            v=np.append(np.asarray(d["v_w"], dtype=np.float64), float(d["v_b"])),
             step=int(d["step"]),
         )
 
@@ -335,28 +333,26 @@ def grad_step(
     opt: OptimizerState,
     cfg: TrainConfig,
 ) -> LossTerms:
-    """Evaluate :func:`objective` and apply one AdamW update on (w, b), in
-    place on ``params`` and ``opt``.  Decoupled weight decay applies to the
-    weight vector only.  Non-finite gradients skip the update (logged)."""
+    """Evaluate :func:`objective` and apply one AdamW update, in place on
+    ``params`` and ``opt``, to the vector (w, b): ``grad_b`` is appended to
+    ``grad_w``.  Decoupled weight decay applies to the weight vector only.
+    A non-finite gradient skips the update (logged)."""
     terms = objective(masks, advantages, fwd, params, cfg)
-    grad_w, grad_b = terms.grad_w, terms.grad_b
-    if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
+    grad = np.append(terms.grad_w, terms.grad_b)
+    if not np.all(np.isfinite(grad)):
         log.warning("non-finite gradient at optimizer step %d; skipped", opt.step + 1)
         return terms
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     opt.step += 1
     t = opt.step
-    opt.m_w = b1 * opt.m_w + (1 - b1) * grad_w
-    opt.v_w = b2 * opt.v_w + (1 - b2) * grad_w**2
-    opt.m_b = b1 * opt.m_b + (1 - b1) * grad_b
-    opt.v_b = b2 * opt.v_b + (1 - b2) * grad_b**2
-    m_w_hat = opt.m_w / (1 - b1**t)
-    v_w_hat = opt.v_w / (1 - b2**t)
-    m_b_hat = opt.m_b / (1 - b1**t)
-    v_b_hat = opt.v_b / (1 - b2**t)
+    opt.m = b1 * opt.m + (1 - b1) * grad
+    opt.v = b2 * opt.v + (1 - b2) * grad**2
+    m_hat = opt.m / (1 - b1**t)
+    v_hat = opt.v / (1 - b2**t)
     lr = cfg.learning_rate
-    params.w = params.w - lr * m_w_hat / (np.sqrt(v_w_hat) + eps) - lr * cfg.weight_decay * params.w
-    params.b = float(params.b - lr * m_b_hat / (math.sqrt(v_b_hat) + eps))
+    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    params.w = params.w - update[:-1] - lr * cfg.weight_decay * params.w
+    params.b = float(params.b - update[-1])
     return terms
 
 

@@ -183,8 +183,34 @@ def test_lone_surrogate_is_a_data_error_naming_line_and_field(tmp_path, line, fi
 
 
 def test_instance_with_spans_over_a_lone_surrogate_is_a_data_error():
-    with pytest.raises(DataError, match=r"instance a: context is not valid Unicode"):
+    with pytest.raises(DataError, match=r"field 'context' is not valid Unicode"):
         Instance(id="a", query="q", context="ab\ud800", gold="g", evidence_spans=[(0, 1)])
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    (dict(query=None), "field 'query' is not a string"),
+    (dict(context=5), "field 'context' is not a string"),
+    (dict(query="q\ud800"), "field 'query' is not valid Unicode"),
+    (dict(context="ab\udcffc"), "field 'context' is not valid Unicode"),
+    (dict(id=None), "field 'id' is not a string or an integer"),
+    (dict(id=True), "field 'id' is not a string or an integer"),
+    (dict(evidence_spans=[(True, 3)]), r"evidence_spans entry \[True, 3\] is not two integers"),
+    (dict(evidence_spans=[(0.0, 2)]), "evidence_spans entry .* is not two integers"),
+    (dict(evidence_spans=[(0, 1, 2)]), "malformed evidence_spans"),
+    (dict(evidence_spans=5), "malformed evidence_spans"),
+], ids=["query-none", "context-int", "query-surrogate", "context-surrogate",
+        "id-none", "id-bool", "span-bool", "span-float", "span-of-three", "spans-not-list"])
+def test_instance_built_in_python_checks_its_fields_as_loading_does(kwargs, reason):
+    fields = dict(id="a", query="q", context="abc", gold="g") | kwargs
+    with pytest.raises(DataError, match=reason):
+        Instance(**fields)
+
+
+def test_instance_built_in_python_normalizes_as_loading_does():
+    inst = Instance(id=7, query="q", context="abcdef", gold="g", evidence_spans=[[0, 2], [3, 5]])
+    assert inst.id == "7"
+    assert inst.evidence_spans == [(0, 2), (3, 5)]
+    assert inst == Instance.from_record(inst.to_record())
 
 
 def test_integer_id_loads_as_its_decimal_string(tmp_path):

@@ -1,8 +1,4 @@
-"""Each demo script runs to completion with exit status 0.
-
-Demo 03 trains for several seconds on the same path the acceptance
-convergence test covers, so it is not run here.
-"""
+"""Each demo script runs to completion with exit status 0."""
 
 import os
 import subprocess
@@ -15,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = (
     "01_markup_basics",
     "02_scoring_and_selection",
+    "03_train_oracle_task",
     "04_sensitivity_sweeps",
     "05_recsys_preprocessing",
     "06_external_scorer",

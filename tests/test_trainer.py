@@ -45,6 +45,9 @@ from hilite.solver import (
     SolverOutput,
 )
 from hilite.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Episode,
     LossTerms,
     OptimizerState,
@@ -424,6 +427,60 @@ def test_non_finite_gradient_skips_step(caplog):
     grad_step(*group, forward(standardize(feats, params), params), params, opt, cfg)
     assert np.array_equal(params.w, w_before)
     assert opt.step == 0
+
+
+def two_branch_adamw(terms, params, ref, cfg):
+    """The AdamW step as it was written before (w, b) became one vector: a
+    weight branch on arrays and a bias branch on Python floats.  ``ref``
+    holds the moments as ``m_w``, ``v_w``, ``m_b``, ``v_b`` and ``step``."""
+    grad_w, grad_b = terms.grad_w, terms.grad_b
+    if not (np.all(np.isfinite(grad_w)) and math.isfinite(grad_b)):
+        return
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    ref["step"] += 1
+    t = ref["step"]
+    ref["m_w"] = b1 * ref["m_w"] + (1 - b1) * grad_w
+    ref["v_w"] = b2 * ref["v_w"] + (1 - b2) * grad_w**2
+    ref["m_b"] = b1 * ref["m_b"] + (1 - b1) * grad_b
+    ref["v_b"] = b2 * ref["v_b"] + (1 - b2) * grad_b**2
+    m_w_hat = ref["m_w"] / (1 - b1**t)
+    v_w_hat = ref["v_w"] / (1 - b2**t)
+    m_b_hat = ref["m_b"] / (1 - b1**t)
+    v_b_hat = ref["v_b"] / (1 - b2**t)
+    lr = cfg.learning_rate
+    params.w = params.w - lr * m_w_hat / (np.sqrt(v_w_hat) + eps) - lr * cfg.weight_decay * params.w
+    params.b = float(params.b - lr * m_b_hat / (math.sqrt(v_b_hat) + eps))
+
+
+def test_grad_step_equals_the_two_branch_update_bit_for_bit():
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(40, FEATURE_DIM))
+    params = identity_params(rng.normal(size=FEATURE_DIM) * 1e-3, b=1e-3)
+    ref_params = copy.deepcopy(params)
+    opt = OptimizerState.zeros(FEATURE_DIM)
+    ref = {"m_w": np.zeros(FEATURE_DIM), "v_w": np.zeros(FEATURE_DIM),
+           "m_b": 0.0, "v_b": 0.0, "step": 0}
+    cfg = small_config(group_size=4, learning_rate=3e-2, weight_decay=5e-2)
+    steps_taken = 0
+    for k in range(24):
+        masks = (rng.random((4, 40)) < 0.4).astype(np.uint8)
+        skipped = k == 11
+        steps_taken += not skipped
+        group = group_from(masks, rng.random(4),
+                           advform=[np.inf, -np.inf, 0.0, 0.0] if skipped else None)
+        with np.errstate(invalid="ignore"):  # the skipped step's gradient sums inf - inf
+            ref_terms = objective(*group, forward(standardize(feats, ref_params), ref_params),
+                                  ref_params, cfg)
+            two_branch_adamw(ref_terms, ref_params, ref, cfg)
+            grad_step(*group, forward(standardize(feats, params), params), params, opt, cfg)
+        assert opt.step == ref["step"] == steps_taken
+        assert params.w.tobytes() == ref_params.w.tobytes()
+        assert np.float64(params.b).tobytes() == np.float64(ref_params.b).tobytes()
+        assert opt.m.tobytes() == np.append(ref["m_w"], ref["m_b"]).tobytes()
+        assert opt.v.tobytes() == np.append(ref["v_w"], ref["v_b"]).tobytes()
+        assert opt.to_dict() == {name: (value.tolist() if isinstance(value, np.ndarray)
+                                        else value) for name, value in ref.items()}
+    assert ref["step"] == 23 and ref["m_b"] != 0.0 and params.b != 1e-3
 
 
 def test_objective_rejects_masks_of_the_wrong_shape():
@@ -1064,14 +1121,16 @@ def test_highlight_selects_the_budget_on_omega_and_coalesces_it(words, gamma, de
 
 def test_checkpoint_round_trip(tmp_path):
     params = identity_params(np.arange(FEATURE_DIM, dtype=np.float64), b=-0.5)
-    opt = OptimizerState.zeros(FEATURE_DIM)
-    opt.step = 9
+    rng = np.random.default_rng(2)
+    opt = OptimizerState(m=rng.normal(size=FEATURE_DIM + 1),
+                         v=rng.random(FEATURE_DIM + 1) * 1e-7, step=9)
     cfg = TrainConfig(steps=5)
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, opt, cfg, {"word": 1.5})
     p2, o2, c2, idf = load_checkpoint(path)
     assert np.array_equal(p2.w, params.w)
     assert p2.b == params.b
+    assert o2.m.tobytes() == opt.m.tobytes() and o2.v.tobytes() == opt.v.tobytes()
     assert o2.step == 9
     assert idf == {"word": 1.5}
     assert config_hash(c2) == config_hash(cfg)
