@@ -49,8 +49,8 @@ class Instance:
 
     Construction checks the fields however the instance is built: valid
     Unicode query and context strings, a string id (an integer becomes its
-    decimal string), and sorted, disjoint spans of integer byte offsets
-    inside the context.  A failed check raises DataError.
+    decimal string), a string or integer gold target, and sorted, disjoint
+    spans of integer byte offsets inside the context.  A failed check raises DataError.
 
     Instances are immutable; derive a changed one with
     ``dataclasses.replace``.  :attr:`tokens` tokenizes the context once per
@@ -61,7 +61,7 @@ class Instance:
     id: str
     query: str
     context: str
-    gold: object
+    gold: str | int
     evidence_spans: list[tuple[int, int]] | None = None
     extra: dict = field(default_factory=dict)
 
@@ -70,6 +70,8 @@ class Instance:
             object.__setattr__(self, "id", str(self.id))
         if not isinstance(self.id, str):
             raise DataError("field 'id' is not a string or an integer")
+        if not isinstance(self.gold, (str, int)) or isinstance(self.gold, bool):
+            raise DataError("field 'gold' is not a string or an integer")
         for fname in ("query", "context"):
             value = getattr(self, fname)
             if not isinstance(value, str):

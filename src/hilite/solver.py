@@ -174,7 +174,11 @@ def render_prompt(query: str, emphasized_context: str, template: PromptTemplate)
 
 @dataclass
 class SolverOutput:
-    """Raw solver text plus transport bookkeeping."""
+    """Raw solver text plus transport bookkeeping.  ``latency`` is the
+    seconds the call spent on its transport, retries and back-off included,
+    and 0.0 for a solver that answers in-process; :func:`hilite.trainer.train`
+    reads it to decide whether a step's calls are worth overlapping.
+    ``attempt_count`` is the number of network attempts the reply took."""
 
     raw_text: str
     latency: float = 0.0

@@ -33,8 +33,12 @@ forward pass, the (G, n) stack of pre-projection masks and the G
 advantages; a :class:`GroupSample` keeps no projected mask.  The solver is
 frozen: training mutates scorer parameters and optimizer state, nothing
 else.  One pool of min(G, :data:`MAX_ROLLOUT_WORKERS`) threads lives for
-the whole run; each step maps the solver over its G emphasized texts on it,
-and the parameter update is single-writer.  Every run is reproducible from
+the whole run, and a step maps the solver over its G emphasized texts on it
+only when the calls wait on a transport (see :func:`train`); an in-process
+solver, which holds the interpreter lock anyway, is called in rollout order
+on the training thread.  Episodes are assembled by rollout index either
+way, so no output depends on the choice, and the parameter update is
+single-writer.  Every run is reproducible from
 (config, seed): sampling streams derive from (seed, instance id, group
 index, step).
 """
@@ -51,7 +55,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -231,10 +235,12 @@ class OptimizerState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
+        """The state a checkpoint's ``opt_state`` holds, ``step`` as
+        stored; :func:`load_checkpoint` checks the values."""
         return cls(
-            m=np.append(np.asarray(d["m_w"], dtype=np.float64), float(d["m_b"])),
-            v=np.append(np.asarray(d["v_w"], dtype=np.float64), float(d["v_b"])),
-            step=int(d["step"]),
+            m=np.concatenate((np.asarray(d["m_w"], dtype=np.float64), [float(d["m_b"])])),
+            v=np.concatenate((np.asarray(d["v_w"], dtype=np.float64), [float(d["v_b"])])),
+            step=d["step"],
         )
 
 
@@ -467,11 +473,13 @@ def rollout_group(
     fmt: MarkerFormat,
     reward_spec: RewardSpec,
     step: int,
-    pool: ThreadPoolExecutor,
+    mapper: Callable,
 ) -> tuple[GroupSample, tuple[int, int, list[float]]]:
-    """Sample G masks over ``inst.tokens``, query the solver concurrently
-    on ``pool``, parse its replies under ``contract``, and assemble the
-    group.
+    """Sample G masks over ``inst.tokens``, query the solver on the G
+    emphasized texts through ``mapper`` (a pool's ``map`` to overlap the
+    calls, the builtin ``map`` to make them in rollout order on this
+    thread), parse its replies under ``contract``, and assemble the group
+    in rollout order.
 
     Returns the group plus :func:`solver_usage` of its episodes: a call
     that raised a transport or protocol error counts as failed, against the
@@ -487,7 +495,7 @@ def rollout_group(
         spans.append(markup.coalesce(proj, ctx, cfg.delta))
         emphasized.append(markup.inject(ctx, spans[-1], fmt))
 
-    episodes = list(pool.map(
+    episodes = list(mapper(
         lambda text: episode(solver, inst, text, contract, reward_spec), emphasized
     ))
     group = GroupSample(prelim_masks, episodes, advantages([ep.reward for ep in episodes]), spans)
@@ -529,7 +537,15 @@ def train(
     per step.  Writes a metrics log and a final checkpoint when ``out_dir``
     is given; aborts with a partial checkpoint once the solver calls that
     raised a transport or protocol error exceed the failure budget (a reply
-    that does not parse is flagged only).  Needs gamma < 1."""
+    that does not parse is flagged only).  Needs gamma < 1.
+
+    The rollouts of the first step overlap on a pool of min(G,
+    :data:`MAX_ROLLOUT_WORKERS`) threads built once per run.  Each later
+    step overlaps them only if the step before waited on its solver: a
+    reply reported ``latency > 0``, or no reply came back because every
+    call raised.  Otherwise its G calls run in rollout order on the calling
+    thread, which for an in-process solver saves the hand-offs to and from
+    the pool."""
     if not dataset:
         raise ConfigError("training dataset is empty")
     if cfg.gamma == 1.0:
@@ -554,6 +570,7 @@ def train(
     total_failures = 0
     prev_window: np.ndarray | None = None
     pool = ThreadPoolExecutor(max_workers=min(cfg.group_size, MAX_ROLLOUT_WORKERS))
+    overlap = True
     try:
         for step in range(cfg.steps):
             i = step % len(dataset)
@@ -561,8 +578,11 @@ def train(
             ctx = inst.tokens
             fwd = policy.forward(parts[i].rows(rows[:len(ctx)]), params)
             group, (failures, attempts, latencies_ms) = rollout_group(
-                inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step, pool
+                inst, fwd.p, solver, contract, cfg, fmt, reward_spec, step,
+                pool.map if overlap else map,
             )
+            # the next step overlaps its calls only if this one waited on them
+            overlap = not latencies_ms or max(latencies_ms) > 0
             total_failures += failures
             terms = grad_step(group.prelim_masks, group.advantages, fwd, params, opt, cfg)
             # means over the G rollouts, from their spans stacked in one array
@@ -810,6 +830,21 @@ def load_checkpoint(path: str | Path):
     if not (math.isfinite(params.b) and math.isfinite(params.tau)):
         raise IntegrityError(
             f"checkpoint {path} is corrupt: params.b and params.tau must be finite"
+        )
+    if not (opt.m.shape == opt.v.shape == (policy.FEATURE_DIM + 1,)
+            and np.all(np.isfinite(opt.m)) and np.all(np.isfinite(opt.v))):
+        raise IntegrityError(
+            f"checkpoint {path} is corrupt: opt_state.m_w and opt_state.v_w must each "
+            f"hold {policy.FEATURE_DIM} finite numbers, and m_b and v_b must be finite"
+        )
+    if np.any(opt.v < 0):
+        raise IntegrityError(
+            f"checkpoint {path} is corrupt: opt_state.v_w and opt_state.v_b must be >= 0"
+        )
+    if type(opt.step) is not int or opt.step < 0:  # bool is no step count
+        raise IntegrityError(
+            f"checkpoint {path} is corrupt: opt_state.step must be a non-negative "
+            f"integer, not {opt.step!r}"
         )
     for word, value in idf_table.items():
         if not (isinstance(word, str) and isinstance(value, (int, float))

@@ -177,6 +177,13 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "config-list": (("config",), [1]),
     "config-string": (("config",), "x"),
     "config-null": (("config",), None),
+    "m-w-short": (("opt_state", "m_w"), [1.0]),
+    "v-w-nan": (("opt_state", "v_w"), [float("nan")] * FEATURE_DIM),
+    "v-b-negative": (("opt_state", "v_b"), -1e-9),
+    "m-b-infinite": (("opt_state", "m_b"), float("inf")),
+    "step-negative": (("opt_state", "step"), -3),
+    "step-bool": (("opt_state", "step"), True),
+    "step-fraction": (("opt_state", "step"), 2.5),
 }
 
 

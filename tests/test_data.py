@@ -150,6 +150,10 @@ def test_malformed_json_reports_line_number(tmp_path):
     ('{"id": true, "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
     ('{"id": [1], "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
     ('{"id": {}, "query": "q", "context": "c", "gold": "g"}', "'id' is not a string or"),
+    ('{"id": "a", "query": "q", "context": "c", "gold": null}', "'gold' is not a string or"),
+    ('{"id": "a", "query": "q", "context": "c", "gold": ["x"]}', "'gold' is not a string or"),
+    ('{"id": "a", "query": "q", "context": "c", "gold": true}', "'gold' is not a string or"),
+    ('{"id": "a", "query": "q", "context": "c", "gold": 1.5}', "'gold' is not a string or"),
     ('{"id": "a", "query": "q", "context": "abcdef", "gold": "g", "evidence_spans": [[0.9, 5.7]]}',
      r"evidence_spans entry \[0.9, 5.7\] is not two integers"),
     ('{"id": "a", "query": "q", "context": "abcdef", "gold": "g", "evidence_spans": [["0", "5"]]}',
@@ -161,6 +165,7 @@ def test_malformed_json_reports_line_number(tmp_path):
 ], ids=["span-not-int", "span-of-three", "spans-not-list", "span-out-of-bounds",
         "string-line", "array-line", "context-not-string", "query-null",
         "id-null", "id-bool", "id-list", "id-object",
+        "gold-null", "gold-list", "gold-bool", "gold-float",
         "span-floats", "span-numeric-strings", "span-integral-float", "span-bool"])
 def test_malformed_line_is_a_data_error_with_its_number(tmp_path, line, reason):
     p = tmp_path / "bad.jsonl"
@@ -194,12 +199,16 @@ def test_instance_with_spans_over_a_lone_surrogate_is_a_data_error():
     (dict(context="ab\udcffc"), "field 'context' is not valid Unicode"),
     (dict(id=None), "field 'id' is not a string or an integer"),
     (dict(id=True), "field 'id' is not a string or an integer"),
+    (dict(gold=None), "field 'gold' is not a string or an integer"),
+    (dict(gold=["x"]), "field 'gold' is not a string or an integer"),
+    (dict(gold=True), "field 'gold' is not a string or an integer"),
     (dict(evidence_spans=[(True, 3)]), r"evidence_spans entry \[True, 3\] is not two integers"),
     (dict(evidence_spans=[(0.0, 2)]), "evidence_spans entry .* is not two integers"),
     (dict(evidence_spans=[(0, 1, 2)]), "malformed evidence_spans"),
     (dict(evidence_spans=5), "malformed evidence_spans"),
 ], ids=["query-none", "context-int", "query-surrogate", "context-surrogate",
-        "id-none", "id-bool", "span-bool", "span-float", "span-of-three", "spans-not-list"])
+        "id-none", "id-bool", "gold-none", "gold-list", "gold-bool",
+        "span-bool", "span-float", "span-of-three", "spans-not-list"])
 def test_instance_built_in_python_checks_its_fields_as_loading_does(kwargs, reason):
     fields = dict(id="a", query="q", context="abc", gold="g") | kwargs
     with pytest.raises(DataError, match=reason):
@@ -211,6 +220,14 @@ def test_instance_built_in_python_normalizes_as_loading_does():
     assert inst.id == "7"
     assert inst.evidence_spans == [(0, 2), (3, 5)]
     assert inst == Instance.from_record(inst.to_record())
+
+
+def test_integer_gold_loads_and_round_trips_as_an_integer(tmp_path):
+    p = tmp_path / "gold.jsonl"
+    p.write_text('{"id": "a", "query": "q", "context": "c", "gold": 7}\n')
+    (inst,) = load_jsonl(p)
+    assert inst.gold == 7 and type(inst.gold) is int
+    assert Instance.from_record(inst.to_record()) == inst
 
 
 def test_integer_id_loads_as_its_decimal_string(tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -656,6 +657,87 @@ def test_rollout_pool_threads_are_capped(monkeypatch):
     assert built == [32]
 
 
+class ThreadRecordingSolver:
+    """Answers every call correctly and records, in call order, the thread
+    that made it and the emphasized text it got.  Replies report
+    ``latency`` seconds, after sleeping that long; calls whose index is in
+    ``raising`` raise instead.  ``in_flight_at_start[c]`` counts the calls
+    in flight when call c began, itself included."""
+
+    output_contract = ANSWER_TAG
+
+    def __init__(self, latency=0.0, raising=()):
+        self.latency = latency
+        self.raising = set(raising)
+        self.threads, self.texts, self.in_flight_at_start = [], [], []
+        self.in_flight = 0
+        self.lock = threading.Lock()
+
+    def solve(self, query, emphasized_context, instance=None):
+        with self.lock:
+            call = len(self.threads)
+            self.threads.append(threading.get_ident())
+            self.texts.append(emphasized_context)
+            self.in_flight += 1
+            self.in_flight_at_start.append(self.in_flight)
+        try:
+            if call in self.raising:
+                raise SolverUnavailableError("scripted failure")
+            time.sleep(self.latency)
+            return SolverOutput(f"<answer>{instance.gold}</answer>", latency=self.latency)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def recording_inject(monkeypatch) -> list[str]:
+    """Every text ``markup.inject`` returns from now on, in call order."""
+    from hilite import markup
+
+    injected = []
+    original = markup.inject
+
+    def recording(*args, **kwargs):
+        injected.append(original(*args, **kwargs))
+        return injected[-1]
+
+    monkeypatch.setattr(markup, "inject", recording)
+    return injected
+
+
+def test_zero_latency_rollouts_run_in_order_on_the_training_thread(monkeypatch):
+    injected = recording_inject(monkeypatch)
+    solver = ThreadRecordingSolver()
+    cfg = TrainConfig(steps=5, seed=0)
+    train(oracle_dataset(n=2), solver, cfg)
+    g = cfg.group_size
+    assert len(solver.threads) == 5 * g
+    # the first step overlaps its calls on the pool; its replies took no time
+    assert threading.get_ident() not in solver.threads[:g]
+    assert solver.threads[g:] == [threading.get_ident()] * (4 * g)
+    assert solver.texts[g:] == injected[g:]  # rollout order j = 0..G-1, step by step
+
+
+def test_rollouts_that_report_latency_overlap_on_every_step():
+    solver = ThreadRecordingSolver(latency=0.02)
+    cfg = TrainConfig(steps=3, seed=0)
+    train(oracle_dataset(n=2), solver, cfg)
+    g = cfg.group_size
+    assert threading.get_ident() not in solver.threads
+    for step in range(cfg.steps):
+        assert max(solver.in_flight_at_start[step * g:(step + 1) * g]) >= 2
+
+
+def test_a_step_whose_calls_all_raised_is_followed_by_an_overlapped_step():
+    g = TrainConfig().group_size
+    solver = ThreadRecordingSolver(raising=range(g, 2 * g))  # every call of step 1
+    cfg = TrainConfig(steps=4, seed=0, solver_failure_budget=g)
+    train(oracle_dataset(n=2), solver, cfg)
+    main = threading.get_ident()
+    on_main = [[t == main for t in solver.threads[s * g:(s + 1) * g]] for s in range(4)]
+    assert on_main == [[False] * g, [True] * g, [False] * g, [True] * g]
+
+
 def test_train_at_gamma_one_is_rejected_before_any_featurizing_or_call(monkeypatch):
     from hilite import trainer
 
@@ -703,20 +785,12 @@ def test_ranking_reward_on_an_answer_tag_solver_is_rejected_before_any_call():
 
 
 def test_instances_sharing_an_id_each_train_on_their_own_context(monkeypatch):
-    from hilite import markup
     from hilite.markup import DEFAULT_FORMAT, strip
 
     first, second = oracle_dataset(n=2)
     second = dataclasses.replace(second, id=first.id)
     data = [first, second]
-    injected = []
-    original = markup.inject
-
-    def recording(*args, **kwargs):
-        injected.append(original(*args, **kwargs))
-        return injected[-1]
-
-    monkeypatch.setattr(markup, "inject", recording)
+    injected = recording_inject(monkeypatch)
     cfg = TrainConfig(steps=6, seed=0)
     train(data, OracleSolver(OracleSolverConfig()), cfg)
     assert len(injected) == 6 * cfg.group_size
@@ -1164,6 +1238,20 @@ def test_checkpoint_whose_config_is_not_an_object_is_corrupt(tmp_path, case):
         load_checkpoint(path)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict(json.loads(path.read_text())["config"])
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("m-w-short", rf"opt_state\.m_w and opt_state\.v_w must each hold {FEATURE_DIM} finite"),
+    ("v-w-nan", rf"opt_state\.m_w and opt_state\.v_w must each hold {FEATURE_DIM} finite"),
+    ("v-b-negative", r"opt_state\.v_w and opt_state\.v_b must be >= 0"),
+    ("step-negative", r"opt_state\.step must be a non-negative integer, not -3"),
+    ("step-bool", r"opt_state\.step must be a non-negative integer, not True"),
+], ids=["m-w-short", "v-w-nan", "v-b-negative", "step-negative", "step-bool"])
+def test_checkpoint_with_a_corrupt_optimizer_state_is_rejected(tmp_path, case, reason):
+    path = tmp_path / "ck.json"
+    write_checkpoint(path, corrupt=case)
+    with pytest.raises(IntegrityError, match=reason):
+        load_checkpoint(path)
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
