@@ -45,7 +45,6 @@ from .markup import (
 from .policy import (
     FEATURE_NAMES,
     ScorerParams,
-    SubprocessScorer,
     build_idf_table,
     entropy,
     featurize,

@@ -25,7 +25,7 @@ class IntegrityError(HiliteError):
 
 
 class ProtocolError(HiliteError):
-    """An external scorer or solver returned an off-contract payload."""
+    """A solver endpoint returned an off-contract payload."""
 
 
 class ParseError(HiliteError):

@@ -26,32 +26,20 @@ Feature standardization statistics live inside ScorerParams and are frozen
 at initialization (computed once from the training split's raw rows by
 :func:`init_params`, which keeps no copy of them), keeping the policy
 stationary during optimization.
-
-An external scorer can replace the native one at inference time, speaking a
-small line-delimited JSON protocol over a child process's standard streams
-(:class:`SubprocessScorer`): request
-``{"op": "score", "query": q, "tokens": [...]}``, response
-``{"probs": [...]}`` with one probability per token.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import select
-import subprocess
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProtocolError, StructureError
+from .errors import StructureError
 from .tokenization import TokenizedContext, tokenize
 
 PROB_CLAMP = 1e-6
 NORM_EPS = 1e-8
-CLOSE_GRACE_S = 5.0  # SubprocessScorer.close waits this long before SIGKILL
 _VAR_BLOCK = 16_384  # rows init_params adds up at a time
 
 FEATURE_NAMES = (
@@ -396,112 +384,4 @@ def entropy(probs: np.ndarray, logs=None) -> float:
     log_p, log_q = bernoulli_logs(probs) if logs is None else logs
     h = -(probs * log_p + (1.0 - probs) * log_q)
     return float(h.mean())
-
-
-# ---------------------------------------------------------------------------
-# External scorer protocol (inference-only adapters)
-# ---------------------------------------------------------------------------
-
-
-def _validate_probs(payload: dict, n_tokens: int) -> np.ndarray:
-    if not isinstance(payload, dict) or "probs" not in payload:
-        raise ProtocolError("scorer response missing 'probs'")
-    probs = payload["probs"]
-    if not isinstance(probs, list) or len(probs) != n_tokens:
-        raise ProtocolError(
-            f"scorer returned {len(probs) if isinstance(probs, list) else 'non-list'}"
-            f" probabilities for {n_tokens} tokens"
-        )
-    try:
-        arr = np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # strings, ragged lists
-        raise ProtocolError(f"scorer returned non-numeric probabilities: {exc}") from exc
-    if arr.ndim != 1:
-        raise ProtocolError("scorer returned nested probability lists")
-    if any(isinstance(v, bool) for v in probs):
-        raise ProtocolError("scorer returned booleans, not probabilities")
-    if not np.all(np.isfinite(arr)):
-        raise ProtocolError("scorer returned non-finite probabilities")
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ProtocolError("scorer returned probabilities outside [0, 1]")
-    return np.clip(arr, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def _parse_reply(data: bytes) -> dict:
-    try:
-        return json.loads(data)
-    except ValueError as exc:  # not JSON, or not in a Unicode encoding
-        raise ProtocolError(f"scorer sent invalid JSON: {exc}") from exc
-
-
-class SubprocessScorer:
-    """Line-delimited JSON scorer over a child process's stdin/stdout.
-
-    Each call gives the child ``timeout`` seconds to take the request and
-    send its reply line; a child that stays silent longer is a
-    ProtocolError, not a hang.
-    """
-
-    def __init__(self, argv: list[str], timeout: float = 30.0):
-        self.timeout = timeout
-        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        os.set_blocking(self._proc.stdin.fileno(), False)
-        self._pending = b""  # bytes the child sent after its last reply line
-
-    def score_tokens(self, query: str, tokens: list[str]) -> np.ndarray:
-        request = json.dumps({"op": "score", "query": query, "tokens": tokens})
-        deadline = time.monotonic() + self.timeout
-        try:
-            self._write(request.encode("utf-8") + b"\n", deadline)
-            line = self._read_line(deadline)
-        except OSError as exc:  # BrokenPipeError and friends
-            raise ProtocolError(f"scorer process unavailable: {exc}") from exc
-        return _validate_probs(_parse_reply(line), len(tokens))
-
-    def _wait(self, fd: int, deadline: float, write: bool) -> None:
-        """Block until ``fd`` is ready, or raise ProtocolError at ``deadline``."""
-        rlist, wlist = ([], [fd]) if write else ([fd], [])
-        remaining = max(0.0, deadline - time.monotonic())
-        readable, writable, _ = select.select(rlist, wlist, [], remaining)
-        if not (readable or writable):
-            raise ProtocolError(f"scorer process did not answer within {self.timeout} s")
-
-    def _write(self, data: bytes, deadline: float) -> None:
-        fd = self._proc.stdin.fileno()
-        view = memoryview(data)
-        while view:
-            self._wait(fd, deadline, write=True)
-            view = view[os.write(fd, view):]
-
-    def _read_line(self, deadline: float) -> bytes:
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._pending:
-            self._wait(fd, deadline, write=False)
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                raise ProtocolError("scorer process closed its stream")
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line
-
-    def close(self) -> None:
-        """Stop the child: SIGTERM, then SIGKILL after ``CLOSE_GRACE_S``.
-        Always reaps it and never raises."""
-        for stream in (self._proc.stdin, self._proc.stdout):
-            try:
-                stream.close()
-            except OSError:  # a dead child leaves unflushed input behind
-                pass
-        self._proc.terminate()
-        try:
-            self._proc.wait(timeout=CLOSE_GRACE_S)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 

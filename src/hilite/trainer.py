@@ -803,6 +803,32 @@ def save_checkpoint(
         raise
 
 
+# the number fields of a checkpoint's sections: (lists of FEATURE_DIM numbers, numbers)
+_CHECKPOINT_NUMBERS = {
+    "params": (("w", "norm_mean", "norm_var"), ("b", "tau")),
+    "opt_state": (("m_w", "v_w"), ("m_b", "v_b")),
+}
+
+
+def _typed_numbers(record: dict, name: str) -> dict:
+    """The checkpoint section ``record[name]`` with each number of
+    :data:`_CHECKPOINT_NUMBERS` read by :func:`json_typed`'s float rule, and
+    its other keys as stored; ConfigError names the field that breaks it."""
+    lists, scalars = _CHECKPOINT_NUMBERS[name]
+    section = dict(record[name])
+    rule = (" and ".join(f"{name}.{key}" for key in lists)
+            + f" must each hold {policy.FEATURE_DIM} finite numbers")
+    for key in lists:
+        values = section[key]
+        if not isinstance(values, list) or len(values) != policy.FEATURE_DIM:
+            raise ConfigError(f"{rule}: {name}.{key} is {json.dumps(values, default=repr)}")
+        section[key] = [json_typed(v, float, f"{rule}: {name}.{key}[{i}]")
+                        for i, v in enumerate(values)]
+    for key in scalars:
+        section[key] = json_typed(section[key], float, f"{name}.{key}")
+    return section
+
+
 def load_checkpoint(path: str | Path):
     """Load and validate a checkpoint; corruption raises IntegrityError."""
     path = Path(path)
@@ -814,29 +840,14 @@ def load_checkpoint(path: str | Path):
     if not isinstance(record, dict) or record.get("version") != CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version in {path}")
     try:
-        params = ScorerParams.from_dict(record["params"])
-        opt = OptimizerState.from_dict(record["opt_state"])
+        params = ScorerParams.from_dict(_typed_numbers(record, "params"))
+        opt = OptimizerState.from_dict(_typed_numbers(record, "opt_state"))
         cfg = TrainConfig.from_dict(record["config"])
-        idf_table = dict(record["featurizer"]["idf_table"])
+        idf_table = {json_typed(word, str, "an idf_table word"):
+                     json_typed(value, float, f"featurizer.idf_table[{word!r}]")
+                     for word, value in dict(record["featurizer"]["idf_table"]).items()}
     except (KeyError, TypeError, ValueError, HiliteError) as exc:
         raise IntegrityError(f"checkpoint {path} is corrupt: {exc}") from exc
-    for name in ("w", "norm_mean", "norm_var"):
-        values = getattr(params, name)
-        if values.shape != (policy.FEATURE_DIM,) or not np.all(np.isfinite(values)):
-            raise IntegrityError(
-                f"checkpoint {path} is corrupt: params.{name} must hold "
-                f"{policy.FEATURE_DIM} finite numbers"
-            )
-    if not (math.isfinite(params.b) and math.isfinite(params.tau)):
-        raise IntegrityError(
-            f"checkpoint {path} is corrupt: params.b and params.tau must be finite"
-        )
-    if not (opt.m.shape == opt.v.shape == (policy.FEATURE_DIM + 1,)
-            and np.all(np.isfinite(opt.m)) and np.all(np.isfinite(opt.v))):
-        raise IntegrityError(
-            f"checkpoint {path} is corrupt: opt_state.m_w and opt_state.v_w must each "
-            f"hold {policy.FEATURE_DIM} finite numbers, and m_b and v_b must be finite"
-        )
     if np.any(opt.v < 0):
         raise IntegrityError(
             f"checkpoint {path} is corrupt: opt_state.v_w and opt_state.v_b must be >= 0"
@@ -846,11 +857,4 @@ def load_checkpoint(path: str | Path):
             f"checkpoint {path} is corrupt: opt_state.step must be a non-negative "
             f"integer, not {opt.step!r}"
         )
-    for word, value in idf_table.items():
-        if not (isinstance(word, str) and isinstance(value, (int, float))
-                and not isinstance(value, bool) and math.isfinite(value)):
-            raise IntegrityError(
-                f"checkpoint {path} is corrupt: idf_table must map words to "
-                f"finite numbers, not {word!r} to {value!r}"
-            )
     return params, opt, cfg, idf_table

@@ -184,6 +184,11 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "step-negative": (("opt_state", "step"), -3),
     "step-bool": (("opt_state", "step"), True),
     "step-fraction": (("opt_state", "step"), 2.5),
+    "b-true": (("params", "b"), True),
+    "tau-string": (("params", "tau"), "1"),
+    "w-numeric-string": (("params", "w"), ["0.5"] * FEATURE_DIM),
+    "m-b-string": (("opt_state", "m_b"), "2"),
+    "v-w-false": (("opt_state", "v_w"), [False] * FEATURE_DIM),
 }
 
 

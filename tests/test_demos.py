@@ -8,14 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = (
-    "01_markup_basics",
-    "02_scoring_and_selection",
-    "03_train_oracle_task",
-    "04_sensitivity_sweeps",
-    "05_recsys_preprocessing",
-    "06_external_scorer",
-)
+DEMOS = [path.stem for path in sorted((ROOT / "demos").glob("*.py"))]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -1,10 +1,6 @@
 import copy
 import itertools
-import json
 import math
-import signal
-import sys
-import time
 import tracemalloc
 import warnings
 
@@ -14,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilite import policy
-from hilite.errors import ProtocolError, StructureError
+from hilite.errors import StructureError
 from hilite.policy import (
     FEATURE_DIM,
     ScorerParams,
-    SubprocessScorer,
     build_idf_table,
     entropy,
     featurize,
@@ -475,133 +470,3 @@ def test_init_params_makes_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert peak < matrix.nbytes / 4
-
-
-# ---------------------------------------------------------------------------
-# external scorer protocol
-# ---------------------------------------------------------------------------
-
-ECHO_SCORER = (
-    "import sys, json\n"
-    "for line in sys.stdin:\n"
-    "    req = json.loads(line)\n"
-    "    n = len(req['tokens'])\n"
-    "    print(json.dumps({'probs': [0.25] * n}), flush=True)\n"
-)
-
-BAD_JSON_SCORER = (
-    "import sys\n"
-    "for line in sys.stdin:\n"
-    "    print('not json', flush=True)\n"
-)
-
-WRONG_LENGTH_SCORER = (
-    "import sys, json\n"
-    "for line in sys.stdin:\n"
-    "    req = json.loads(line)\n"
-    "    print(json.dumps({'probs': [0.5] * (len(req['tokens']) - 1)}), flush=True)\n"
-)
-
-
-def test_scorer_probabilities_zero_and_one_are_accepted_and_clamped():
-    probs = policy._validate_probs({"probs": [0.0, 1.0, 0, 1, 0.5]}, 5)
-    lo, hi = policy.PROB_CLAMP, 1.0 - policy.PROB_CLAMP
-    assert probs.tolist() == [lo, hi, lo, hi, 0.5]
-
-
-def test_subprocess_scorer_round_trip():
-    with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
-        s = scorer.score_tokens("q", ["a", "b", "c"])
-        assert np.allclose(s, 0.25)
-
-
-def test_subprocess_scorer_sends_one_score_request_per_call():
-    # the child answers p = 0.5 only to a well-formed request naming q's tokens
-    child = (
-        "import sys, json\n"
-        "for line in sys.stdin:\n"
-        "    req = json.loads(line)\n"
-        "    ok = req['op'] == 'score' and req['query'] == 'q?' and req['tokens'] == ['a', 'é']\n"
-        "    print(json.dumps({'probs': [0.5 if ok else 0.1] * len(req['tokens'])}), flush=True)\n"
-    )
-    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
-        assert scorer.score_tokens("q?", ["a", "é"]).tolist() == [0.5, 0.5]
-
-
-def test_subprocess_scorer_malformed_response():
-    with SubprocessScorer([sys.executable, "-c", BAD_JSON_SCORER]) as scorer:
-        with pytest.raises(ProtocolError):
-            scorer.score_tokens("q", ["a"])
-
-
-def test_subprocess_scorer_wrong_length():
-    with SubprocessScorer([sys.executable, "-c", WRONG_LENGTH_SCORER]) as scorer:
-        with pytest.raises(ProtocolError):
-            scorer.score_tokens("q", ["a", "b"])
-
-
-STUBBORN_SCORER = (
-    "import json, signal, sys, time\n"
-    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
-    "for line in sys.stdin:\n"
-    "    n = len(json.loads(line)['tokens'])\n"
-    "    print(json.dumps({'probs': [0.5] * n}), flush=True)\n"
-    "time.sleep(60)\n"
-)
-
-
-def test_subprocess_scorer_close_kills_child_ignoring_sigterm(monkeypatch):
-    monkeypatch.setattr(policy, "CLOSE_GRACE_S", 0.2)
-    scorer = SubprocessScorer([sys.executable, "-c", STUBBORN_SCORER])
-    scorer.score_tokens("q", ["a"])  # the child ignores SIGTERM from here on
-    start = time.monotonic()
-    scorer.close()
-    assert time.monotonic() - start < 5.0
-    assert scorer._proc.returncode == -signal.SIGKILL
-
-
-SILENT_SCORER = (
-    "import sys, time\n"
-    "sys.stdin.readline()\n"
-    "time.sleep(60)\n"
-)
-DEAF_SCORER = "import time\ntime.sleep(60)\n"
-
-
-@pytest.mark.parametrize("child, n_tokens", [
-    (SILENT_SCORER, 3),  # takes the request, never answers
-    (DEAF_SCORER, 200_000),  # never reads a request larger than the pipe buffer
-], ids=["silent", "deaf"])
-def test_subprocess_scorer_times_out(child, n_tokens):
-    with SubprocessScorer([sys.executable, "-c", child], timeout=0.2) as scorer:
-        start = time.monotonic()
-        with pytest.raises(ProtocolError):
-            scorer.score_tokens("q", ["tok"] * n_tokens)
-        assert time.monotonic() - start < 5.0
-
-
-def test_subprocess_scorer_reads_replies_split_and_joined():
-    child = (
-        "import sys, json, time\n"
-        "for line in sys.stdin:\n"
-        "    n = len(json.loads(line)['tokens'])\n"
-        "    reply = json.dumps({'probs': [0.25] * n}) + '\\n'\n"
-        "    sys.stdout.write(reply[:3]); sys.stdout.flush(); time.sleep(0.05)\n"
-        "    sys.stdout.write(reply[3:] + reply); sys.stdout.flush()\n"
-    )
-    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
-        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.25)
-        assert np.allclose(scorer.score_tokens("q", ["a", "b"]), 0.25)  # queued copy
-
-
-@pytest.mark.parametrize(
-    "probs", [["a"], [[0.1, 0.2]], [[0.1], 0.2], [None], [math.nan], [True], [1.5], [-0.5],
-              [False, 0.5], [math.inf]]
-)
-def test_subprocess_scorer_off_contract_probabilities(probs):
-    # json writes NaN as a bare NaN, which json.loads reads back as a float
-    reply = json.dumps({"probs": probs})
-    child = f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n"
-    with SubprocessScorer([sys.executable, "-c", child], timeout=5.0) as scorer:
-        with pytest.raises(ProtocolError):
-            scorer.score_tokens("q", ["t"] * len(probs))

@@ -1225,7 +1225,7 @@ def test_checkpoint_with_retired_config_keys_loads_unchanged(tmp_path):
     params, opt, cfg, idf = load_checkpoint(result.checkpoint_path)
     old_params, old_opt, old_cfg, old_idf = load_checkpoint(old)
     assert old_cfg == cfg
-    assert old_params.to_dict() == params.to_dict()
+    assert old_params.to_dict() == params.to_dict() == result.params.to_dict()
     assert old_opt.to_dict() == opt.to_dict() == result.opt.to_dict()
     assert old_idf == idf
 
@@ -1251,6 +1251,21 @@ def test_checkpoint_with_a_corrupt_optimizer_state_is_rejected(tmp_path, case, r
     path = tmp_path / "ck.json"
     write_checkpoint(path, corrupt=case)
     with pytest.raises(IntegrityError, match=reason):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case, field", [
+    ("b-true", r"params\.b must be a finite number, not true"),
+    ("tau-string", r'params\.tau must be a finite number, not "1"'),
+    ("w-numeric-string", r'params\.w\[0\] must be a finite number, not "0\.5"'),
+    ("m-b-string", r'opt_state\.m_b must be a finite number, not "2"'),
+    ("v-w-false", r"opt_state\.v_w\[0\] must be a finite number, not false"),
+], ids=["b-true", "tau-string", "w-numeric-string", "m-b-string", "v-w-false"])
+def test_checkpoint_number_that_is_not_a_json_number_is_corrupt(tmp_path, case, field):
+    # booleans and numeric strings convert to floats, so only the JSON type rule stops them
+    path = tmp_path / "ck.json"
+    write_checkpoint(path, corrupt=case)
+    with pytest.raises(IntegrityError, match=field):
         load_checkpoint(path)
 
 
