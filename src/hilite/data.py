@@ -228,6 +228,10 @@ class SynthSpec:
             raise DataError("target_tokens must be >= 1")
         if self.n_clusters < 1 or self.cluster_size < 1:
             raise DataError("needle needs at least one codeword cluster")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, not {self.seed}")
+        if self.filler_gap < 0:
+            raise DataError(f"filler_gap must be >= 0, not {self.filler_gap}")
 
 
 def _pseudo_word(rng: np.random.Generator) -> str:

@@ -45,7 +45,6 @@ index, step).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -99,7 +98,7 @@ PRUNE_JOINER = " ... "
 MAX_ROLLOUT_WORKERS = 32
 
 JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-                   str: "a string"}
+                   str: "a string", dict: "a JSON object"}
 
 
 def json_typed(value, kind: type, what: str):
@@ -189,12 +188,6 @@ class TrainConfig:
 CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)} | {"sampler": str}
 
 
-def config_hash(cfg: TrainConfig) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 @dataclass
 class GroupSample:
     """What one instance's G rollouts leave for the update and the step
@@ -214,11 +207,19 @@ class GroupSample:
 class OptimizerState:
     """AdamW moment accumulators over the parameter vector (w, b): ``m``
     and ``v`` hold one entry per weight and the bias last.  Checkpoints keep
-    them as ``m_w``/``v_w`` lists and ``m_b``/``v_b`` numbers."""
+    them as ``m_w``/``v_w`` lists and ``m_b``/``v_b`` numbers.  ``v`` is
+    never negative and ``step`` is a non-negative ``int``."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    def __post_init__(self):
+        if np.any(self.v < 0):
+            raise StructureError("opt_state.v_w and opt_state.v_b must be >= 0")
+        if type(self.step) is not int or self.step < 0:  # bool is no step count
+            raise StructureError(
+                f"opt_state.step must be a non-negative integer, not {self.step!r}")
 
     @classmethod
     def zeros(cls, dim: int) -> "OptimizerState":
@@ -236,7 +237,7 @@ class OptimizerState:
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerState":
         """The state a checkpoint's ``opt_state`` holds, ``step`` as
-        stored; :func:`load_checkpoint` checks the values."""
+        stored."""
         return cls(
             m=np.concatenate((np.asarray(d["m_w"], dtype=np.float64), [float(d["m_b"])])),
             v=np.concatenate((np.asarray(d["v_w"], dtype=np.float64), [float(d["v_b"])])),
@@ -781,15 +782,16 @@ def save_checkpoint(
     cfg: TrainConfig,
     idf_table: dict[str, float],
 ) -> None:
-    """Versioned checkpoint, written atomically (write + rename)."""
+    """Versioned checkpoint, written atomically (write + rename).  It holds
+    ``version``, ``params``, ``opt_state``, ``config`` and
+    ``featurizer.idf_table``, each value once."""
     path = Path(path)
     record = {
         "version": CHECKPOINT_VERSION,
         "params": params.to_dict(),
         "opt_state": opt.to_dict(),
         "config": cfg.to_dict(),
-        "config_hash": config_hash(cfg),
-        "featurizer": {"idf_table": idf_table, "idf_ceiling": cfg.idf_ceiling},
+        "featurizer": {"idf_table": idf_table},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".ckpt-", suffix=".tmp")
@@ -815,7 +817,7 @@ def _typed_numbers(record: dict, name: str) -> dict:
     :data:`_CHECKPOINT_NUMBERS` read by :func:`json_typed`'s float rule, and
     its other keys as stored; ConfigError names the field that breaks it."""
     lists, scalars = _CHECKPOINT_NUMBERS[name]
-    section = dict(record[name])
+    section = dict(json_typed(record[name], dict, name))
     rule = (" and ".join(f"{name}.{key}" for key in lists)
             + f" must each hold {policy.FEATURE_DIM} finite numbers")
     for key in lists:
@@ -843,18 +845,9 @@ def load_checkpoint(path: str | Path):
         params = ScorerParams.from_dict(_typed_numbers(record, "params"))
         opt = OptimizerState.from_dict(_typed_numbers(record, "opt_state"))
         cfg = TrainConfig.from_dict(record["config"])
-        idf_table = {json_typed(word, str, "an idf_table word"):
-                     json_typed(value, float, f"featurizer.idf_table[{word!r}]")
-                     for word, value in dict(record["featurizer"]["idf_table"]).items()}
+        table = json_typed(record["featurizer"]["idf_table"], dict, "featurizer.idf_table")
+        idf_table = {word: json_typed(value, float, f"featurizer.idf_table[{word!r}]")
+                     for word, value in table.items()}
     except (KeyError, TypeError, ValueError, HiliteError) as exc:
         raise IntegrityError(f"checkpoint {path} is corrupt: {exc}") from exc
-    if np.any(opt.v < 0):
-        raise IntegrityError(
-            f"checkpoint {path} is corrupt: opt_state.v_w and opt_state.v_b must be >= 0"
-        )
-    if type(opt.step) is not int or opt.step < 0:  # bool is no step count
-        raise IntegrityError(
-            f"checkpoint {path} is corrupt: opt_state.step must be a non-negative "
-            f"integer, not {opt.step!r}"
-        )
     return params, opt, cfg, idf_table

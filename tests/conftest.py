@@ -164,6 +164,10 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "idf-null": (("featurizer", "idf_table", "word"), None),
     "idf-bool": (("featurizer", "idf_table", "word"), True),
     "idf-infinite": (("featurizer", "idf_table", "word"), float("inf")),
+    "idf-pairs": (("featurizer", "idf_table"), [["word", 1.5]]),
+    "opt-state-pairs": (("opt_state",), [["m_w", [0.0] * FEATURE_DIM],
+                                         ["v_w", [0.0] * FEATURE_DIM],
+                                         ["m_b", 0.0], ["v_b", 0.0], ["step", 0]]),
     "w-short": (("params", "w"), [0.5] * 3),
     "w-nested": (("params", "w"), [[0.5] * FEATURE_DIM]),
     "norm-mean-short": (("params", "norm_mean"), [0.0] * 3),

@@ -703,6 +703,15 @@ def test_gen_synth_zero_instances(runner, tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--filler-gap", "-2")])
+def test_gen_synth_negative_seed_or_filler_gap_exits_4(runner, tmp_path, flag, value):
+    out = tmp_path / "synth.jsonl"
+    result = runner.invoke(main, ["gen-synth", "--n", "1", flag, value, "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "must be >= 0" in result.output
+    assert not out.exists()
+
+
 def test_gen_synth_deterministic_files(runner, tmp_path):
     args = ["gen-synth", "--n", "3", "--target-tokens", "200", "--seed", "5"]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -260,6 +260,13 @@ def test_target_below_needle_rejected():
         gen_needle(SynthSpec(target_tokens=1, seed=5))
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("filler_gap", -2)])
+def test_negative_seed_or_filler_gap_rejected(field, value):
+    # numpy's generator takes no negative seed; a negative gap leaves no filler words
+    with pytest.raises(DataError, match=f"{field} must be >= 0, not {value}"):
+        SynthSpec(**{field: value})
+
+
 def test_gen_needle_deterministic():
     a = gen_needle(SynthSpec(target_tokens=300, seed=9))
     b = gen_needle(SynthSpec(target_tokens=300, seed=9))

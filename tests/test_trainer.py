@@ -54,7 +54,6 @@ from hilite.trainer import (
     OptimizerState,
     TrainConfig,
     advantages,
-    config_hash,
     episode,
     evaluate,
     grad_step,
@@ -513,7 +512,7 @@ def test_zero_steps_checkpoint_equals_initialization(tmp_path):
     params, opt, cfg2, idf = load_checkpoint(result.checkpoint_path)
     assert np.allclose(params.w, result.params.w)
     assert opt.step == 0
-    assert config_hash(cfg2) == config_hash(cfg)
+    assert cfg2.to_dict() == cfg.to_dict()
 
 
 def test_training_is_reproducible(tmp_path):
@@ -890,7 +889,7 @@ def test_config_value_of_the_wrong_json_type_rejected(name, value):
 def test_config_float_field_takes_an_integer_as_a_float():
     cfg = TrainConfig(gamma=1, beta_ent=0)
     assert (type(cfg.gamma), type(cfg.beta_ent)) == (float, float)
-    assert config_hash(cfg) == config_hash(TrainConfig(gamma=1.0, beta_ent=0.0))
+    assert cfg.to_dict() == TrainConfig(gamma=1.0, beta_ent=0.0).to_dict()
 
 
 def step_rows(parts, data):
@@ -1207,7 +1206,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert o2.m.tobytes() == opt.m.tobytes() and o2.v.tobytes() == opt.v.tobytes()
     assert o2.step == 9
     assert idf == {"word": 1.5}
-    assert config_hash(c2) == config_hash(cfg)
+    assert c2.to_dict() == cfg.to_dict()
 
 
 # TrainConfig fields that became module constants, with the values they held
@@ -1220,6 +1219,9 @@ def test_checkpoint_with_retired_config_keys_loads_unchanged(tmp_path):
                    TrainConfig(steps=3, seed=1), out_dir=tmp_path)
     record = json.loads(result.checkpoint_path.read_text())
     record["config"].update(RETIRED_CONFIG)
+    # older checkpoints also carried a config digest and a copy of idf_ceiling
+    record["config_hash"] = "0" * 64
+    record["featurizer"]["idf_ceiling"] = record["config"]["idf_ceiling"]
     old = tmp_path / "old.json"
     old.write_text(json.dumps(record))
     params, opt, cfg, idf = load_checkpoint(result.checkpoint_path)
@@ -1228,6 +1230,34 @@ def test_checkpoint_with_retired_config_keys_loads_unchanged(tmp_path):
     assert old_params.to_dict() == params.to_dict() == result.params.to_dict()
     assert old_opt.to_dict() == opt.to_dict() == result.opt.to_dict()
     assert old_idf == idf
+
+
+def key_paths(record, path=()):
+    """Every key path of a checkpoint record, the ``config`` section's and
+    the idf table's words excepted."""
+    for key, value in record.items():
+        yield (*path, key)
+        if isinstance(value, dict) and (*path, key) not in {("config",),
+                                                            ("featurizer", "idf_table")}:
+            yield from key_paths(value, (*path, key))
+
+
+def test_every_checkpoint_value_outside_config_is_needed(tmp_path):
+    # config is exempt: TrainConfig.from_dict gives a missing field its default
+    path = tmp_path / "ck.json"
+    write_checkpoint(path)
+    record = json.loads(path.read_text())
+    assert record.keys() == {"version", "params", "opt_state", "config", "featurizer"}
+    assert record["featurizer"].keys() == {"idf_table"}
+    for *keys, last in key_paths(record):
+        broken = copy.deepcopy(record)
+        section = broken
+        for key in keys:
+            section = section[key]
+        del section[last]
+        path.write_text(json.dumps(broken))
+        with pytest.raises(IntegrityError):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("case", ["config-list", "config-string", "config-null"])
