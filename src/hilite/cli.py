@@ -37,6 +37,7 @@ from .errors import (
     HiliteError,
     IntegrityError,
     SolverUnavailableError,
+    json_typed,
 )
 from .markup import get_format
 from .policy import feature_parts, forward
@@ -55,7 +56,6 @@ from .trainer import (
     TrainConfig,
     evaluate,
     highlight,
-    json_typed,
     load_checkpoint,
     train,
 )

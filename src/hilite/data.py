@@ -42,6 +42,18 @@ REQUIRED_FIELDS = ("id", "query", "context", "gold")
 _KNOWN_FIELDS = REQUIRED_FIELDS + ("evidence_spans",)
 
 
+def _utf8_length(fname: str, value) -> int:
+    """The length of the UTF-8 encoding of field ``fname``'s ``value``;
+    DataError unless it is a string with such an encoding."""
+    if not isinstance(value, str):
+        raise DataError(f"field {fname!r} is not a string")
+    try:  # a lone surrogate has no UTF-8 encoding, so no byte offsets
+        return len(value.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise DataError(f"field {fname!r} is not valid Unicode: "
+                        f"{exc.reason} at character {exc.start}") from exc
+
+
 @dataclass(frozen=True)
 class Instance:
     """One dataset record: query, context, gold target and optional gold
@@ -72,22 +84,14 @@ class Instance:
             raise DataError("field 'id' is not a string or an integer")
         if not isinstance(self.gold, (str, int)) or isinstance(self.gold, bool):
             raise DataError("field 'gold' is not a string or an integer")
-        for fname in ("query", "context"):
-            value = getattr(self, fname)
-            if not isinstance(value, str):
-                raise DataError(f"field {fname!r} is not a string")
-            try:  # a lone surrogate has no UTF-8 encoding, so no byte offsets
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DataError(f"field {fname!r} is not valid Unicode: "
-                                f"{exc.reason} at character {exc.start}") from exc
+        _utf8_length("query", self.query)
+        n = _utf8_length("context", self.context)
         if self.evidence_spans is None:
             return
         try:
             spans = [(start, end) for start, end in self.evidence_spans]
         except (TypeError, ValueError) as exc:
             raise DataError(f"instance {self.id}: malformed evidence_spans: {exc}") from exc
-        n = len(self.context.encode("utf-8"))
         prev_end = -1
         for start, end in spans:
             if type(start) is not int or type(end) is not int:  # bool is no offset
@@ -105,9 +109,10 @@ class Instance:
     def tokens(self) -> TokenizedContext:
         """The tokenized context, computed on first read and kept.
 
-        Kept tokens cost about 16 bytes per token (tracemalloc over 50
-        generated 2K-token needles, ``source_bytes`` unread) and live as
-        long as the instance.  They are not a field: equality, ``repr``,
+        Kept tokens cost about 21 bytes per token, 5.5 of them the
+        context's UTF-8 bytes, held from tokenization on whether or not
+        markers are ever spliced in (tracemalloc over 50 generated 2K-token
+        needles), and live as long as the instance.  They are not a field: equality, ``repr``,
         ``to_record`` and ``dataclasses.replace`` ignore them, so a replaced
         instance tokenizes afresh.
         """
@@ -283,7 +288,7 @@ def gen_needle(spec: SynthSpec) -> Instance:
                 else _NOUNS[rng.integers(len(_NOUNS))]
                 for j in range(spec.filler_gap)
             ]
-            cluster_block_parts.append("beneath the " + " ".join(fill))
+            cluster_block_parts.append(" ".join(["beneath the", *fill]))
     cluster_block = " ".join(cluster_block_parts)
     needle = NEEDLE_TEMPLATE.format(clusters=cluster_block, value=value)
     query = (

@@ -41,7 +41,7 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     ProtocolError,
     SolverUnavailableError,
     TemplateError,
+    json_typed,
 )
 from .markup import MarkerFormat, DEFAULT_FORMAT, scan_markers
 
@@ -246,9 +247,10 @@ class EndpointConfig:
     """Where and how to reach a generation endpoint.
 
     Wire format: POST {"prompt", "max_tokens", "temperature"} (+ Authorization
-    header when auth_token is set), response {"text": ...}.  ``timeout``
+    header when auth_token is set), response {"text": str}.  ``timeout``
     bounds each socket operation (connect, send, each read), not a whole
-    request.
+    request.  Every field must have the JSON type in
+    :data:`ENDPOINT_FIELD_TYPES`.
     """
 
     url: str
@@ -259,15 +261,21 @@ class EndpointConfig:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+        for name, kind in ENDPOINT_FIELD_TYPES.items():
+            setattr(self, name, json_typed(getattr(self, name), kind, name))
+        if self.timeout <= 0:
             raise ConfigError("timeout must be a finite number > 0")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+        if self.temperature < 0:
             raise ConfigError(f"temperature must be a finite number >= 0, "
                               f"not {self.temperature!r}")
+
+
+# every EndpointConfig field -> its JSON type
+ENDPOINT_FIELD_TYPES = {f.name: type(f.default) for f in fields(EndpointConfig)} | {"url": str}
 
 
 def split_endpoint(url: str) -> urllib.parse.SplitResult:
@@ -388,7 +396,7 @@ def call_http(prompt: str, endpoint: EndpointConfig, pool: ConnectionPool) -> So
 
 
 def _reply_text(url: str, status: int, data: bytes) -> str:
-    """The ``text`` of a reply that is not retried, or ProtocolError."""
+    """The ``text`` string of a reply that is not retried, or ProtocolError."""
     if not 200 <= status < 300:
         raise ProtocolError(f"{url} rejected the request: HTTP {status}")
     try:
@@ -397,7 +405,10 @@ def _reply_text(url: str, status: int, data: bytes) -> str:
         raise ProtocolError(f"solver returned invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "text" not in payload:
         raise ProtocolError("solver response missing 'text'")
-    return str(payload["text"])
+    if not isinstance(payload["text"], str):
+        raise ProtocolError(f"solver response 'text' is not a string: "
+                            f"{json.dumps(payload['text'])}")
+    return payload["text"]
 
 
 class HTTPSolver:
@@ -428,12 +439,16 @@ ORACLE_WRONG_ANSWER = "unknown"
 
 @dataclass(frozen=True)
 class OracleSolverConfig:
-    """Coverage threshold plus the optional connective-context requirement."""
+    """Coverage threshold plus the optional connective-context requirement,
+    each of its default's JSON type."""
 
     coverage_threshold: float = 0.8
     require_connective: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               json_typed(getattr(self, f.name), type(f.default), f.name))
         if not 0.0 <= self.coverage_threshold <= 1.0:
             raise ConfigError("coverage_threshold must lie in [0, 1]")
 

@@ -14,9 +14,10 @@ holds each distinct text once, in first-seen order, and the int32 array
 ``text_ids`` names each token's entry in it.  Byte ranges are the int32
 arrays ``starts`` and ``ends``.  Every layer reads those arrays;
 :attr:`TokenizedContext.tokens` builds :class:`Token` objects on demand
-for callers that want one record per token.  The encoded source,
-:attr:`TokenizedContext.source_bytes`, is computed on first read and kept,
-so splicing markers or pruning encodes each context once.  Highlighting
+for callers that want one record per token.  The context holds the
+source only as its UTF-8 bytes, :attr:`TokenizedContext.source_bytes`:
+:func:`tokenize` encodes the text once and keeps that encoding, and
+splicing markers, pruning and evidence coverage all read it.  Highlighting
 may select any of the context's tokens: the paper's index set omega, with
 no token excluded.
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class Token:
 
 @dataclass(eq=False)
 class TokenizedContext:
-    """Source text and its tokens as parallel arrays.
+    """UTF-8 source bytes and their tokens as parallel arrays, built by
+    :func:`tokenize`.
 
     ``vocab`` is the tuple of distinct token texts in first-seen order and
     ``text_ids`` (int32) holds one entry per token: ``vocab[text_ids[i]]``
@@ -81,16 +82,11 @@ class TokenizedContext:
     in the UTF-8 source.
     """
 
-    source: str
+    source_bytes: bytes
     vocab: tuple[str, ...]
     text_ids: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-
-    def __post_init__(self):
-        self.text_ids = np.asarray(self.text_ids, dtype=np.int32)
-        self.starts = np.asarray(self.starts, dtype=np.int32)
-        self.ends = np.asarray(self.ends, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.text_ids)
@@ -99,7 +95,7 @@ class TokenizedContext:
         if not isinstance(other, TokenizedContext):
             return NotImplemented
         return (
-            self.source == other.source
+            self.source_bytes == other.source_bytes
             and self.vocab == other.vocab
             and np.array_equal(self.text_ids, other.text_ids)
             and np.array_equal(self.starts, other.starts)
@@ -122,11 +118,6 @@ class TokenizedContext:
                 self.text_ids.tolist(), self.starts.tolist(), self.ends.tolist()
             )
         ]
-
-    @cached_property
-    def source_bytes(self) -> bytes:
-        """The UTF-8 encoding of ``source``, encoded on first read and kept."""
-        return self.source.encode("utf-8")
 
 
 def _char_classes(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,26 +152,27 @@ def tokenize(text: str) -> TokenizedContext:
     - ids: one ``dict.setdefault`` pass maps each token to the position of
       its text's first occurrence, and ranking those first occurrences gives
       the vocabulary ids in first-seen order;
-    - offsets: in non-ASCII text, a character offset becomes a byte offset
-      by looking up where that code point's lead byte sits in the UTF-8
-      encoding; ASCII text needs no conversion.
+    - offsets: where the UTF-8 encoding is longer than the text, a character
+      offset becomes a byte offset by looking up where that code point's
+      lead byte sits in the encoding; otherwise (ASCII text) they are equal.
 
-    So ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
+    The text is encoded once and the context keeps that encoding as
+    ``source_bytes``, so
+    ``source_bytes[starts[i]:ends[i]].decode() == vocab[text_ids[i]]``
     holds for arbitrary Unicode input.  Text that holds a lone surrogate
     has no UTF-8 encoding and raises :class:`DataError`, and so does text
     whose encoding is longer than :data:`MAX_CONTEXT_BYTES`.
     """
     try:
-        utf8 = None if text.isascii() else text.encode("utf-8")
+        utf8 = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise DataError(
             f"text is not valid Unicode: {exc.reason} at character {exc.start} "
             f"(U+{ord(text[exc.start]):04X})"
         ) from exc
-    size = len(text) if utf8 is None else len(utf8)
-    if size > MAX_CONTEXT_BYTES:
-        raise DataError(f"text of {size} UTF-8 bytes is longer than the {MAX_CONTEXT_BYTES} "
-                        f"that int32 byte offsets address")
+    if len(utf8) > MAX_CONTEXT_BYTES:
+        raise DataError(f"text of {len(utf8)} UTF-8 bytes is longer than the "
+                        f"{MAX_CONTEXT_BYTES} that int32 byte offsets address")
     cp = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
     word, space = _char_classes(cp)
     joined = word[1:] & word[:-1]  # character i + 1 continues character i's word
@@ -201,14 +193,15 @@ def tokenize(text: str) -> TokenizedContext:
     first = np.fromiter(map(index.setdefault, texts, range(n)), np.intp, n)
     # token i is its text's first occurrence where first[i] == i
     text_ids = (np.cumsum(first == np.arange(n), dtype=np.int32) - 1)[first]
-    if utf8 is not None:
+    if len(utf8) > len(text):
         # a code point's byte offset is that of its UTF-8 lead byte, and lead
         # bytes are the ones not of the form 0b10xxxxxx (as int8: >= -64)
         lead = np.frombuffer(utf8, np.int8) >= -64
         offsets = np.flatnonzero(np.append(lead, True))
         starts, ends = offsets[starts], offsets[ends]
     return TokenizedContext(
-        source=text, vocab=tuple(index), text_ids=text_ids, starts=starts, ends=ends
+        source_bytes=utf8, vocab=tuple(index), text_ids=text_ids,
+        starts=starts.astype(np.int32), ends=ends.astype(np.int32),
     )
 
 

@@ -49,7 +49,6 @@ import json
 import logging
 import math
 import os
-import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -68,6 +67,7 @@ from .errors import (
     ProtocolError,
     SolverUnavailableError,
     StructureError,
+    json_typed,
 )
 from .markup import BUILTIN_FORMATS, MarkerFormat, Mask, Spans, get_format
 from .policy import FeatureParts, ScorerParams, build_idf_table, feature_parts
@@ -96,23 +96,6 @@ EVIDENCE_THRESHOLD = 0.5
 PRUNE_JOINER = " ... "
 # most threads :func:`train` runs rollouts on, ThreadPoolExecutor's default ceiling
 MAX_ROLLOUT_WORKERS = 32
-
-JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-                   str: "a string", dict: "a JSON object"}
-
-
-def json_typed(value, kind: type, what: str):
-    """``value`` if it has the JSON type ``kind``, a float kind's number as a
-    float; ConfigError naming ``what`` otherwise.  Neither ``true`` nor
-    ``false`` is a number, and a number must fit a float: NaN and Infinity
-    do not."""
-    fits = (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if kind is float else isinstance(value, kind))
-    if fits and isinstance(value, bool) == (kind is bool):
-        return float(value) if kind is float else value
-    raise ConfigError(f"{what} must be {JSON_TYPE_NAMES[kind]}, "
-                      f"not {json.dumps(value, default=repr)}")
-
 
 @dataclass
 class TrainConfig:
@@ -693,7 +676,7 @@ def evaluate(
     Contexts come from :attr:`Instance.tokens`, computed once per instance
     per process: training on the same instances and repeated passes over
     them (ablation variants, sweep grid points) tokenize nothing again, and
-    the tokens stay alive with the instances (about 16 bytes per token on
+    the tokens stay alive with the instances (about 21 bytes per token on
     2K-token needles; see :attr:`Instance.tokens`).  Probabilities take
     training's route: the instance's :class:`policy.FeatureParts`, its table
     standardized once per vocabulary entry, give the rows

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gold_token_indices
@@ -332,6 +332,8 @@ def test_gen_needle_records_match_the_recorded_digest():
     n_clusters=st.integers(1, 8), cluster_size=st.integers(1, 6),
     filler_gap=st.integers(0, 8),
 )
+# no filler between clusters: "beneath the" meets the next cluster with one space
+@example(target=300, seed=1, n_clusters=3, cluster_size=2, filler_gap=0)
 @settings(max_examples=100, deadline=None)
 def test_gen_needle_token_budget_exact(target, seed, n_clusters, cluster_size, filler_gap):
     spec = SynthSpec(target_tokens=target, seed=seed, n_clusters=n_clusters,
@@ -342,6 +344,7 @@ def test_gen_needle_token_budget_exact(target, seed, n_clusters, cluster_size, f
         assume("below needle length" not in str(exc))  # the needle does not fit
         raise
     assert len(tokenize(inst.context)) == target  # the generator pads to the exact count
+    assert "  " not in inst.context
 
 
 def test_gen_needle_8k_length_audit():

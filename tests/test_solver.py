@@ -187,9 +187,14 @@ def test_call_http_echo(scripted_server):
     assert handler.requests_seen[0]["temperature"] == 0.0
 
 
-def test_call_http_malformed_payload_is_protocol_error(scripted_server):
+@pytest.mark.parametrize("payload", [
+    {"no_text": 1},
+    # a non-string text is not turned into one: str(["<answer>42</answer>"]) parses as 42
+    {"text": ["<answer>42</answer>"]}, {"text": None}, {"text": 42},
+], ids=["no-text", "text-list", "text-null", "text-number"])
+def test_call_http_malformed_payload_is_protocol_error(scripted_server, payload):
     url, handler = scripted_server
-    handler.script.append((200, {"no_text": 1}))
+    handler.script.append((200, payload))
     with closing(ConnectionPool(url, 5.0)) as pool, pytest.raises(ProtocolError):
         call_http("p", _endpoint(url), pool)
 
@@ -323,6 +328,18 @@ def test_reply_cut_short_is_retried_as_transport_failure(keepalive_server):
 def test_endpoint_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
         EndpointConfig(url="http://127.0.0.1:9/", **{field: value})
+
+
+@pytest.mark.parametrize("config,field,value", [
+    (EndpointConfig, "max_retries", 2.5), (EndpointConfig, "max_tokens", 1.5),
+    (EndpointConfig, "timeout", True), (EndpointConfig, "url", None),
+    (OracleSolverConfig, "require_connective", "no"),
+    (OracleSolverConfig, "coverage_threshold", "0.8"),
+])
+def test_solver_configs_reject_values_of_the_wrong_json_type(config, field, value):
+    kwargs = {"url": "http://127.0.0.1:9/"} if config is EndpointConfig else {}
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        config(**{**kwargs, field: value})
 
 
 @pytest.mark.parametrize("url", ["ftp://host/", "localhost:8000", "http:///x", "http://h:port/"])

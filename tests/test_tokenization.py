@@ -70,6 +70,9 @@ def test_source_bytes_are_encoded_once_and_kept():
     ctx = tokenize("café bar")
     assert ctx.source_bytes is ctx.source_bytes
     assert ctx.source_bytes == "café bar".encode("utf-8")
+    # the context holds the source only as the bytes tokenize encoded
+    assert [f.name for f in dataclasses.fields(ctx)] == [
+        "source_bytes", "vocab", "text_ids", "starts", "ends"]
 
 
 def test_omega_defaults_to_all_tokens():
@@ -99,6 +102,8 @@ TEXTS = st.text(
 def test_round_trip_and_monotonicity(text):
     ctx = tokenize(text)
     raw = text.encode("utf-8")
+    assert ctx.source_bytes == raw
+    assert ctx.text_ids.dtype == ctx.starts.dtype == ctx.ends.dtype == np.int32
     prev_end = -1
     for tok in ctx.tokens:
         assert raw[tok.char_start : tok.char_end].decode("utf-8") == tok.text
