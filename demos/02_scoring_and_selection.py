@@ -21,7 +21,7 @@ from hilite import (
     score,
     tokenize,
 )
-from hilite.policy import FEATURE_NAMES
+from hilite.policy import FEATURE_NAMES, feature_parts
 
 query = "What is the access code for project kestrel?"
 context = (
@@ -36,9 +36,9 @@ print("feature names:", FEATURE_NAMES)
 print("feature matrix:", feats.shape)
 
 # standardization statistics come from whatever split you train on; here we
-# just freeze them from this single context (init_params takes a list of
-# row blocks, one per context)
-params = init_params([feats], tau=1.0, init_prob=0.25)
+# just freeze them from this single context (init_params takes the raw
+# FeatureParts of each context)
+params = init_params([feature_parts(query, ctx, idf_table={})], tau=1.0, init_prob=0.25)
 params.w = np.array([0.4, 1.2, 0.8, 0.0, 0.1, 1.0, 0.0])  # hand-set for the demo
 probs = score(feats, params)
 

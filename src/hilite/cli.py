@@ -284,8 +284,11 @@ def cmd_eval(checkpoint_path, dataset, config_path, report_path,
                 f"fraction={row['mean_highlight_fraction']:.4f}"
             )
     if report_path:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        try:
+            Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+            Path(report_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {report_path}: {exc}") from exc
         click.echo(f"report: {report_path}")
 
 
@@ -342,11 +345,14 @@ def cmd_sweep(checkpoint_path, dataset, config_path, axis, grid, csv_path):
         rows.append({"axis_value": value, **{key: report[key] for key in SWEEP_COLUMNS}})
         click.echo(f"{axis}={value}: reward={report['mean_reward']:.4f}")
 
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["axis_value", *SWEEP_COLUMNS])
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["axis_value", *SWEEP_COLUMNS])
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {csv_path}: {exc}") from exc
     click.echo(f"csv: {csv_path}")
 
 

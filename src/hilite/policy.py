@@ -23,9 +23,9 @@ raw rows) and :func:`score` (their clamped probabilities) are the same map
 on one raw matrix, which tests and demos read.
 
 Feature standardization statistics live inside ScorerParams and are frozen
-at initialization (computed once from the training split's raw rows by
-:func:`init_params`, which keeps no copy of them), keeping the policy
-stationary during optimization.
+at initialization (computed once from the training split's raw
+:class:`FeatureParts` by :func:`init_params`, which stacks no rows),
+keeping the policy stationary during optimization.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .tokenization import TokenizedContext, tokenize
 
 PROB_CLAMP = 1e-6
 NORM_EPS = 1e-8
-_VAR_BLOCK = 16_384  # rows init_params adds up at a time
 
 FEATURE_NAMES = (
     "query_unigram_overlap",
@@ -231,70 +230,60 @@ def featurize(
     return feature_parts(query, ctx, idf_table, idf_ceiling).rows()
 
 
-def _column_sum(row_blocks, center: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Column sums over the rows of every block in ``row_blocks``, or over
-    their squares about ``center``, and the number of rows.
+def _column_sum(
+    parts: list[FeatureParts], center: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Column sums over the raw rows of every part, or over their squares
+    about ``center``, and the number of rows.
 
-    The rows go ``_VAR_BLOCK`` at a time into rows 1.. of a buffer whose row
-    0 holds the sums so far, and the buffer is summed over axis 0.  numpy
-    sums a C-ordered matrix over axis 0 one row after the other, each added
-    to the sum of the rows before it, and so does this running sum: the
-    result keeps the bits of one sum over the stacked rows, however they
-    are split into blocks.
+    Each part's rows go into rows 1.. of one buffer whose row 0 holds the
+    sums so far, and the buffer is summed over axis 0.  numpy sums a
+    C-ordered matrix over axis 0 one row after the other, each added to the
+    sum of the rows before it, and so does this running sum: the result
+    keeps the bits of one sum over the stacked rows.
     """
-    acc, n = None, 0
-    for block in row_blocks:
-        if block.ndim != 2 or (acc is not None and block.shape[1] != acc.shape[1]):
-            raise StructureError(f"row block of shape {block.shape} does not stack")
-        if acc is None:
-            acc = np.zeros((_VAR_BLOCK + 1, block.shape[1]))
-        for start in range(0, len(block), _VAR_BLOCK):
-            chunk = block[start:start + _VAR_BLOCK]
-            rows = acc[1:len(chunk) + 1]
-            if center is None:
-                rows[:] = chunk
-            else:
-                np.square(np.subtract(chunk, center, out=rows), out=rows)
-            acc[0] = acc[:len(chunk) + 1].sum(axis=0)
-            n += len(chunk)
+    buf = np.zeros((max((len(part.text_ids) for part in parts), default=0) + 1, FEATURE_DIM))
+    n = 0
+    for part in parts:
+        m = len(part.text_ids)
+        rows = part.rows(buf[1:m + 1])
+        if center is not None:
+            np.square(np.subtract(rows, center, out=rows), out=rows)
+        buf[0] = buf[:m + 1].sum(axis=0)
+        n += m
     if not n:
         raise StructureError("init_params needs at least one row")
-    return acc[0], n
+    return buf[0], n
 
 
 def init_params(
-    row_blocks,
+    parts: list[FeatureParts],
     tau: float = 1.0,
     init_prob: float | None = None,
 ) -> ScorerParams:
     """Fresh scorer parameters with standardization statistics frozen from
-    the raw training-split rows in ``row_blocks``: 2-D blocks of equal width,
-    which are read and never changed.  The blocks are iterated twice, so
-    pass a collection or another re-iterable; each block is read before the
-    next one is drawn, so they may share one buffer.
+    the raw rows of the training split's :class:`FeatureParts`, which are
+    read and never changed.
 
     The statistics are each column's mean and population variance: the
     column sum over n, then the column sum of the squared centred rows over
     n.  Both sums are running sums in numpy's axis-0 order (see
     :func:`_column_sum`), so the statistics equal numpy's ``mean`` and
-    ``var`` of the stacked rows bit for bit, and no copy of the stack is
-    made.
+    ``var`` of the stacked rows bit for bit, and no stack is built.
 
     w starts at zero.  When ``init_prob`` is given, the bias starts at
     tau * logit(init_prob) so the initial policy selects at that rate;
     the trainer passes the budget fraction gamma, which keeps the initial
     expected highlight fraction on budget and the length penalty at zero.
     """
-    if iter(row_blocks) is row_blocks:
-        raise StructureError("row_blocks is read twice, so it must not be a one-shot iterator")
     b = 0.0
     if init_prob is not None:
         if not 0.0 < init_prob < 1.0:
             raise StructureError("init_prob must lie in (0, 1)")
         b = tau * math.log(init_prob / (1.0 - init_prob))
-    total, n = _column_sum(row_blocks)
+    total, n = _column_sum(parts)
     norm_mean = total / n
-    norm_var = _column_sum(row_blocks, norm_mean)[0] / n
+    norm_var = _column_sum(parts, norm_mean)[0] / n
     return ScorerParams(
         w=np.zeros(norm_mean.size, dtype=np.float64),
         b=b,

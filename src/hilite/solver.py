@@ -36,7 +36,6 @@ import functools
 import http.client
 import itertools
 import json
-import math
 import re
 import threading
 import time
@@ -196,8 +195,12 @@ def parse_answer(raw: str) -> str:
 
 def parse_final_json(raw: str) -> list:
     """Extract the first <FINAL_JSON> block and return candidate ids sorted
-    by score descending (ties: id ascending).  Duplicate ids and non-finite
-    scores are parse errors, so such a reply is a flagged episode."""
+    by score descending (ties: id ascending).  An id is a string or an
+    integer, as :attr:`Instance.gold` holds, and a score a finite JSON
+    number; ``true`` and ``false`` are neither.  Other ids and scores,
+    duplicate ids, and a string and an integer id that tie on score (they
+    do not compare) are parse errors, so such a reply is a flagged
+    episode."""
     m = _FINAL_JSON_RE.search(raw)
     if not m:
         raise ParseError("no <FINAL_JSON>...</FINAL_JSON> payload found")
@@ -211,20 +214,20 @@ def parse_final_json(raw: str) -> list:
     for rec in records:
         if not isinstance(rec, dict) or "id" not in rec or "score" not in rec:
             raise ParseError(f"malformed FINAL_JSON record: {rec!r}")
+        item_id = rec["id"]
+        if isinstance(item_id, bool) or not isinstance(item_id, (str, int)):
+            raise ParseError(f"id is neither a string nor an integer in record: {rec!r}")
         try:
-            score = float(rec["score"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"non-numeric score in record: {rec!r}") from exc
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score in record: {rec!r}")
-        scored.append((rec["id"], score))
+            scored.append((item_id, json_typed(rec["score"], float, "score")))
+        except ConfigError as exc:
+            raise ParseError(f"{exc} in record: {rec!r}") from exc
     try:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        ids = [item_id for item_id, _ in scored]
-        if len(set(ids)) != len(ids):
-            raise ParseError("FINAL_JSON ranking contains duplicate ids")
-    except TypeError as exc:  # mixed-type ids are not orderable, lists not hashable
-        raise ParseError(f"ids are not mutually orderable and hashable: {exc}") from exc
+    except TypeError as exc:
+        raise ParseError(f"tied ids mix strings and integers: {exc}") from exc
+    ids = [item_id for item_id, _ in scored]
+    if len(set(ids)) != len(ids):
+        raise ParseError("FINAL_JSON ranking contains duplicate ids")
     return ids
 
 

@@ -61,6 +61,7 @@ from . import markup, policy
 from .data import Instance, evidence_overlap
 from .errors import (
     ConfigError,
+    DataError,
     HiliteError,
     IntegrityError,
     ParseError,
@@ -361,20 +362,6 @@ class TrainResult:
     metrics_path: Path | None = None
 
 
-class _RawRows:
-    """The raw feature rows of each training instance, one block per
-    instance, built afresh into one shared buffer on every pass: what
-    :func:`policy.init_params` reads twice."""
-
-    def __init__(self, parts: list[FeatureParts]):
-        self.parts = parts
-
-    def __iter__(self):
-        buf = np.empty((max(len(part.text_ids) for part in self.parts), policy.FEATURE_DIM))
-        for part in self.parts:
-            yield part.rows(buf[:len(part.text_ids)])
-
-
 def init_from_dataset(
     dataset: list[Instance], cfg: TrainConfig
 ) -> tuple[ScorerParams, dict[str, float], list[FeatureParts]]:
@@ -396,7 +383,7 @@ def init_from_dataset(
         raise ConfigError("training split contains no tokens")
     parts = [feature_parts(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
              for inst in dataset]
-    params = policy.init_params(_RawRows(parts), tau=cfg.tau, init_prob=cfg.gamma)
+    params = policy.init_params(parts, tau=cfg.tau, init_prob=cfg.gamma)
     for i, part in enumerate(parts):  # in place: one raw table at a time is let go
         parts[i] = part.standardized(params)
     return params, idf_table, parts
@@ -519,7 +506,8 @@ def train(
 ) -> TrainResult:
     """Algorithm: cycle the dataset with batch size 1, one grouped update
     per step.  Writes a metrics log and a final checkpoint when ``out_dir``
-    is given; aborts with a partial checkpoint once the solver calls that
+    is given (DataError, before the first step, if the log cannot be
+    opened there); aborts with a partial checkpoint once the solver calls that
     raised a transport or protocol error exceed the failure budget (a reply
     that does not parse is flagged only).  Needs gamma < 1.
 
@@ -546,9 +534,12 @@ def train(
     metrics_path = None
     metrics_fh = None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         metrics_path = out_dir / "metrics.jsonl"
-        metrics_fh = metrics_path.open("w", encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            metrics_fh = metrics_path.open("w", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {metrics_path}: {exc}") from exc
 
     history: list[dict] = []
     total_failures = 0
@@ -822,7 +813,8 @@ def load_checkpoint(path: str | Path):
             record = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         raise IntegrityError(f"checkpoint {path} unreadable: {exc}") from exc
-    if not isinstance(record, dict) or record.get("version") != CHECKPOINT_VERSION:
+    version = record.get("version") if isinstance(record, dict) else None
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
         raise IntegrityError(f"unsupported checkpoint version in {path}")
     try:
         params = ScorerParams.from_dict(_typed_numbers(record, "params"))

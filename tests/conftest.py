@@ -193,6 +193,8 @@ CORRUPT_CHECKPOINT_FIELDS = {
     "w-numeric-string": (("params", "w"), ["0.5"] * FEATURE_DIM),
     "m-b-string": (("opt_state", "m_b"), "2"),
     "v-w-false": (("opt_state", "v_w"), [False] * FEATURE_DIM),
+    "version-true": (("version",), True),
+    "version-float": (("version",), 1.0),
 }
 
 

@@ -13,7 +13,7 @@ from hilite import policy
 from hilite.cli import main
 from hilite.data import SynthSpec, gen_dataset, gen_needle, load_jsonl, save_jsonl
 from hilite.markup import DEFAULT_FORMAT, scan_markers
-from hilite.policy import FEATURE_DIM, ScorerParams, build_idf_table, featurize, init_params
+from hilite.policy import FEATURE_DIM, ScorerParams, build_idf_table, feature_parts, init_params
 from hilite.solver import ANSWER_TAG, OracleSolver, OracleSolverConfig, SolverOutput
 from hilite.tokenization import tokenize
 from hilite.trainer import (
@@ -430,7 +430,7 @@ def highlight_checkpoint(path, cases) -> None:
     from ``cases``, with fixed weights that read every feature."""
     ctxs = [tokenize(context) for _, context in cases.values()]
     idf_table = build_idf_table(ctxs)
-    base = init_params([featurize(query, ctx, idf_table)
+    base = init_params([feature_parts(query, ctx, idf_table)
                         for (query, _), ctx in zip(cases.values(), ctxs)])
     params = ScorerParams(w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
                           norm_mean=base.norm_mean, norm_var=base.norm_var)
@@ -534,6 +534,36 @@ def test_unreadable_file_exits_with_the_readers_error_naming_it(runner, tmp_path
     assert isinstance(result.exception, SystemExit)  # reported, not a traceback
     assert result.output.startswith("error: ")
     assert str(bad) in result.output
+
+
+# writer -> the command line that writes its output to {bad}
+FILE_WRITERS = {
+    "train": ["train", "--dataset", "{dataset}", "--out", "{bad}", "--steps", "1"],
+    "eval": ["eval", "--checkpoint", "{checkpoint}", "--dataset", "{dataset}", "--out", "{bad}"],
+    "sweep": ["sweep", "--checkpoint", "{checkpoint}", "--dataset", "{dataset}",
+              "--axis", "budget", "--grid", "0.2", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("writer", list(FILE_WRITERS))
+def test_unwritable_output_exits_4_naming_it(runner, tmp_path, writer):
+    # train's --out names a directory, so a file there cannot be one; the
+    # others name a file, so a directory there cannot be written
+    checkpoint, dataset, bad = (tmp_path / name for name in ("ck.json", "d.jsonl", "bad"))
+    write_checkpoint(checkpoint)
+    save_jsonl(gen_dataset(1, target_tokens=150, seed=0, n_clusters=2, cluster_size=3,
+                           filler_gap=2), dataset)
+    if writer == "train":
+        bad.write_text("")
+    else:
+        bad.mkdir()
+    argv = [arg.format(bad=bad, checkpoint=checkpoint, dataset=dataset)
+            for arg in FILE_WRITERS[writer]]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert "Traceback" not in result.output
+    assert "error: cannot write" in result.output and str(bad) in result.output
 
 
 # "\udcff" is what Python's surrogateescape makes of the argv byte 0xff

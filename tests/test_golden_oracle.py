@@ -22,7 +22,14 @@ import numpy as np
 
 from hilite.data import SynthSpec, gen_needle
 from hilite.markup import BUILTIN_FORMATS, coalesce, inject, prune, scan_markers
-from hilite.policy import ScorerParams, build_idf_table, featurize, init_params, score
+from hilite.policy import (
+    ScorerParams,
+    build_idf_table,
+    feature_parts,
+    featurize,
+    init_params,
+    score,
+)
 from hilite.selection import Budget, random_mask, topk
 from hilite.solver import evidence_coverage
 from hilite.tokenization import tokenize
@@ -78,7 +85,8 @@ def golden_oracle() -> dict:
     ctxs = {name: tokenize(text) for name, (_, text, _) in data.items()}
     idf = build_idf_table(list(ctxs.values()))
     feats = {name: featurize(query, ctxs[name], idf) for name, (query, _, _) in data.items()}
-    base = init_params(list(feats.values()))
+    base = init_params([feature_parts(query, ctxs[name], idf)
+                        for name, (query, _, _) in data.items()])
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,

@@ -33,7 +33,7 @@ from hilite import (
     score,
     tokenize,
 )
-from hilite.policy import ScorerParams
+from hilite.policy import ScorerParams, feature_parts
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_sampler.json"
 
@@ -56,7 +56,8 @@ def golden_sampler() -> dict:
     ctxs = {name: tokenize(inst.context) for name, inst in needles.items()}
     idf = build_idf_table(list(ctxs.values()))
     feats = {name: featurize(inst.query, ctxs[name], idf) for name, inst in needles.items()}
-    base = init_params(list(feats.values()))
+    base = init_params([feature_parts(inst.query, ctxs[name], idf)
+                        for name, inst in needles.items()])
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,

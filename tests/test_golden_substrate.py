@@ -28,7 +28,14 @@ from conftest import gold_token_indices
 from hilite import trainer
 from hilite.data import SynthSpec, gen_dataset, gen_needle
 from hilite.markup import DEFAULT_FORMAT, coalesce, inject, prune
-from hilite.policy import ScorerParams, build_idf_table, featurize, init_params, score
+from hilite.policy import (
+    ScorerParams,
+    build_idf_table,
+    feature_parts,
+    featurize,
+    init_params,
+    score,
+)
 from hilite.selection import Budget, random_mask, topk
 from hilite.solver import OracleSolver, OracleSolverConfig
 from hilite.tokenization import tokenize, tokens_touching
@@ -117,7 +124,8 @@ def golden_substrate() -> dict:
     feats = {
         name: featurize(query, ctxs[name], idf) for name, (query, _, _) in data.items()
     }
-    base = init_params(list(feats.values()))
+    base = init_params([feature_parts(query, ctxs[name], idf)
+                        for name, (query, _, _) in data.items()])
     params = ScorerParams(
         w=np.asarray(WEIGHTS), b=-0.5, tau=1.0,
         norm_mean=base.norm_mean, norm_var=base.norm_var,

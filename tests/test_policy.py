@@ -398,75 +398,63 @@ def test_gradient_at_extreme_logits_is_finite_and_ignores_clamped_tokens():
 # ---------------------------------------------------------------------------
 
 
+def raw_parts(rng, n, loc=0.0, scale=1.0):
+    """Raw FeatureParts of n tokens drawn from a random vocabulary table."""
+    table = rng.normal(loc=loc, scale=scale, size=(max(n // 2, 1), FEATURE_DIM))
+    table[:, 5] = 0.0  # a constant column: variance 0
+    return policy.FeatureParts(table, rng.integers(0, len(table), size=n, dtype=np.int32),
+                               rng.random(n) < 0.1, rng.random(n) < 0.3)
+
+
 def test_init_params_freezes_stats_and_budget_bias():
     rng = np.random.default_rng(0)
-    raw = rng.normal(loc=2.0, scale=3.0, size=(100, FEATURE_DIM))
-    params = init_params([raw], tau=1.0, init_prob=0.15)
+    parts = raw_parts(rng, 100, loc=2.0, scale=3.0)
+    params = init_params([parts], tau=1.0, init_prob=0.15)
+    raw = parts.rows()
     assert np.allclose(params.norm_mean, raw.mean(axis=0))
     assert np.allclose(params.norm_var, raw.var(axis=0))
     assert params.b == pytest.approx(math.log(0.15 / 0.85))
     # initial policy selects at the requested rate
-    f = feats_of(raw[:10])
-    assert np.allclose(score(f, params), 0.15, atol=1e-2)
+    assert np.allclose(score(raw[:10], params), 0.15, atol=1e-2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e4]))
-@example(n=policy._VAR_BLOCK - 1, seed=1, scale=1.0)
-@example(n=policy._VAR_BLOCK, seed=2, scale=1.0)
-@example(n=policy._VAR_BLOCK + 1, seed=3, scale=1.0)
-@example(n=3 * policy._VAR_BLOCK + 17, seed=4, scale=1.0)
-def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale):
-    # running sums in numpy's axis-0 order give numpy's mean and var, not
-    # just close values, and leave the rows as they were; the examples cross
-    # the edges of init_params' summing blocks
+@given(st.lists(st.integers(0, 3000), max_size=6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e4]))
+@example(sizes=[16_385], seed=1, scale=1.0)
+@example(sizes=[49_169], seed=2, scale=1.0)
+@example(sizes=[0, 16_385, 0, 2], seed=3, scale=1e4)
+@example(sizes=[0, 0], seed=4, scale=1.0)
+def test_init_params_statistics_equal_numpy_of_the_stacked_rows_bit_for_bit(sizes, seed, scale):
+    # running sums in numpy's axis-0 order give numpy's mean and var of the
+    # stacked rows, not just close values, over any part sizes, and leave
+    # the parts as they were
     rng = np.random.default_rng(seed)
-    raw = rng.normal(loc=scale * rng.normal(size=FEATURE_DIM), scale=scale, size=(n, FEATURE_DIM))
-    raw[:, 1] = rng.random(n) < 0.1  # a 0/1 column, like the overlap flags
-    raw[:, 5] = 0.0  # a constant column: variance 0
-    matrix = raw.copy()
-    params = init_params([matrix])
-    assert params.norm_mean.tobytes() == raw.mean(axis=0).tobytes()
-    assert params.norm_var.tobytes() == raw.var(axis=0).tobytes()
-    assert matrix.tobytes() == raw.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 2 * policy._VAR_BLOCK + 5), min_size=1, max_size=6),
-       st.integers(0, 2**32 - 1))
-@example(sizes=[policy._VAR_BLOCK - 1, 2, policy._VAR_BLOCK], seed=1)
-@example(sizes=[0, policy._VAR_BLOCK + 1, 0], seed=2)
-@example(sizes=[1] * 5 + [2 * policy._VAR_BLOCK + 3], seed=3)
-def test_init_params_statistics_over_any_block_split_equal_numpy_bit_for_bit(sizes, seed):
-    rng = np.random.default_rng(seed)
-    blocks = [rng.normal(loc=rng.normal(size=FEATURE_DIM), size=(size, FEATURE_DIM))
-              for size in sizes]
-    stacked = np.vstack(blocks)
-    if not len(stacked):
+    loc = scale * rng.normal(size=FEATURE_DIM)
+    parts = [raw_parts(rng, size, loc, scale) for size in sizes]
+    before = copy.deepcopy(parts)
+    if not sum(sizes):
         with pytest.raises(StructureError, match="at least one row"):
-            init_params(blocks)
+            init_params(parts)
         return
-    params = init_params(blocks)
+    stacked = np.vstack([part.rows() for part in parts])
+    params = init_params(parts)
     assert params.norm_mean.tobytes() == stacked.mean(axis=0).tobytes()
     assert params.norm_var.tobytes() == stacked.var(axis=0).tobytes()
-
-
-def test_init_params_rejects_a_one_shot_iterator():
-    rows = np.ones((3, FEATURE_DIM))
-    with pytest.raises(StructureError, match="one-shot"):
-        init_params(iter([rows]))
-    with pytest.raises(StructureError, match="does not stack"):
-        init_params([rows, np.ones((2, FEATURE_DIM - 1))])
+    for part, old in zip(parts, before):
+        assert all(np.array_equal(getattr(part, f), value) for f, value in vars(old).items())
 
 
 def test_init_params_makes_no_full_size_temporary():
-    # numpy reports its buffers to tracemalloc; a copy of the stacked rows
-    # would make the traced peak as large as the matrix itself
-    matrix = np.random.default_rng(0).normal(size=(200_000, FEATURE_DIM))
+    # numpy reports its buffers to tracemalloc; a stack of the rows would
+    # make the traced peak as large as the stacked matrix itself
+    rng = np.random.default_rng(0)
+    parts = [raw_parts(rng, 20_000) for _ in range(10)]
+    stacked_nbytes = sum(len(part.text_ids) for part in parts) * FEATURE_DIM * 8
     tracemalloc.start()
     try:
-        init_params([matrix])
+        init_params(parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < matrix.nbytes / 4
+    assert peak < stacked_nbytes / 4

@@ -161,6 +161,13 @@ def test_parsing_total_on_adversarial_text():
         '<FINAL_JSON>[{"id": 1, "score": null}]</FINAL_JSON>',
         '<FINAL_JSON>{"id": 1}</FINAL_JSON>',
         "<FINAL_JSON>[1, 2]</FINAL_JSON>",
+        # a JSON type other than the one Instance.gold and a ranking need
+        '<FINAL_JSON>[{"id": true, "score": 1}]</FINAL_JSON>',
+        '<FINAL_JSON>[{"id": 1.0, "score": 1}]</FINAL_JSON>',
+        '<FINAL_JSON>[{"id": 1, "score": true}]</FINAL_JSON>',
+        '<FINAL_JSON>[{"id": 1, "score": "8.5"}]</FINAL_JSON>',
+        # a JSON integer too large for a float
+        '<FINAL_JSON>[{"id": 1, "score": 1' + "0" * 400 + '}]</FINAL_JSON>',
     ]
     for raw in adversarial_json:
         with pytest.raises(ParseError):

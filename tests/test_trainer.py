@@ -28,6 +28,7 @@ from hilite.policy import (
     FEATURE_DIM,
     Forward,
     ScorerParams,
+    feature_parts,
     featurize,
     forward,
     init_params,
@@ -912,7 +913,9 @@ def test_training_rows_equal_standardized_features_bit_for_bit():
     stacked = np.vstack(raw)
     assert params.norm_mean.tobytes() == stacked.mean(axis=0).tobytes()
     assert params.norm_var.tobytes() == stacked.var(axis=0).tobytes()
-    assert params.to_dict() == init_params(raw, tau=cfg.tau, init_prob=cfg.gamma).to_dict()
+    raw_parts = [feature_parts(inst.query, inst.tokens, idf_table, cfg.idf_ceiling)
+                 for inst in data]
+    assert params.to_dict() == init_params(raw_parts, tau=cfg.tau, init_prob=cfg.gamma).to_dict()
     rows = step_rows(parts, data)
     assert [len(r) for r in rows[2:5]] == [0, len(data[3].tokens), 1]
     for got, inst_feats in zip(rows, raw):
