@@ -419,20 +419,33 @@ def test_init_params_freezes_stats_and_budget_bias():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 3000), max_size=6), st.integers(0, 2**32 - 1),
-       st.sampled_from([1e-3, 1.0, 1e4]))
-@example(sizes=[16_385], seed=1, scale=1.0)
-@example(sizes=[49_169], seed=2, scale=1.0)
-@example(sizes=[0, 16_385, 0, 2], seed=3, scale=1e4)
-@example(sizes=[0, 0], seed=4, scale=1.0)
-def test_init_params_statistics_equal_numpy_of_the_stacked_rows_bit_for_bit(sizes, seed, scale):
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e4]))
+@example(n=16_385, seed=1, scale=1.0)
+@example(n=49_169, seed=2, scale=1e4)
+def test_init_params_statistics_and_rows_equal_numpy_bit_for_bit(n, seed, scale):
     # running sums in numpy's axis-0 order give numpy's mean and var of the
-    # stacked rows, not just close values, over any part sizes, and leave
-    # the parts as they were
+    # part's rows, not just close values, and leave the part as it was; the
+    # examples run past 16,384 rows, where numpy's pairwise sum splits
     rng = np.random.default_rng(seed)
-    loc = scale * rng.normal(size=FEATURE_DIM)
-    parts = [raw_parts(rng, size, loc, scale) for size in sizes]
-    before = copy.deepcopy(parts)
+    part = raw_parts(rng, n, scale * rng.normal(size=FEATURE_DIM), scale)
+    before = copy.deepcopy(part)
+    raw = part.rows()
+    params = init_params([part])
+    assert params.norm_mean.tobytes() == raw.mean(axis=0).tobytes()
+    assert params.norm_var.tobytes() == raw.var(axis=0).tobytes()
+    assert all(np.array_equal(getattr(part, f), value) for f, value in vars(before).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3000), max_size=6), st.integers(0, 2**32 - 1))
+@example(sizes=[0, 16_385, 0, 2], seed=3)
+@example(sizes=[1] * 5 + [3000], seed=4)
+@example(sizes=[0, 0], seed=5)
+def test_init_params_statistics_over_any_block_split_equal_numpy_bit_for_bit(sizes, seed):
+    # the statistics over parts of any sizes, empty parts and no parts
+    # included, are numpy's mean and var of the stacked rows
+    rng = np.random.default_rng(seed)
+    parts = [raw_parts(rng, size, rng.normal(size=FEATURE_DIM)) for size in sizes]
     if not sum(sizes):
         with pytest.raises(StructureError, match="at least one row"):
             init_params(parts)
@@ -441,8 +454,6 @@ def test_init_params_statistics_equal_numpy_of_the_stacked_rows_bit_for_bit(size
     params = init_params(parts)
     assert params.norm_mean.tobytes() == stacked.mean(axis=0).tobytes()
     assert params.norm_var.tobytes() == stacked.var(axis=0).tobytes()
-    for part, old in zip(parts, before):
-        assert all(np.array_equal(getattr(part, f), value) for f, value in vars(old).items())
 
 
 def test_init_params_makes_no_full_size_temporary():
